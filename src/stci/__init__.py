@@ -9,7 +9,6 @@ from .exact import (
     euclid_profile,
     format_rational,
     parse_rational,
-    rational_arithmetic,
 )
 from .rdp import (
     Config,
@@ -83,10 +82,8 @@ from .theorems import (
     config_search,
     kformula_bound,
     miyaoka_budget,
-    murky_applies,
     resolution_bound,
     thm1_value,
-    thm2_coefficient_identity,
     thm2_margins,
     thm2_rhs,
     thm3_check,
@@ -95,7 +92,6 @@ from .theorems import (
 from .degrees import (
     DegreePairRecord,
     DivisibilityResult,
-    binomial_divisibility_check,
     divisibility_check,
     enumerate_pairs,
 )

@@ -19,6 +19,11 @@ with integer coefficients.  Multiplication is the bilinear extension of
 and products of total degree above 3 vanish.  The strict transforms of the
 exceptional surfaces and rulings are deliberately NOT basis elements here;
 they are combinations of the classes above (see stci.graphs for rulings).
+
+The surface data (s, t, d, g) shared by stci.theorems and stci.degrees is
+validated here once (``multiplicity``), and the quantity q that the ruling
+coefficients of the surface product subtract is defined here once
+(``q_value``).
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from typing import Iterable, Sequence
 from .errors import ContextMismatchError, DomainError
 
 __all__ = [
+    "check_curve",
+    "check_degrees",
+    "multiplicity",
+    "q_value",
     "BlowupContext",
     "CycleClass",
     "StExpansion",
@@ -44,6 +53,38 @@ __all__ = [
 ]
 
 
+def check_curve(d: int, g: int) -> None:
+    """Raise DomainError unless the curve has degree d >= 1 and genus g >= 0."""
+    if d < 1:
+        raise DomainError(f"curve degree must be >= 1, got {d}")
+    if g < 0:
+        raise DomainError(f"genus must be >= 0, got {g}")
+
+
+def check_degrees(s: int, t: int, d: int, g: int) -> None:
+    """Raise DomainError unless s, t >= 1 and check_curve(d, g) passes."""
+    if s < 1 or t < 1:
+        raise DomainError(f"surface degrees must be >= 1, got s={s}, t={t}")
+    check_curve(d, g)
+
+
+def multiplicity(s: int, t: int, d: int, g: int) -> int:
+    """Validate (s, t, d, g) and return the multiplicity n = s*t/d."""
+    check_degrees(s, t, d, g)
+    if (s * t) % d != 0:
+        raise DomainError(f"curve degree {d} must divide s*t = {s * t}")
+    return s * t // d
+
+
+def q_value(s: int, t: int, d: int, g: int, n: int) -> int:
+    """q = d[n(s-4) + t] + (2-2g)n for n = multiplicity(s, t, d, g).
+
+    Exchanging s and t gives the t-orientation.  No validation: callers
+    obtain n from ``multiplicity``.
+    """
+    return d * (n * (s - 4) + t) + (2 - 2 * g) * n
+
+
 @dataclass(frozen=True)
 class BlowupContext:
     """Immutable ring data: curve degree, genus, and the beta sequence."""
@@ -54,10 +95,7 @@ class BlowupContext:
     alpha: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DomainError(f"curve degree must be >= 1, got {self.d}")
-        if self.g < 0:
-            raise DomainError(f"genus must be >= 0, got {self.g}")
+        check_curve(self.d, self.g)
         alpha = [2 - 2 * self.g - 4 * self.d]
         for b in self.beta:
             alpha.append(alpha[-1] - b)
@@ -271,24 +309,16 @@ def a_closed_form(
 ) -> int:
     """Closed form for the m-th ruling coefficient of the expansion above.
 
-    -a_m = d(s+t) + sum_{i<m} beta_i + (n-m) beta_m + (2 - 4d - 2g),
-    with n = s*t/d and p zero-padded to length n.
+    a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
+    ``q_value``, and p zero-padded to length n.
     """
-    if d < 1 or (s * t) % d != 0:
-        raise DomainError(f"curve degree {d} must divide s*t = {s * t}")
-    n = s * t // d
+    n = multiplicity(s, t, d, g)
     if not 1 <= m <= n:
         raise DomainError(f"index m={m} outside 1..{n}")
     if len(p) > n:
         raise DomainError(f"p has {len(p)} entries but n = {n}")
     padded = tuple(p) + (0,) * (n - len(p))
-    beta = beta_from_p(s, d, g, padded)
-    return -(
-        d * (s + t)
-        + sum(beta[: m - 1])
-        + (n - m) * beta[m - 1]
-        + (2 - 4 * d - 2 * g)
-    )
+    return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g, n)
 
 
 # ---------------------------------------------------------------------------

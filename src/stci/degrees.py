@@ -2,13 +2,10 @@
 
 For a curve of degree d and genus g cut out set-theoretically by surfaces
 of degrees s <= t with disjoint singular loci, the multiplicity n = s*t/d
-must make the quantity
-
-    q(s, t) = d[n(s-4) + t] + (2 - 2g) n
-
-a positive multiple of n - 1 (and likewise with s and t exchanged inside
-the bracket).  Degrees s = 1, 2 cannot occur, and s < 2d^2, t < 2d^4, so
-the admissible pairs form a finite, quickly enumerable list.
+must make the quantity q(s, t) of ``stci.chow.q_value`` a positive
+multiple of n - 1 (and likewise with s and t exchanged).  Degrees
+s = 1, 2 cannot occur, and s < 2d^2, t < 2d^4, so the admissible pairs
+form a finite, quickly enumerable list.
 """
 
 from __future__ import annotations
@@ -17,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .chow import check_curve, multiplicity, q_value
 from .errors import DomainError
 
 __all__ = [
     "DivisibilityResult",
     "DegreePairRecord",
     "divisibility_check",
-    "binomial_divisibility_check",
     "enumerate_pairs",
 ]
 
@@ -39,38 +36,13 @@ class DivisibilityResult:
         return self.divides and self.positive
 
 
-def _multiplicity(s: int, t: int, d: int) -> int:
-    if s < 1 or t < 1 or d < 1:
-        raise DomainError("degrees must be >= 1")
-    if (s * t) % d != 0:
-        raise DomainError(f"curve degree {d} must divide s*t = {s * t}")
-    n = s * t // d
+def divisibility_check(s: int, t: int, d: int, g: int) -> DivisibilityResult:
+    """Evaluate q and test (n-1) | q and q > 0."""
+    n = multiplicity(s, t, d, g)
     if n < 2:
         raise DomainError("multiplicity n = 1: complete intersection excluded")
-    return n
-
-
-def divisibility_check(s: int, t: int, d: int, g: int) -> DivisibilityResult:
-    """Evaluate q = d[n(s-4)+t] + (2-2g)n and test (n-1) | q and q > 0."""
-    if g < 0:
-        raise DomainError("genus must be >= 0")
-    n = _multiplicity(s, t, d)
-    q = d * (n * (s - 4) + t) + (2 - 2 * g) * n
+    q = q_value(s, t, d, g, n)
     return DivisibilityResult(q, q % (n - 1) == 0, q > 0)
-
-
-def binomial_divisibility_check(s: int, t: int, d: int, g: int) -> bool:
-    """Test C(n,2) | st(4-s-t)/2 - n(1-g); equivalent to the divisibility
-    part of divisibility_check, computed without reference to it."""
-    if g < 0:
-        raise DomainError("genus must be >= 0")
-    n = _multiplicity(s, t, d)
-    num = s * t * (4 - s - t)
-    if num % 2 != 0:
-        raise AssertionError(f"st(4-s-t) odd at (s={s}, t={t})")
-    lhs = num // 2 - n * (1 - g)
-    modulus = n * (n - 1) // 2
-    return lhs % modulus == 0
 
 
 @dataclass(frozen=True)
@@ -97,10 +69,7 @@ def enumerate_pairs(
     (the default) the t-orientation is required as well.  Output is sorted
     by (s, t) and independent of any evaluation order.
     """
-    if d < 1:
-        raise DomainError("curve degree must be >= 1")
-    if g < 0:
-        raise DomainError("genus must be >= 0")
+    check_curve(d, g)
     if s_max is None:
         s_max = 2 * d * d - 1
     if t_max is None:
@@ -114,23 +83,17 @@ def enumerate_pairs(
             n = s * t // d
             if n < 2:
                 continue
-            side_s = divisibility_check(s, t, d, g)
-            if not side_s.holds:
+            q_s = q_value(s, t, d, g, n)
+            if q_s <= 0 or q_s % (n - 1):
                 continue
-            side_t = divisibility_check(t, s, d, g)
-            if symmetric and not side_t.holds:
+            q_t = q_value(t, s, d, g, n)
+            t_holds = q_t > 0 and q_t % (n - 1) == 0
+            if symmetric and not t_holds:
                 continue
-            flags = ["s-orientation"]
-            if side_t.holds:
-                flags.append("t-orientation")
+            flags = ("s-orientation", "t-orientation") if t_holds else ("s-orientation",)
             records.append(
                 DegreePairRecord(
-                    s,
-                    t,
-                    n,
-                    Fraction(side_s.value, n - 1),
-                    Fraction(side_t.value, n - 1),
-                    tuple(flags),
+                    s, t, n, Fraction(q_s, n - 1), Fraction(q_t, n - 1), flags
                 )
             )
     records.sort(key=lambda rec: (rec.s, rec.t))

@@ -18,7 +18,6 @@ __all__ = [
     "euclid_profile",
     "format_rational",
     "parse_rational",
-    "rational_arithmetic",
 ]
 
 
@@ -36,24 +35,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
-
-
-def rational_arithmetic(a: Fraction, b: Fraction, op: str) -> Fraction | int:
-    """Exact add/sub/mul/div; "compare" returns -1, 0, or 1."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
-    if op == "compare":
-        return (a > b) - (a < b)
-    raise DomainError(f"unknown operation {op!r}")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ mu(m+1) = mu(m) + mu(l) for subdivision.
 
 ``strict_transform_class`` solves the triangular system relating total
 and strict ruling transforms and returns the class of the strict
-transform over the ruling basis R_1..R_n.  ``snort_check`` and
-``cone_decompose`` decide, by two independent computations, whether an
-integer vector lies in the cone spanned by R_n, R_{n-1}-R_n, ...,
-R_1 - R_2 - ... - R_n.
+transform over the ruling basis R_1..R_n.  ``snort_check`` decides, in
+one running-sum pass, whether an integer vector lies in the cone spanned
+by R_n, R_{n-1}-R_n, ..., R_1 - R_2 - ... - R_n; ``cone_decompose``
+returns the coordinates over those generators, which are the same
+running sums.
 """
 
 from __future__ import annotations
@@ -205,9 +206,8 @@ def strict_transform_class(
 
     The graph must live on [k, n] with k >= 1.  Solves the triangular
     system R_l = sum_j mu_{G_l}(j) * [strict transform of R_j], where G_l
-    runs over the iterated truncations, and checks the solution has the
-    expected shape: R_k alone when k = n, otherwise R_k minus a contiguous
-    block R_{k+1} + ... + R_l.
+    runs over the iterated truncations.  The solution is R_k alone when
+    k = n, otherwise R_k - R_{k+1} - ... - R_r with r = k + graph_order.
     """
     n = graph.top if top is None else top
     if n != graph.top:
@@ -232,23 +232,7 @@ def strict_transform_class(
                 for idx in range(n):
                     vec[idx] -= m * solved[j][idx]
         solved[l] = vec
-
-    result = tuple(solved[k])
-    _check_strict_transform_shape(result, k, n)
-    return result
-
-
-def _check_strict_transform_shape(vec: tuple[int, ...], k: int, n: int) -> None:
-    if vec[k - 1] != 1 or any(vec[i] for i in range(k - 1)):
-        raise AssertionError(f"unexpected strict-transform class {vec}")
-    tail = vec[k:]
-    minus = [i for i, c in enumerate(tail) if c]
-    if any(tail[i] != -1 for i in minus):
-        raise AssertionError(f"unexpected strict-transform class {vec}")
-    if minus and minus != list(range(minus[0], minus[0] + len(minus))):
-        raise AssertionError(f"non-contiguous strict-transform class {vec}")
-    if minus and minus[0] != 0:
-        raise AssertionError(f"gap after leading term in {vec}")
+    return tuple(solved[k])
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +246,16 @@ class ConeCheck:
 
 
 def snort_check(a: Iterable[int]) -> ConeCheck:
-    """Evaluate the dyadic inequalities sum_{i<k} 2^(k-i-1) a_i + a_k >= 0."""
-    a = tuple(a)
+    """Evaluate the dyadic inequalities sum_{i<k} 2^(k-i-1) a_i + a_k >= 0.
+
+    The k-th margin is a_k + T_{k-1}, with the running sum T_0 = 0 and
+    T_k = 2 T_{k-1} + a_k.
+    """
     margins = []
-    for k in range(1, len(a) + 1):
-        m = a[k - 1]
-        for i in range(1, k):
-            m += (1 << (k - i - 1)) * a[i - 1]
-        margins.append(m)
+    running = 0
+    for x in a:
+        margins.append(x + running)
+        running = 2 * running + x
     return ConeCheck(all(m >= 0 for m in margins), tuple(margins))
 
 
@@ -277,17 +263,12 @@ def cone_decompose(a: Iterable[int]) -> Optional[tuple[int, ...]]:
     """Coordinates of a over the cone generators, or None when infeasible.
 
     Generator g_k = R_k - R_{k+1} - ... - R_n, so the coordinates satisfy
-    the recurrence c_k = a_k + c_1 + ... + c_{k-1}; feasible means all
-    c_k >= 0.  This solve is independent of the power-of-two form used by
-    snort_check, and the two must agree.
+    the recurrence c_k = a_k + c_1 + ... + c_{k-1}, whose partial sums
+    double like snort_check's: c_k is the k-th dyadic margin.  Feasible
+    means all c_k >= 0.
     """
-    a = tuple(a)
-    coords: list[int] = []
-    for k in range(1, len(a) + 1):
-        coords.append(a[k - 1] + sum(coords))
-    if any(c < 0 for c in coords):
-        return None
-    return tuple(coords)
+    check = snort_check(a)
+    return check.margins if check.feasible else None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError, ParseError
-from .exact import euclid_profile
 
 TypeSeq = tuple[int, ...]
 
@@ -105,27 +104,19 @@ def weighted_type_sum(t: Iterable[int]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the A-series type recursion and its closed form
+# the A-series type recursion
 
 
 def phi(n: int, k: int) -> TypeSeq:
     """Type sequence of the A-series pair with parameters (n, k).
 
-    Evaluates both the recursive definition and the closed form read off
-    the Euclidean profile of (n-k+1, k); the two routes must agree.
+    Follows the blowup recursion: fold k to n-k+1 when 2k > n+1, record k,
+    and stop at 2k = n+1 or continue with (n-k, k).  The result equals the
+    closed form read off the Euclidean profile of (n-k+1, k): each
+    remainder repeated by its quotient, up to the last nonzero remainder.
     """
     if not 1 <= k <= n:
         raise DomainError(f"phi requires 1 <= k <= n, got n={n}, k={k}")
-    recursive = _phi_recursive(n, k)
-    closed = _phi_closed_form(n, k)
-    if recursive != closed:
-        raise AssertionError(
-            f"phi routes disagree at (n={n}, k={k}): {recursive} != {closed}"
-        )
-    return recursive
-
-
-def _phi_recursive(n: int, k: int) -> TypeSeq:
     out: list[int] = []
     while True:
         if 2 * k > n + 1:
@@ -135,16 +126,6 @@ def _phi_recursive(n: int, k: int) -> TypeSeq:
             return tuple(out)
         out.append(k)
         n -= k
-
-
-def _phi_closed_form(n: int, k: int) -> TypeSeq:
-    if 2 * k > n + 1:
-        k = n - k + 1
-    profile = euclid_profile(n - k + 1, k)
-    out: list[int] = []
-    for i in range(profile.t_last_nonzero + 1):
-        out.extend([profile.remainders[i]] * profile.quotients[i])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

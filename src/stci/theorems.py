@@ -3,15 +3,16 @@
 Everything here is exact integer/rational arithmetic over the invariants
 from stci.rdp.  The three inequality families share the data
 (s, t, d, g): surface degrees, curve degree, genus, with multiplicity
-n = s*t/d.
+n = s*t/d, validated and combined into q by stci.chow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .chow import check_degrees, multiplicity, q_value
 from .errors import DomainError
 from .rdp import (
     Config,
@@ -35,14 +36,12 @@ __all__ = [
     "thm1_value",
     "thm2_rhs",
     "thm2_margins",
-    "thm2_coefficient_identity",
     "thm3_check",
     "resolution_bound",
     "kformula_bound",
     "miyaoka_budget",
     "bungobungo_solve",
     "config_search",
-    "murky_applies",
     "thmA_verdict",
 ]
 
@@ -55,22 +54,14 @@ class StciParams:
     t: int
     d: int
     g: int
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
-            raise DomainError("surface degrees must be >= 1")
-        if self.d < 1:
-            raise DomainError("curve degree must be >= 1")
-        if self.g < 0:
-            raise DomainError("genus must be >= 0")
-        if (self.s * self.t) % self.d != 0:
-            raise DomainError(
-                f"curve degree {self.d} must divide s*t = {self.s * self.t}"
-            )
+        object.__setattr__(self, "n", multiplicity(self.s, self.t, self.d, self.g))
 
     @property
-    def n(self) -> int:
-        return self.s * self.t // self.d
+    def q(self) -> int:
+        return q_value(self.s, self.t, self.d, self.g, self.n)
 
 
 @dataclass(frozen=True)
@@ -80,15 +71,14 @@ class Thm1Result:
 
 
 def thm1_value(params: StciParams) -> Thm1Result:
-    """Common value {d[n(s-4)+t] + (2-2g)n} / (n-1) of p_1..p_{n-1}.
+    """Common value q / (n-1) of p_1..p_{n-1}.
 
     Only meaningful for n >= 2; n = 1 is the complete-intersection case.
     """
-    s, t, d, g, n = params.s, params.t, params.d, params.g, params.n
+    n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: nothing to evaluate")
-    q = d * (n * (s - 4) + t) + (2 - 2 * g) * n
-    value = Fraction(q, n - 1)
+    value = Fraction(params.q, n - 1)
     return Thm1Result(value, value.denominator == 1)
 
 
@@ -100,36 +90,27 @@ def _padded(p: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 def thm2_rhs(params: StciParams, k: int) -> int:
-    s, t, d, g, n = params.s, params.t, params.d, params.g, params.n
-    return (1 << (k - 1)) * (d * t + n * (d * (s - 4) + 2 - 2 * g))
+    """Right-hand side 2^(k-1) q of the k-th inequality."""
+    return (1 << (k - 1)) * params.q
 
 
 def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     """Slack of the k-th inequality for k = 1..n-1, in order.
 
-    margin(k) = sum_{i<k} 2^(k-i-1) (n-i+1) p_i + (n-k) p_k - rhs(k);
-    p is zero-padded beyond the supplied prefix.
+    margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
+    S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
+    S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded beyond the supplied
+    prefix.
     """
     n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
-    p = _padded(p, n - 1)
     margins = []
-    for k in range(1, n):
-        lhs = (n - k) * p[k - 1]
-        for i in range(1, k):
-            lhs += (1 << (k - i - 1)) * (n - i + 1) * p[i - 1]
-        margins.append(lhs - thm2_rhs(params, k))
+    dyadic = 0
+    for k, pk in enumerate(_padded(p, n - 1), start=1):
+        margins.append(dyadic + (n - k) * pk - thm2_rhs(params, k))
+        dyadic = 2 * dyadic + (n - k + 1) * pk
     return tuple(margins)
-
-
-def thm2_coefficient_identity(n: int, k: int) -> bool:
-    """sum_{i<k} 2^(k-i-1) (n-i+1) == (n-1) 2^(k-1) + k - n, checked both ways."""
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    lhs = sum((1 << (k - i - 1)) * (n - i + 1) for i in range(1, k))
-    rhs = (n - 1) * (1 << (k - 1)) + k - n
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -168,10 +149,7 @@ def resolution_bound(s: int) -> int:
     resolution of a degree-s surface with rational singularities."""
     if s < 1:
         raise DomainError(f"surface degree must be >= 1, got {s}")
-    num = s * (2 * s * s - 6 * s + 7)
-    if num % 3 != 0:
-        raise AssertionError(f"s(2s^2-6s+7) not divisible by 3 at s={s}")
-    return num // 3 - 1
+    return s * (2 * s * s - 6 * s + 7) // 3 - 1
 
 
 def kformula_bound(s: int, d: int, g: int, l: int) -> int:
@@ -295,19 +273,6 @@ def config_search(
 # the d <= g + 3 criterion
 
 
-def murky_applies(s: int, t: int, d: int, g: int) -> bool:
-    """True when the degree bound hypotheses hold for (s, t, d, g)."""
-    if not (t >= s >= 4 and d >= 1 and g >= 0):
-        return False
-    if (s * t) % d != 0:
-        return False
-    n = s * t // d
-    if n < 2:
-        return False
-    r = d * (n * (s - 4) + t) + (2 - 2 * g) * n
-    return r <= resolution_bound(s)
-
-
 @dataclass(frozen=True)
 class ThmAVerdict:
     applies: bool
@@ -321,12 +286,9 @@ def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:
     ``conclusion`` is always the literal truth of d <= g+3; when the
     hypotheses apply, the bound is guaranteed and the two must agree.
     """
-    if d < 1 or g < 0:
-        raise DomainError("need d >= 1 and g >= 0")
+    check_degrees(s, t, d, g)
     conclusion = d <= g + 3
 
-    if s < 1 or t < 1:
-        raise DomainError("surface degrees must be >= 1")
     if not t >= s >= 4:
         return ThmAVerdict(False, conclusion, "out of lemma scope: need t >= s >= 4")
     if (s * t) % d != 0:
@@ -334,7 +296,7 @@ def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:
     n = s * t // d
     if n < 2:
         return ThmAVerdict(False, conclusion, "out of lemma scope: complete intersection (n = 1)")
-    r = d * (n * (s - 4) + t) + (2 - 2 * g) * n
+    r = q_value(s, t, d, g, n)
     bound = resolution_bound(s)
     if r > bound:
         return ThmAVerdict(False, conclusion, f"r = {r} exceeds the resolution bound {bound}")

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import binomial_divisibility, cone_solve, dyadic_margins, phi_closed_form
 from stci import chow, degrees, graphs, rdp, theorems
 from stci.cli import main
 
@@ -155,18 +156,19 @@ def test_criterion_8_property_suite():
             assert expansion.a == closed and expansion.h2_coeff == 0
 
         # recursive type sequence equals the Euclidean closed form
-        from stci.rdp import _phi_closed_form, _phi_recursive
-
         for n in range(1, 301):
             for k in range(1, (n + 1) // 2 + 1):
-                assert _phi_recursive(n, k) == _phi_closed_form(n, k)
+                assert rdp.phi(n, k) == phi_closed_form(n, k)
 
-        # cone feasibility: direct dyadic margins vs triangular solve
+        # cone feasibility: running sums vs direct dyadic margins and the
+        # triangular solve
         rng = random.Random(1202)
         for _ in range(1000):
             a = tuple(rng.randint(-20, 20) for _ in range(rng.randint(0, 10)))
             check = graphs.snort_check(a)
             coords = graphs.cone_decompose(a)
+            assert check.margins == dyadic_margins(a)
+            assert coords == cone_solve(a)
             assert (coords is not None) == check.feasible
             if coords is not None:
                 assert coords == check.margins
@@ -250,7 +252,7 @@ def test_criterion_10_divisibility_equivalence():
                         continue
                     for g in range(0, 5):
                         direct = degrees.divisibility_check(s, t, d, g).divides
-                        binom = degrees.binomial_divisibility_check(s, t, d, g)
+                        binom = binomial_divisibility(s, t, d, g)
                         assert direct == binom, (s, t, d, g)
                         checked += 1
         assert checked > 10000
@@ -273,5 +275,5 @@ def test_criterion_11_murky_brute_force():
                         r = d * (n * (s - 4) + t) + (2 - 2 * g) * n
                         applies = r <= bound
                         assert not applies, (s, t, d, g)
-                        assert not theorems.murky_applies(s, t, d, g)
+                        assert not theorems.thmA_verdict(s, t, d, g).applies
     report(11, "no hypothesis-satisfying tuple with d >= g+4 in the 60-box")

@@ -189,3 +189,17 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_zero_curve_degree_is_a_domain_error(capsys):
+    for argv in (
+        ["chow", "expand", "--s", "4", "--t", "4", "--d", "0", "--p", "1"],
+        ["thm1", "--s", "4", "--t", "4", "--d", "0"],
+        ["thm2", "--s", "4", "--t", "4", "--d", "0", "--p", "1"],
+        ["enumerate", "--d", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv

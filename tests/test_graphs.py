@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import cone_solve, dyadic_margins, strict_transform_closed_form
 from stci import graphs
 from stci.errors import DomainError, ParseError
 
@@ -121,18 +122,13 @@ def test_strict_transform_class_validation():
 
 
 def test_strict_transform_block_ends_at_order():
+    # equality with the closed form implies the expected shape: R_k first,
+    # then a contiguous block of -1 entries from R_{k+1} to R_r
     rng = random.Random(5)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 3), 9)
-        if g.top == g.base:
-            continue
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(1, 5), 14)
         vec = graphs.strict_transform_class(g)
-        k, n = g.base, g.top
-        l = k + graphs.graph_order(g)
-        expected = tuple(
-            1 if i == k - 1 else (-1 if k <= i < l else 0) for i in range(n)
-        )
-        assert vec == expected
+        assert vec == strict_transform_closed_form(g), g.history
 
 
 def test_snort_examples():
@@ -159,6 +155,8 @@ def test_cone_reconstruction():
         a = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 8)))
         coords = graphs.cone_decompose(a)
         check = graphs.snort_check(a)
+        assert check.margins == dyadic_margins(a)
+        assert coords == cone_solve(a)
         assert (coords is not None) == check.feasible
         if coords is not None:
             assert coords == check.margins

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import stci
+from oracles import thm2_margins_double_sum
 from stci import chow, graphs, rdp, theorems
 from stci.errors import DomainError
 
@@ -68,6 +69,19 @@ def test_thm2_margins_equal_cone_margins():
         assert margins == cone[: n - 1], (s, t, d, g, p)
 
 
+def test_thm2_margins_match_double_sum():
+    rng = random.Random(37)
+    for n in (2, 3, 5, 8, 16, 33, 64, 100, 128, 200, 256):
+        for _ in range(3):
+            d = rng.randint(1, 6)
+            st = n * d
+            s = rng.choice([v for v in range(1, st + 1) if st % v == 0])
+            params = theorems.StciParams(s, st // s, d, rng.randint(0, 4))
+            p = tuple(rng.randint(0, 40) for _ in range(rng.randint(0, n + 1)))
+            expected = thm2_margins_double_sum(params, p)
+            assert theorems.thm2_margins(params, p) == expected, (params, p)
+
+
 def test_thm1_constant_sequence_saturates_thm2():
     rng = random.Random(29)
     found = 0
@@ -93,17 +107,12 @@ def test_thm1_constant_sequence_saturates_thm2():
 
 
 def test_thm2_coefficient_identity():
+    # sum_{i<k} 2^(k-i-1) (n-i+1) == (n-1) 2^(k-1) + k - n
     assert sum(2 ** (3 - i - 1) * (4 - i + 1) for i in range(1, 3)) == 11
-    assert theorems.thm2_coefficient_identity(4, 3)
-    assert theorems.thm2_coefficient_identity(2, 1)
-    assert theorems.thm2_coefficient_identity(10, 7)
-    assert all(
-        theorems.thm2_coefficient_identity(n, k)
-        for n in range(1, 65)
-        for k in range(1, n + 1)
-    )
-    with pytest.raises(DomainError):
-        theorems.thm2_coefficient_identity(4, 5)
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            lhs = sum((1 << (k - i - 1)) * (n - i + 1) for i in range(1, k))
+            assert lhs == (n - 1) * (1 << (k - 1)) + k - n, (n, k)
 
 
 def test_thm3_examples():
@@ -150,6 +159,9 @@ def test_resolution_bound():
     assert theorems.resolution_bound(3) == 6
     with pytest.raises(DomainError):
         theorems.resolution_bound(0)
+    # the bound is an integer: 3 divides s(2s^2 - 6s + 7) for every s
+    for s in range(1, 1001):
+        assert s * (2 * s * s - 6 * s + 7) % 3 == 0, s
 
 
 def test_kformula_bound():
@@ -245,11 +257,11 @@ def test_config_search_max_sigma():
 
 
 def test_murky_applies():
-    assert not theorems.murky_applies(4, 4, 4, 0)  # r = 24 > 19
-    assert theorems.murky_applies(4, 4, 1, 1)  # r = 4 <= 19
-    assert not theorems.murky_applies(3, 4, 1, 0)  # s < 4
-    assert not theorems.murky_applies(4, 4, 16, 0)  # n = 1
-    assert not theorems.murky_applies(4, 5, 3, 0)  # d does not divide st
+    assert not theorems.thmA_verdict(4, 4, 4, 0).applies  # r = 24 > 19
+    assert theorems.thmA_verdict(4, 4, 1, 1).applies  # r = 4 <= 19
+    assert not theorems.thmA_verdict(3, 4, 1, 0).applies  # s < 4
+    assert not theorems.thmA_verdict(4, 4, 16, 0).applies  # n = 1
+    assert not theorems.thmA_verdict(4, 5, 3, 0).applies  # d does not divide st
 
 
 def test_thmA_verdict():
