@@ -76,12 +76,13 @@ def multiplicity(s: int, t: int, d: int, g: int) -> int:
     return s * t // d
 
 
-def q_value(s: int, t: int, d: int, g: int, n: int) -> int:
-    """q = d[n(s-4) + t] + (2-2g)n for n = multiplicity(s, t, d, g).
+def q_value(s: int, t: int, d: int, g: int) -> int:
+    """q = d[n(s-4) + t] + (2-2g)n with n = s*t/d.
 
     Exchanging s and t gives the t-orientation.  No validation: callers
-    obtain n from ``multiplicity``.
+    check (s, t, d, g) with ``multiplicity`` first.
     """
+    n = s * t // d
     return d * (n * (s - 4) + t) + (2 - 2 * g) * n
 
 
@@ -318,7 +319,7 @@ def a_closed_form(
     if len(p) > n:
         raise DomainError(f"p has {len(p)} entries but n = {n}")
     padded = tuple(p) + (0,) * (n - len(p))
-    return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g, n)
+    return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)
 
 
 # ---------------------------------------------------------------------------

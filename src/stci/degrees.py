@@ -36,12 +36,17 @@ class DivisibilityResult:
         return self.divides and self.positive
 
 
+def _holds(q: int, n: int) -> bool:
+    """The condition on one orientation: q > 0 and (n-1) | q."""
+    return q > 0 and q % (n - 1) == 0
+
+
 def divisibility_check(s: int, t: int, d: int, g: int) -> DivisibilityResult:
     """Evaluate q and test (n-1) | q and q > 0."""
     n = multiplicity(s, t, d, g)
     if n < 2:
         raise DomainError("multiplicity n = 1: complete intersection excluded")
-    q = q_value(s, t, d, g, n)
+    q = q_value(s, t, d, g)
     return DivisibilityResult(q, q % (n - 1) == 0, q > 0)
 
 
@@ -83,11 +88,11 @@ def enumerate_pairs(
             n = s * t // d
             if n < 2:
                 continue
-            q_s = q_value(s, t, d, g, n)
-            if q_s <= 0 or q_s % (n - 1):
+            q_s = q_value(s, t, d, g)
+            if not _holds(q_s, n):
                 continue
-            q_t = q_value(t, s, d, g, n)
-            t_holds = q_t > 0 and q_t % (n - 1) == 0
+            q_t = q_value(t, s, d, g)
+            t_holds = _holds(q_t, n)
             if symmetric and not t_holds:
                 continue
             flags = ("s-orientation", "t-orientation") if t_holds else ("s-orientation",)

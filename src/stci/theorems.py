@@ -61,7 +61,7 @@ class StciParams:
 
     @property
     def q(self) -> int:
-        return q_value(self.s, self.t, self.d, self.g, self.n)
+        return q_value(self.s, self.t, self.d, self.g)
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:
     n = s * t // d
     if n < 2:
         return ThmAVerdict(False, conclusion, "out of lemma scope: complete intersection (n = 1)")
-    r = q_value(s, t, d, g, n)
+    r = q_value(s, t, d, g)
     bound = resolution_bound(s)
     if r > bound:
         return ThmAVerdict(False, conclusion, f"r = {r} exceeds the resolution bound {bound}")

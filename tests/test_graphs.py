@@ -122,13 +122,19 @@ def test_strict_transform_class_validation():
 
 
 def test_strict_transform_block_ends_at_order():
-    # equality with the closed form implies the expected shape: R_k first,
-    # then a contiguous block of -1 entries from R_{k+1} to R_r
+    # R_k first, then a contiguous block of -1 entries from R_{k+1} to R_r
+    # with r = k + graph_order; the closed form reads r off the root's edges
     rng = random.Random(5)
     for _ in range(3000):
         g = random_graph(rng, rng.randint(1, 5), 14)
         vec = graphs.strict_transform_class(g)
         assert vec == strict_transform_closed_form(g), g.history
+        k, n = g.base, g.top
+        r = k if n == k else k + graphs.graph_order(g)
+        expected = tuple(
+            1 if i == k - 1 else (-1 if k <= i < r else 0) for i in range(n)
+        )
+        assert vec == expected, g.history
 
 
 def test_snort_examples():
