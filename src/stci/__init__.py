@@ -91,8 +91,6 @@ from .theorems import (
 )
 from .degrees import (
     DegreePairRecord,
-    DivisibilityResult,
-    divisibility_check,
     enumerate_pairs,
 )
 

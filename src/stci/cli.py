@@ -269,7 +269,6 @@ def cmd_enumerate(args) -> Document:
     records = degrees.enumerate_pairs(
         args.d,
         args.g,
-        symmetric=not args.one_sided,
         s_max=args.s_max,
         t_max=args.t_max,
     )
@@ -374,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search-config", help="configurations with a given type")
     search.add_argument("--type", required=True, help='target type like "(9,9,1)"')
     search.add_argument("--max-def", type=int, default=None, dest="max_def")
-    search.add_argument("--max-sigma", type=int, default=None, dest="max_sigma")
+    search.add_argument(
+        "--max-sigma", type=int, default=None, dest="max_sigma",
+        help=f"total sigma cap (default 19, at most {theorems.MAX_SIGMA_CAP})",
+    )
     search.add_argument("--require-delta", default=None, dest="require_delta")
     search.add_argument("--miyaoka-budget", default=None, dest="miyaoka_budget")
     search.add_argument("--contains", default=None, help="keep configs containing this pair")
@@ -384,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="admissible surface degree pairs")
     enum.add_argument("--d", type=int, required=True)
     enum.add_argument("--g", type=int, default=0)
-    enum.add_argument("--one-sided", action="store_true", dest="one_sided")
+    enum.add_argument(
+        "--one-sided", action="store_true", dest="one_sided",
+        help="no effect: the s-orientation implies the t-orientation",
+    )
     enum.add_argument("--s-max", type=int, default=None, dest="s_max")
     enum.add_argument("--t-max", type=int, default=None, dest="t_max")
     _add_format(enum)

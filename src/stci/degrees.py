@@ -3,9 +3,9 @@
 For a curve of degree d and genus g cut out set-theoretically by surfaces
 of degrees s <= t with disjoint singular loci, the multiplicity n = s*t/d
 must make the quantity q(s, t) of ``stci.chow.q_value`` a positive
-multiple of n - 1 (and likewise with s and t exchanged).  Degrees
-s = 1, 2 cannot occur, and s < 2d^2, t < 2d^4, so the admissible pairs
-form a finite, quickly enumerable list.
+multiple of n - 1.  Degrees s = 1, 2 cannot occur, and s < 2d^2,
+t < 2d^4, so the admissible pairs form a finite list, found by walking
+divisors rather than the (s, t) grid.
 """
 
 from __future__ import annotations
@@ -14,40 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chow import check_curve, multiplicity, q_value
-from .errors import DomainError
+from .chow import check_curve, q_value
 
-__all__ = [
-    "DivisibilityResult",
-    "DegreePairRecord",
-    "divisibility_check",
-    "enumerate_pairs",
-]
+__all__ = ["DegreePairRecord", "enumerate_pairs"]
 
-
-@dataclass(frozen=True)
-class DivisibilityResult:
-    value: int
-    divides: bool
-    positive: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.divides and self.positive
-
-
-def _holds(q: int, n: int) -> bool:
-    """The condition on one orientation: q > 0 and (n-1) | q."""
-    return q > 0 and q % (n - 1) == 0
-
-
-def divisibility_check(s: int, t: int, d: int, g: int) -> DivisibilityResult:
-    """Evaluate q and test (n-1) | q and q > 0."""
-    n = multiplicity(s, t, d, g)
-    if n < 2:
-        raise DomainError("multiplicity n = 1: complete intersection excluded")
-    q = q_value(s, t, d, g)
-    return DivisibilityResult(q, q % (n - 1) == 0, q > 0)
+_BOTH = ("s-orientation", "t-orientation")
 
 
 @dataclass(frozen=True)
@@ -67,12 +38,16 @@ def enumerate_pairs(
     s_max: Optional[int] = None,
     t_max: Optional[int] = None,
 ) -> list[DegreePairRecord]:
-    """All admissible (s, t) with 3 <= s <= t within the degree bounds.
+    """All admissible (s, t) with 3 <= s <= s_max, s <= t <= t_max, sorted.
 
-    A pair is emitted when d | st, n >= 2, and the divisibility-and-
-    positivity condition holds for the s-orientation; with ``symmetric``
-    (the default) the t-orientation is required as well.  Output is sorted
-    by (s, t) and independent of any evaluation order.
+    (s, t) is admissible when d | st, n = st/d >= 2, q > 0 and (n-1) | q.
+    With t = dn/s, q = n*a/s for a = s(d(s-4) + 2 - 2g) + d^2, and this
+    holds exactly when a > 0, e = a/(n-1) divides a and s | (a + e); t >= s
+    bounds e by d*a/(s^2 - d).  The defaults s_max = 2d^2 - 1 and
+    t_max = 2d^4 - 1 are the proven bounds.  For t >= s,
+    q_t - q = d(n-1)(t-s), so the t-orientation holds whenever the
+    s-orientation does: every record has both flags, and ``symmetric``
+    is kept for existing callers but changes nothing.
     """
     check_curve(d, g)
     if s_max is None:
@@ -82,24 +57,18 @@ def enumerate_pairs(
 
     records = []
     for s in range(3, s_max + 1):
-        for t in range(s, t_max + 1):
-            if (s * t) % d != 0:
+        a = s * (d * (s - 4) + 2 - 2 * g) + d * d
+        if a <= 0:
+            continue
+        e_max = a if s * s <= d else min(a, d * a // (s * s - d))
+        for e in range(-a % s or s, e_max + 1, s):
+            if a % e:
                 continue
-            n = s * t // d
-            if n < 2:
+            n = 1 + a // e
+            t, rem = divmod(d * n, s)
+            if rem or not s <= t <= t_max:
                 continue
-            q_s = q_value(s, t, d, g)
-            if not _holds(q_s, n):
-                continue
-            q_t = q_value(t, s, d, g)
-            t_holds = _holds(q_t, n)
-            if symmetric and not t_holds:
-                continue
-            flags = ("s-orientation", "t-orientation") if t_holds else ("s-orientation",)
-            records.append(
-                DegreePairRecord(
-                    s, t, n, Fraction(q_s, n - 1), Fraction(q_t, n - 1), flags
-                )
-            )
+            p_t = Fraction(q_value(t, s, d, g), n - 1)
+            records.append(DegreePairRecord(s, t, n, Fraction((a + e) // s), p_t, _BOTH))
     records.sort(key=lambda rec: (rec.s, rec.t))
     return records

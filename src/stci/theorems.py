@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Optional, Sequence
 
 from .chow import check_degrees, multiplicity, q_value
@@ -167,11 +168,10 @@ def miyaoka_budget(s: int) -> Fraction:
 # the quartic type bound
 
 
-def _nonincreasing_seqs(cap: int, budget: int):
-    yield ()
-    for first in range(min(cap, budget), 0, -1):
-        for rest in _nonincreasing_seqs(first, budget - first):
-            yield (first,) + rest
+# lcm(1..20): a multiple of 4 and of k(k+1) for every k <= 19, so n/4 and
+# each weight 1/(k(k+1)) are integers once scaled by it; a sequence with
+# sum at most 19 has at most 19 entries.
+_BUNGO_SCALE = 232792560
 
 
 def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
@@ -180,18 +180,25 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
     (i) p_1 <= 9 - (2/5) n, (ii) monotone, (iii) sum p <= 19 - n,
     (iv) n/4 + sum p_k/(k(k+1)) >= 6.
 
-    The search space is finite: (i) forces n <= 22 and (iii) caps the sum.
+    The search space is finite: (iii) forces n <= 19 and caps the sum.
+    The sum in (iv) is carried scaled to an integer down the recursion,
+    and a branch stops once even the largest tail cannot reach 6: a
+    nonincreasing tail from p_k on adds at most p_k/k.
     """
+    goal = 6 * _BUNGO_SCALE
     out = []
-    for n in range(0, 23):
-        cap = (45 - 2 * n) // 5
-        budget = 19 - n
-        if cap < 0 or budget < 0:
-            continue
-        base = Fraction(n, 4)
-        for seq in _nonincreasing_seqs(cap, budget):
-            if base + weighted_type_sum(seq) >= 6:
-                out.append((n, seq))
+
+    def descend(n: int, seq: TypeSeq, k: int, cap: int, budget: int, acc: int) -> None:
+        if acc >= goal:
+            out.append((n, seq))
+        tail, weight = _BUNGO_SCALE // k, _BUNGO_SCALE // (k * (k + 1))
+        for p in range(min(cap, budget), 0, -1):
+            if acc + p * tail < goal:
+                break
+            descend(n, seq + (p,), k + 1, p, budget - p, acc + p * weight)
+
+    for n in range(0, 20):
+        descend(n, (), 1, (45 - 2 * n) // 5, 19 - n, n * _BUNGO_SCALE // 4)
     return sorted(out)
 
 
@@ -199,10 +206,14 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # configuration search
 
 
+# The largest max_sigma config_search accepts.  The quartic case analysis
+# needs 19 (the resolution bound) and its widened check 25; the cost grows
+# about threefold per 5 added, and at 30 no target tried took over 0.2 s.
+MAX_SIGMA_CAP = 30
+
+
 def _fits(piece: TypeSeq, remaining: Sequence[int]) -> bool:
-    if len(piece) > len(remaining):
-        return False
-    return all(piece[i] <= remaining[i] for i in range(len(piece)))
+    return len(piece) <= len(remaining) and all(map(le, piece, remaining))
 
 
 def config_search(
@@ -219,25 +230,38 @@ def config_search(
     remaining filters act on the assembled configuration.  When
     ``miyaoka_budget_cap`` is given, a configuration passes only if all
     its members have A-series contributions summing to at most the cap.
-    Results are canonically sorted and deterministic.
+    Results are canonically sorted and deterministic.  A ``max_sigma``
+    above MAX_SIGMA_CAP is refused before any search.
+
+    A branch ends when its remaining type is not nonincreasing (every
+    pair's type is, so every sum of them is) or when even the least
+    sigma/sum(type) of the candidates would overspend ``max_sigma``.
     """
     target = normalize_type(target)
     if not target:
         raise DomainError("target type must be nonempty")
     if max_sigma is None:
         max_sigma = resolution_bound(4)
+    if max_sigma > MAX_SIGMA_CAP:
+        raise DomainError(
+            f"max_sigma must be <= {MAX_SIGMA_CAP}, got {max_sigma}: "
+            "the search grows exponentially in it"
+        )
 
     candidates = []
     for pair in classified_pairs(max_sigma):
         piece = type_of(pair)
         if _fits(piece, target):
             candidates.append((pair, piece, scalar_invariants(pair).sigma))
+    ratio = min((Fraction(sig, sum(piece)) for _, piece, sig in candidates), default=Fraction(0))
+    num, den = ratio.numerator, ratio.denominator
 
     results: list[Config] = []
     chosen: list[RdpPair] = []
 
     def descend(start: int, remaining: list[int], sigma_used: int) -> None:
-        if not any(remaining):
+        left = sum(remaining)
+        if not left:
             config = make_config(chosen)
             inv = config_invariants(config)
             if max_deficiency is not None and inv.deficiency > max_deficiency:
@@ -250,6 +274,10 @@ def config_search(
                 if config_miyaoka(config) > miyaoka_budget_cap:
                     return
             results.append(config)
+            return
+        if any(x < y for x, y in zip(remaining, remaining[1:])):
+            return
+        if sigma_used * den + num * left > max_sigma * den:
             return
         for idx in range(start, len(candidates)):
             pair, piece, sigma = candidates[idx]

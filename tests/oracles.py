@@ -3,11 +3,27 @@
 Each function recomputes a library result by an independent method, so a
 test can compare the two: the Euclidean closed form of phi, the
 closed form of the strict-transform class, the quadratic dyadic and
-triangular cone sums, the double sum behind thm2_margins, and
-the binomial form of the degree-pair divisibility condition.
+triangular cone sums, the double sum behind thm2_margins, the binomial
+form of the degree-pair divisibility condition, the (s, t) grid scan
+behind enumerate_pairs, the Fraction scan of all nonincreasing sequences
+behind bungobungo_solve, and the unpruned configuration search.
 """
 
+from fractions import Fraction
+
+from stci.chow import multiplicity, q_value
+from stci.errors import DomainError
 from stci.exact import euclid_profile
+from stci.rdp import (
+    classified_pairs,
+    config_invariants,
+    config_miyaoka,
+    make_config,
+    normalize_type,
+    scalar_invariants,
+    type_of,
+    weighted_type_sum,
+)
 
 
 def phi_closed_form(n, k):
@@ -67,3 +83,108 @@ def binomial_divisibility(s, t, d, g):
     n = s * t // d
     lhs = s * t * (4 - s - t) // 2 - n * (1 - g)
     return lhs % (n * (n - 1) // 2) == 0
+
+
+def divisibility_check(s, t, d, g):
+    """(q, (n-1) | q, q > 0) for the s-orientation of valid (s, t, d, g)."""
+    n = multiplicity(s, t, d, g)
+    if n < 2:
+        raise DomainError("multiplicity n = 1: complete intersection excluded")
+    q = q_value(s, t, d, g)
+    return q, q % (n - 1) == 0, q > 0
+
+
+def degree_pairs_grid(d, g, symmetric=True, s_max=None, t_max=None):
+    """(s, t, n, p_s, p_t, flags) of every admissible pair, by scanning
+    every 3 <= s <= s_max, s <= t <= t_max and testing each orientation."""
+    s_max = 2 * d * d - 1 if s_max is None else s_max
+    t_max = 2 * d ** 4 - 1 if t_max is None else t_max
+    rows = []
+    for s in range(3, s_max + 1):
+        for t in range(s, t_max + 1):
+            if (s * t) % d or s * t // d < 2:
+                continue
+            n = s * t // d
+            q_s, q_t = q_value(s, t, d, g), q_value(t, s, d, g)
+            if not (q_s > 0 and q_s % (n - 1) == 0):
+                continue
+            t_holds = q_t > 0 and q_t % (n - 1) == 0
+            if symmetric and not t_holds:
+                continue
+            flags = ("s-orientation", "t-orientation") if t_holds else ("s-orientation",)
+            rows.append((s, t, n, Fraction(q_s, n - 1), Fraction(q_t, n - 1), flags))
+    return rows
+
+
+def _nonincreasing_seqs(cap, budget):
+    yield ()
+    for first in range(min(cap, budget), 0, -1):
+        for rest in _nonincreasing_seqs(first, budget - first):
+            yield (first,) + rest
+
+
+def bungobungo_scan():
+    """The quartic type solutions by testing every nonincreasing sequence
+    with entries <= (45 - 2n)/5 and sum <= 19 - n with Fractions."""
+    out = []
+    for n in range(0, 23):
+        cap, budget = (45 - 2 * n) // 5, 19 - n
+        if cap < 0 or budget < 0:
+            continue
+        for seq in _nonincreasing_seqs(cap, budget):
+            if Fraction(n, 4) + weighted_type_sum(seq) >= 6:
+                out.append((n, seq))
+    return sorted(out)
+
+
+def _fits(piece, remaining):
+    return len(piece) <= len(remaining) and all(
+        p <= r for p, r in zip(piece, remaining)
+    )
+
+
+def config_search_unpruned(
+    target,
+    max_deficiency=None,
+    require_delta=None,
+    max_sigma=19,
+    miyaoka_budget_cap=None,
+):
+    """Every multiset of classified pairs with type target and total sigma
+    <= max_sigma, found by a descent that prunes only on fit and on the
+    sigma already used, then filtered like config_search."""
+    target = normalize_type(target)
+    candidates = [
+        (pair, type_of(pair), scalar_invariants(pair).sigma)
+        for pair in classified_pairs(max_sigma)
+        if _fits(type_of(pair), target)
+    ]
+    results = []
+    chosen = []
+
+    def descend(start, remaining, sigma_used):
+        if not any(remaining):
+            config = make_config(chosen)
+            inv = config_invariants(config)
+            if max_deficiency is not None and inv.deficiency > max_deficiency:
+                return
+            if require_delta is not None and inv.delta != require_delta:
+                return
+            if miyaoka_budget_cap is not None and (
+                any(p.species != "A" for p in config)
+                or config_miyaoka(config) > miyaoka_budget_cap
+            ):
+                return
+            results.append(config)
+            return
+        for idx in range(start, len(candidates)):
+            pair, piece, sigma = candidates[idx]
+            if sigma_used + sigma > max_sigma or not _fits(piece, remaining):
+                continue
+            rest = [r - p for r, p in zip(remaining, piece)] + remaining[len(piece):]
+            chosen.append(pair)
+            descend(idx, rest, sigma_used + sigma)
+            chosen.pop()
+
+    descend(0, list(target), 0)
+    return sorted(set(results))

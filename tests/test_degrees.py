@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import binomial_divisibility
+from oracles import binomial_divisibility, degree_pairs_grid, divisibility_check
 from stci import degrees
 from stci.errors import DomainError
 
@@ -11,23 +11,19 @@ QUARTIC_TABLE = [
 
 
 def test_divisibility_check_examples():
-    result = degrees.divisibility_check(4, 4, 4, 0)
-    assert result.value == 24 and result.divides and result.positive and result.holds
-    result = degrees.divisibility_check(3, 4, 4, 0)
-    assert result.value == 10 and result.holds
+    assert divisibility_check(4, 4, 4, 0) == (24, True, True)
+    assert divisibility_check(3, 4, 4, 0) == (10, True, True)
     with pytest.raises(DomainError):
-        degrees.divisibility_check(3, 3, 4, 0)
+        divisibility_check(3, 3, 4, 0)
     with pytest.raises(DomainError):
-        degrees.divisibility_check(1, 1, 1, 0)  # n = 1
+        divisibility_check(1, 1, 1, 0)  # n = 1
     with pytest.raises(DomainError):
-        degrees.divisibility_check(4, 4, 4, -1)
+        divisibility_check(4, 4, 4, -1)
 
 
 def test_divisibility_negative_quantity():
-    # divisible but not positive: holds must be False while divides is True
-    result = degrees.divisibility_check(1, 2, 1, 4)
-    assert result.value == -16
-    assert result.divides and not result.positive and not result.holds
+    # divisible but not positive
+    assert divisibility_check(1, 2, 1, 4) == (-16, True, False)
 
 
 def test_binomial_check_examples():
@@ -43,7 +39,7 @@ def test_checks_equivalent_small_box():
                 if (s * t) % d != 0 or s * t // d < 2:
                     continue
                 for g in range(0, 3):
-                    direct = degrees.divisibility_check(s, t, d, g).divides
+                    _, direct, _ = divisibility_check(s, t, d, g)
                     binom = binomial_divisibility(s, t, d, g)
                     assert direct == binom, (s, t, d, g)
 
@@ -82,9 +78,37 @@ def test_enumerate_windows():
 
 
 def test_enumerate_one_sided_matches_symmetric_for_quartic():
-    sym = degrees.enumerate_pairs(4, 0)
-    one = degrees.enumerate_pairs(4, 0, symmetric=False)
-    assert [(r.s, r.t) for r in one] == [(r.s, r.t) for r in sym]
+    assert degrees.enumerate_pairs(4, 0, symmetric=False) == degrees.enumerate_pairs(4, 0)
+
+
+def _rows(records):
+    return [(r.s, r.t, r.n, r.p_s, r.p_t, r.flags) for r in records]
+
+
+def test_enumerate_matches_grid_scan():
+    for d in range(1, 8):
+        for g in range(0, 4):
+            for symmetric in (True, False):
+                got = _rows(degrees.enumerate_pairs(d, g, symmetric))
+                assert got == degree_pairs_grid(d, g, symmetric), (d, g, symmetric)
+                for s_max, t_max in ((2, None), (4, None), (None, 3 * d), (4, 2 * d)):
+                    got = _rows(degrees.enumerate_pairs(d, g, symmetric, s_max, t_max))
+                    want = degree_pairs_grid(d, g, symmetric, s_max, t_max)
+                    assert got == want, (d, g, symmetric, s_max, t_max)
+
+
+def test_enumerate_t_max_cuts_admissible_pairs():
+    full = [(r.s, r.t) for r in degrees.enumerate_pairs(4, 0)]
+    cut = [(r.s, r.t) for r in degrees.enumerate_pairs(4, 0, t_max=47)]
+    assert cut == [(s, t) for s, t in full if t <= 47] != full
+
+
+def test_enumerate_t_cap_never_binds():
+    # t < 2d^4 is a theorem: lifting the window changes nothing
+    for d in (10, 20):
+        records = degrees.enumerate_pairs(d, 0)
+        assert records and all(r.t < 2 * d ** 4 for r in records)
+        assert degrees.enumerate_pairs(d, 0, t_max=10 ** 30) == records
 
 
 def test_enumerate_validation():

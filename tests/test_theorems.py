@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import stci
-from oracles import thm2_margins_double_sum
+from oracles import bungobungo_scan, config_search_unpruned, thm2_margins_double_sum
 from stci import chow, graphs, rdp, theorems
 from stci.errors import DomainError
 
@@ -185,6 +187,17 @@ def test_bungobungo_solve():
     ]
 
 
+def test_bungobungo_matches_fraction_scan():
+    assert theorems.bungobungo_solve() == bungobungo_scan()
+
+
+def test_bungobungo_scale_makes_weights_integral():
+    scale = theorems._BUNGO_SCALE
+    assert scale == math.lcm(*range(1, 21))
+    assert scale % 4 == 0
+    assert all(scale % (k * (k + 1)) == 0 for k in range(1, 20))
+
+
 def test_bungobungo_rejected_candidates():
     # the two borderline sequences from the elimination argument
     assert rdp.weighted_type_sum((9, 7, 3)) == Fraction(71, 12) < 6
@@ -254,6 +267,68 @@ def test_config_search_max_sigma():
     found = theorems.config_search((2,), max_sigma=6)
     names = [rdp.format_config(c) for c in found]
     assert names == ["2*A:1:1", "A:3:2", "D1:4", "D1:5", "D1:6"]
+
+
+QUARTIC_FILTERS = (
+    {},
+    {"max_deficiency": 0},
+    {"max_deficiency": 1},
+    {"require_delta": Fraction(6)},
+    {"miyaoka_budget_cap": Fraction(24)},
+    {"miyaoka_budget_cap": Fraction(25)},
+)
+
+
+def test_config_search_matches_unpruned_quartic():
+    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
+        for max_sigma in (19, 25):
+            for kwargs in QUARTIC_FILTERS:
+                got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                want = config_search_unpruned(target, max_sigma=max_sigma, **kwargs)
+                assert got == want, (target, max_sigma, kwargs)
+
+
+def test_config_search_matches_unpruned_small():
+    # every target with sum <= 7 and length <= 6, non-monotone ones included
+    checked = 0
+    for length in range(1, 7):
+        for target in itertools.product(range(1, 8), repeat=length):
+            if sum(target) > 7:
+                continue
+            for max_sigma in (5, 8, 12):
+                got = theorems.config_search(target, max_sigma=max_sigma)
+                assert got == config_search_unpruned(target, max_sigma=max_sigma), (
+                    target,
+                    max_sigma,
+                )
+                checked += 1
+    assert checked == 378
+
+
+def test_config_search_negative_deficiency():
+    # Dn(5) has type (2,1,1,1,1) and sigma 5 < 6: sigma does not bound
+    # the type sum from above
+    assert theorems.config_search((2, 1, 1, 1, 1), max_sigma=5) == [(rdp.pair_d_last(5),)]
+
+
+def test_types_are_nonincreasing():
+    # the config_search descent prunes on this
+    for pair in rdp.classified_pairs(theorems.MAX_SIGMA_CAP):
+        t = rdp.type_of(pair)
+        assert all(x >= y for x, y in zip(t, t[1:])), pair
+
+
+def test_config_search_sigma_cap(monkeypatch):
+    assert theorems.MAX_SIGMA_CAP >= 25
+    assert theorems.config_search((9, 9), max_sigma=theorems.MAX_SIGMA_CAP)
+
+    def no_walk(max_param):
+        raise AssertionError("classified_pairs walked before the cap check")
+
+    monkeypatch.setattr(theorems, "classified_pairs", no_walk)
+    for max_sigma in (theorems.MAX_SIGMA_CAP + 1, 10 ** 9):
+        with pytest.raises(DomainError, match="max_sigma"):
+            theorems.config_search((9, 9), max_sigma=max_sigma)
 
 
 def test_murky_applies():
