@@ -47,6 +47,7 @@ __all__ = [
     "surface_class",
     "canonical_class",
     "st_expansion",
+    "pad_p",
     "a_closed_form",
     "format_class",
     "class_to_json",
@@ -305,6 +306,13 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     return StExpansion(product.h2, product.r)
 
 
+def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
+    """p zero-padded to the n levels; more than n entries is a DomainError."""
+    if len(p) > n:
+        raise DomainError(f"p has {len(p)} entries but n = {n}")
+    return tuple(p) + (0,) * (n - len(p))
+
+
 def a_closed_form(
     s: int, t: int, d: int, g: int, p: Sequence[int], m: int
 ) -> int:
@@ -316,9 +324,7 @@ def a_closed_form(
     n = multiplicity(s, t, d, g)
     if not 1 <= m <= n:
         raise DomainError(f"index m={m} outside 1..{n}")
-    if len(p) > n:
-        raise DomainError(f"p has {len(p)} entries but n = {n}")
-    padded = tuple(p) + (0,) * (n - len(p))
+    padded = pad_p(p, n)
     return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)
 
 

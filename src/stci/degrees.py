@@ -15,8 +15,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .chow import check_curve, q_value
+from .errors import DomainError
 
-__all__ = ["DegreePairRecord", "enumerate_pairs"]
+__all__ = ["DegreePairRecord", "enumerate_pairs", "MAX_CURVE_DEGREE"]
+
+# The largest curve degree enumerate_pairs accepts.  The s loop has
+# 2d^2 - 3 steps and the divisor walks add about d^2 log d in all: d = 600
+# takes about 0.4 s on a 2-vCPU machine, d = 10^5 would not finish.
+MAX_CURVE_DEGREE = 600
 
 _BOTH = ("s-orientation", "t-orientation")
 
@@ -48,10 +54,20 @@ def enumerate_pairs(
     q_t - q = d(n-1)(t-s), so the t-orientation holds whenever the
     s-orientation does: every record has both flags, and ``symmetric``
     is kept for existing callers but changes nothing.
+
+    No admissible pair has s >= 2d^2, so a larger s_max is cut to 2d^2 - 1.
+    For such s, a = d^2 (mod s) with 0 < d^2 < s, so the least positive
+    e = -a (mod s) is s - d^2 >= d^2; but a - d(s^2 - d) =
+    2d^2 - s(4d - 2 + 2g) < 0, so e <= d*a/(s^2 - d) < d^2.  A curve degree
+    above MAX_CURVE_DEGREE is refused before the loop.
     """
     check_curve(d, g)
-    if s_max is None:
-        s_max = 2 * d * d - 1
+    if d > MAX_CURVE_DEGREE:
+        raise DomainError(
+            f"curve degree must be <= {MAX_CURVE_DEGREE}, got {d}: "
+            "the enumeration grows as d^2 log d"
+        )
+    s_max = 2 * d * d - 1 if s_max is None else min(s_max, 2 * d * d - 1)
     if t_max is None:
         t_max = 2 * d ** 4 - 1
 

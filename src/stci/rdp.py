@@ -29,6 +29,14 @@ from .errors import DomainError, ParseError
 
 TypeSeq = tuple[int, ...]
 
+# Caps on what the parsers accept from text, checked before any type is
+# built.  MAX_INDEX bounds the Dynkin index of a descriptor and the length
+# of a parsed type (a pair's type is at most as long as its index, and the
+# invariant scans go up to 300); MAX_PAIRS bounds the pairs of one
+# configuration, each of which costs a type addition.
+MAX_INDEX = 300
+MAX_PAIRS = 1000
+
 
 # ---------------------------------------------------------------------------
 # type sequences
@@ -82,17 +90,20 @@ def parse_type(text: str) -> TypeSeq:
         s = s[1:-1].strip()
     if not s:
         return ()
-    out: list[int] = []
+    runs: list[tuple[int, int]] = []
     for token in s.split(","):
         token = token.strip()
         m = _RUN_TOKEN.match(token)
         if m:
-            out.extend([int(m.group(1))] * int(m.group(2)))
+            runs.append((int(m.group(1)), int(m.group(2))))
         elif token.isdigit():
-            out.append(int(token))
+            runs.append((int(token), 1))
         else:
             raise ParseError(f"bad type entry {token!r} in {text!r}")
-    return normalize_type(out)
+    length = sum(count for _, count in runs)
+    if length > MAX_INDEX:
+        raise DomainError(f"type length must be <= {MAX_INDEX}, got {length}")
+    return normalize_type(p for p, count in runs for _ in range(count))
 
 
 def weighted_type_sum(t: Iterable[int]) -> Fraction:
@@ -194,17 +205,24 @@ def _descriptor_int(token: str, text: str) -> int:
 
 
 def classify(text: str) -> RdpPair:
-    """Parse a pair descriptor: "A:n:k", "D1:n", "Dn:n", "E6", "E7"."""
+    """Parse a pair descriptor: "A:n:k", "D1:n", "Dn:n", "E6", "E7".
+
+    An index n above MAX_INDEX is refused.
+    """
     parts = text.strip().split(":")
     if parts[0] == "A" and len(parts) == 3:
-        return pair_a(_descriptor_int(parts[1], text), _descriptor_int(parts[2], text))
-    if parts[0] == "D1" and len(parts) == 2:
-        return pair_d_first(_descriptor_int(parts[1], text))
-    if parts[0] == "Dn" and len(parts) == 2:
-        return pair_d_last(_descriptor_int(parts[1], text))
-    if parts[0] in ("E6", "E7") and len(parts) == 1:
+        pair = pair_a(_descriptor_int(parts[1], text), _descriptor_int(parts[2], text))
+    elif parts[0] == "D1" and len(parts) == 2:
+        pair = pair_d_first(_descriptor_int(parts[1], text))
+    elif parts[0] == "Dn" and len(parts) == 2:
+        pair = pair_d_last(_descriptor_int(parts[1], text))
+    elif parts[0] in ("E6", "E7") and len(parts) == 1:
         return E6 if parts[0] == "E6" else E7
-    raise ParseError(f"bad pair descriptor {text!r}")
+    else:
+        raise ParseError(f"bad pair descriptor {text!r}")
+    if pair.n > MAX_INDEX:
+        raise DomainError(f"pair index must be <= {MAX_INDEX}, got {pair.n}")
+    return pair
 
 
 def format_pair(p: RdpPair) -> str:
@@ -312,7 +330,11 @@ def make_config(pairs: Iterable[RdpPair]) -> Config:
 
 
 def parse_config(text: str) -> Config:
-    """Parse a configuration descriptor like "8*A:2:1 + A:3:1"."""
+    """Parse a configuration descriptor like "8*A:2:1 + A:3:1".
+
+    More than MAX_PAIRS pairs in all is refused before the term that
+    crosses the cap is classified.
+    """
     s = text.strip()
     if not s:
         return ()
@@ -321,6 +343,7 @@ def parse_config(text: str) -> Config:
         term = term.strip()
         if not term:
             raise ParseError(f"empty term in configuration {text!r}")
+        mult, pair_text = 1, term
         if "*" in term:
             mult_text, _, pair_text = term.partition("*")
             try:
@@ -329,9 +352,11 @@ def parse_config(text: str) -> Config:
                 raise ParseError(f"bad multiplicity in {term!r}") from exc
             if mult < 1:
                 raise ParseError(f"multiplicity must be >= 1 in {term!r}")
-            out.extend([classify(pair_text.strip())] * mult)
-        else:
-            out.append(classify(term))
+        if len(out) + mult > MAX_PAIRS:
+            raise DomainError(
+                f"a configuration holds at most {MAX_PAIRS} pairs, got at least {len(out) + mult}"
+            )
+        out.extend([classify(pair_text.strip())] * mult)
     return make_config(out)
 
 

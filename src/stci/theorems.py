@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import le
 from typing import Iterable, Optional, Sequence
 
-from .chow import check_degrees, multiplicity, q_value
+from .chow import check_curve, check_degrees, multiplicity, q_value
 from .errors import DomainError
 from .rdp import (
     Config,
@@ -135,6 +135,7 @@ def thm3_check(
     """
     if s < 1:
         raise DomainError(f"surface degree must be >= 1, got {s}")
+    check_curve(d, g)
     t = normalize_type(type_seq)
     if truncate_at is not None:
         if truncate_at < 0:

@@ -17,7 +17,7 @@ from oracles import (
     phi_closed_form,
 )
 from stci import chow, degrees, graphs, rdp, theorems
-from stci.cli import main
+from stci.cli import run
 
 EXPECTED_PAIRS = [
     (3, 4), (3, 8), (4, 4), (4, 7), (6, 26), (9, 48), (10, 28), (12, 18),
@@ -68,7 +68,7 @@ def test_criterion_1_enumeration_table(capsys):
     with Budget(1.0):
         records = degrees.enumerate_pairs(4, 0)
         assert [(r.s, r.t) for r in records] == EXPECTED_PAIRS
-        code = main(["enumerate", "--d", "4", "--g", "0", "--format", "csv"])
+        code = run(["enumerate", "--d", "4", "--g", "0", "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == EXPECTED_ENUM_CSV

@@ -1,13 +1,110 @@
+import contextlib
+import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
-from stci import rdp
-from stci.cli import main
+from hypothesis import given, settings, strategies as st
+
+from stci import chow, degrees, rdp, theorems
+from stci.cli import run
 from stci.exact import parse_rational
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Exact stdout of one command per subcommand, as (human, json, csv).
+GOLDEN = {
+    "rdp info Dn:7": (
+        "type: (3,1^[6])\norder: 4\ndelta: 7/4\nsigma: 7\ndeficiency: -2\n",
+        '{"type": "(3,1^[6])", "order": 4, "delta": "7/4", "sigma": 7, "deficiency": -2}\n',
+        'type,order,delta,sigma,deficiency\n"(3,1^[6])",4,7/4,7,-2\n',
+    ),
+    'rdp config "8*A:2:1 + A:3:1"': (
+        "type: (9,9,1)\norder: 12\ndelta: 73/12\nsigma: 19\ndeficiency: 0\n",
+        '{"type": "(9,9,1)", "order": 12, "delta": "73/12", "sigma": 19, "deficiency": 0}\n',
+        'type,order,delta,sigma,deficiency\n"(9,9,1)",12,73/12,19,0\n',
+    ),
+    "phi 10 4": (
+        "(4,3,1^[3])\n",
+        '{"n": 10, "k": 4, "phi": "(4,3,1^[3])"}\n',
+        "i,p_i\n1,4\n2,3\n3,1\n4,1\n5,1\n",
+    ),
+    "chow expand --s 4 --t 4 --d 4 --p 9,8,2": (
+        "h2: 0\na: (3,1,-5,-5)\n",
+        '{"s": 4, "t": 4, "d": 4, "g": 0, "n": 4, "p": [9, 8, 2, 0], "h2": 0, '
+        '"a": [3, 1, -5, -5]}\n',
+        "m,a_m\n1,3\n2,1\n3,-5\n4,-5\n",
+    ),
+    "thm1 --s 4 --t 6 --d 3 --g 1": (
+        "value: 18/7\nintegral: no\n",
+        '{"s": 4, "t": 6, "d": 3, "g": 1, "n": 8, "value": "18/7", "integral": false}\n',
+        "value,integral\n18/7,False\n",
+    ),
+    "thm2 --s 4 --t 4 --d 4 --p 9,8,2": (
+        "k=1: lhs 27 vs rhs 24  (margin 3)\nk=2: lhs 52 vs rhs 48  (margin 4)\n"
+        "k=3: lhs 98 vs rhs 96  (margin 2)\nholds: yes\n",
+        '{"s": 4, "t": 4, "d": 4, "g": 0, "n": 4, "p": [9, 8, 2], "margins": [3, 4, 2], '
+        '"lhs": [27, 52, 98], "rhs": [24, 48, 96], "holds": true}\n',
+        "k,lhs,rhs,margin\n1,27,24,3\n2,52,48,4\n3,98,96,2\n",
+    ),
+    'thm3 --s 4 --d 4 --type "(9,8,2)" --truncate-at 2': (
+        "lhs: 35/6\nrhs: 6\nholds: no\n",
+        '{"s": 4, "d": 4, "g": 0, "type": "(9,8,2)", "lhs": "35/6", "rhs": "6", "holds": false}\n',
+        "lhs,rhs,holds\n35/6,6,False\n",
+    ),
+    "bound 5": ("44\n", '{"s": 5, "bound": 44}\n', "s,bound\n5,44\n"),
+    "bungo": (
+        "n=0 type=(9,8,2)\nn=0 type=(9,9)\nn=0 type=(9,9,1)\n",
+        '[{"n": 0, "type": "(9,8,2)"}, {"n": 0, "type": "(9,9)"}, {"n": 0, "type": "(9,9,1)"}]\n',
+        'n,type\n0,"(9,8,2)"\n0,"(9,9)"\n0,"(9,9,1)"\n',
+    ),
+    'search-config --type "(9,9)" --max-def 1': (
+        "9*A:2:1  order=3 delta=6 sigma=18 deficiency=0\n"
+        "7*A:2:1 + A:5:2  order=3 delta=6 sigma=19 deficiency=1\n",
+        '[{"config": "9*A:2:1", "type": "(9,9)", "order": 3, "delta": "6", "sigma": 18, '
+        '"deficiency": 0}, {"config": "7*A:2:1 + A:5:2", "type": "(9,9)", "order": 3, '
+        '"delta": "6", "sigma": 19, "deficiency": 1}]\n',
+        'config,type,order,delta,sigma,deficiency\n9*A:2:1,"(9,9)",3,6,18,0\n'
+        '7*A:2:1 + A:5:2,"(9,9)",3,6,19,1\n',
+    ),
+    'search-config --type "(9,9)" --max-def 0 --contains E6': (
+        "no configurations\n",
+        "[]\n",
+        "config,type,order,delta,sigma,deficiency\n",
+    ),
+    "enumerate --d 3 --s-max 6": (
+        "(3,3)  n=3  p_s=3  p_t=3\n(5,21)  n=35  p_s=7  p_t=55\n(6,10)  n=20  p_s=10  p_t=22\n",
+        '[{"s": 3, "t": 3, "n": 3, "p_s": "3", "p_t": "3"}, '
+        '{"s": 5, "t": 21, "n": 35, "p_s": "7", "p_t": "55"}, '
+        '{"s": 6, "t": 10, "n": 20, "p_s": "10", "p_t": "22"}]\n',
+        "s,t,n,p_s,p_t\n3,3,3,3,3\n5,21,35,7,55\n6,10,20,10,22\n",
+    ),
+    "enumerate --d 4 --s-max 2": ("no admissible pairs\n", "[]\n", "s,t,n,p_s,p_t\n"),
+}
+
+THM1_HELP = """\
+usage: stci thm1 [-h] --s S --t T --d D [--g G] [--format {human,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --s S
+  --t T
+  --d D
+  --g G
+  --format {human,json,csv}
+                        output format (default: human)
+"""
+
+ENUMERATE_USAGE_ERROR = """\
+usage: stci enumerate [-h] --d D [--g G] [--one-sided] [--s-max S_MAX]
+                      [--t-max T_MAX] [--format {human,json,csv}]
+stci enumerate: error: the following arguments are required: --d
+"""
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -197,6 +294,7 @@ def test_zero_curve_degree_is_a_domain_error(capsys):
         ["thm1", "--s", "4", "--t", "4", "--d", "0"],
         ["thm2", "--s", "4", "--t", "4", "--d", "0", "--p", "1"],
         ["enumerate", "--d", "0"],
+        ["thm3", "--s", "4", "--d", "-4", "--g", "-3", "--type", "(9,9)"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
@@ -212,3 +310,182 @@ def test_search_config_sigma_cap_is_a_domain_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_golden_outputs(capsys):
+    for command, expected in GOLDEN.items():
+        for fmt, out in zip(("human", "json", "csv"), expected):
+            argv = shlex.split(command) + ["--format", fmt]
+            assert run_cli(capsys, *argv) == (0, out, ""), argv
+
+
+def readme_examples():
+    """(argv, expected stdout, head count or None) from the README's CLI block."""
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for example in block.strip().split("\n\n"):
+        command, *output = example.split("\n")
+        tokens = shlex.split(command.removeprefix("$ "))
+        head = None
+        if "|" in tokens:
+            cut = tokens.index("|")
+            assert tokens[cut + 1] == "head", command
+            head = int(tokens[cut + 2].lstrip("-"))
+            tokens = tokens[:cut]
+        assert tokens[0] == "stci", command
+        yield tokens[1:], "".join(line + "\n" for line in output), head
+
+
+def test_readme_examples(capsys):
+    examples = list(readme_examples())
+    assert len(examples) == 11
+    for argv, expected, head in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        if head is not None:
+            out = "".join(out.splitlines(keepends=True)[:head])
+        assert out == expected, argv
+
+
+def test_help_and_usage_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "thm1", "--help") == (0, THM1_HELP, "")
+    assert run_cli(capsys, "enumerate", "--g", "1") == (2, "", ENUMERATE_USAGE_ERROR)
+
+
+def _refused(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    return code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the cost guard let the work start")
+
+
+def test_cost_guards_refuse_before_work(capsys, monkeypatch):
+    huge = "100000000000"
+    for module, name, argv in (
+        (rdp, "phi", ["phi", huge, "1"]),
+        (rdp, "type_of", ["rdp", "info", f"A:{huge}:1"]),
+        (rdp, "type_of", ["rdp", "info", f"Dn:{huge}1"]),
+        (rdp, "type_of", ["rdp", "config", f"2*A:{huge}:1"]),
+        (rdp, "classify", ["rdp", "config", "1000000000*A:2:1"]),
+        (rdp, "normalize_type", ["search-config", "--type", f"(1^[{huge}])"]),
+        (rdp, "normalize_type", ["thm3", "--s", "4", "--d", "4", "--type", f"(9,1^[{huge}])"]),
+        (chow, "pad_p", ["chow", "expand", "--s", huge, "--t", "1", "--d", "1", "--p", "1"]),
+        (theorems, "thm2_margins", ["thm2", "--s", huge, "--t", "1", "--d", "1", "--p", "1"]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, _must_not_run)
+            assert _refused(capsys, *argv), argv
+
+
+def test_cost_guard_caps(capsys):
+    for argv in (
+        ["phi", "300", "1"],
+        ["rdp", "info", "Dn:299"],
+        ["rdp", "config", "999*A:2:1 + A:300:1"],
+        ["thm3", "--s", "4", "--d", "4", "--type", "(1^[300])"],
+        ["chow", "expand", "--s", "16", "--t", "16", "--d", "1", "--p", "1"],
+        ["thm2", "--s", "16", "--t", "16", "--d", "1", "--p", "1"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    for argv in (
+        ["phi", "301", "1"],
+        ["rdp", "info", "D1:301"],
+        ["rdp", "config", "1000*A:2:1 + A:300:1"],
+        ["thm3", "--s", "4", "--d", "4", "--type", "(1^[300],1)"],
+        ["chow", "expand", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
+        ["thm2", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
+        ["enumerate", "--d", str(degrees.MAX_CURVE_DEGREE + 1)],
+    ):
+        assert _refused(capsys, *argv), argv
+
+
+# Argv drawn from the CLI grammar: zero, negative and huge integers (huge
+# only where a cost guard caps the work), malformed descriptors and lists.
+_INT = st.sampled_from(["-7", "-1", "0", "1", "2", "3", "3", "4", "4", "5", "6", "8", "12", "x"])
+_HUGE = st.one_of(_INT, st.sampled_from(["301", "100000000000"]))
+_DESCRIPTOR = st.one_of(
+    st.builds("A:{}:{}".format, _HUGE, _INT),
+    st.builds("D1:{}".format, _HUGE),
+    st.builds("Dn:{}".format, _HUGE),
+    st.sampled_from(["E6", "E7", "E6:1", "A:1", "Q:3", "", "A:1:1:1", ":"]),
+)
+_MULTIPLICITY = st.sampled_from(["", "2*", "0*", "x*", "1000000000*"])
+_TERM = st.builds("{}{}".format, _MULTIPLICITY, _DESCRIPTOR)
+_CONFIG = st.lists(_TERM, max_size=3).map(" + ".join)
+_ENTRY = st.one_of(_INT, st.builds("{}^[{}]".format, _INT, _HUGE))
+_TYPE = st.lists(_ENTRY, max_size=4).map(lambda entries: "(" + ",".join(entries) + ")")
+_LIST = st.lists(_INT, max_size=5).map(",".join)
+_RATIONAL = st.sampled_from(["6", "73/12", "1/0", "-1/2", "x"])
+_STDT = [("--s", _HUGE), ("--t", _HUGE), ("--d", _HUGE), ("--g", _HUGE)]
+
+# (words, required arguments, optional arguments); a flag of None marks a
+# positional argument, a value of None a switch.
+_GRAMMAR = [
+    (["rdp", "info"], [(None, _DESCRIPTOR)], []),
+    (["rdp", "config"], [(None, _CONFIG)], []),
+    (["phi"], [(None, _HUGE), (None, _HUGE)], []),
+    (["chow", "expand"], _STDT + [("--p", _LIST)], []),
+    (["thm1"], _STDT, []),
+    (["thm2"], _STDT + [("--p", _LIST)], []),
+    (
+        ["thm3"],
+        [("--s", _HUGE), ("--d", _HUGE), ("--g", _HUGE), ("--type", _TYPE)],
+        [("--truncate-at", _HUGE)],
+    ),
+    (["bound"], [(None, _HUGE)], []),
+    (["bungo"], [], []),
+    (
+        ["search-config"],
+        [("--type", _TYPE)],
+        [("--max-def", _HUGE), ("--max-sigma", _HUGE), ("--require-delta", _RATIONAL),
+         ("--miyaoka-budget", _RATIONAL), ("--contains", _DESCRIPTOR)],
+    ),
+    (
+        ["enumerate"],
+        [("--d", _HUGE)],
+        [("--g", _HUGE), ("--s-max", _HUGE), ("--t-max", _HUGE), ("--one-sided", None)],
+    ),
+]
+_FORMAT = [[], ["--format", "human"], ["--format", "json"], ["--format", "csv"]] * 3 + [
+    ["--format", "xml"]
+]
+
+
+def _arguments(draw, pairs, kept):
+    argv = []
+    for flag, values in pairs:
+        if draw(kept):
+            argv += [flag] if flag else []
+            argv += [draw(values)] if values is not None else []
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    words, required, optional = draw(st.sampled_from(_GRAMMAR))
+    return (
+        words
+        + _arguments(draw, required, st.integers(0, 19))  # left out 1 in 20: a usage error
+        + _arguments(draw, optional, st.integers(0, 2))
+        + draw(st.sampled_from(_FORMAT))
+    )
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exit_cleanly(argv):
+    first = _run_quietly(argv)
+    code, _, err = first
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    assert _run_quietly(argv) == first, argv

@@ -116,3 +116,18 @@ def test_enumerate_validation():
         degrees.enumerate_pairs(0, 0)
     with pytest.raises(DomainError):
         degrees.enumerate_pairs(4, -1)
+    with pytest.raises(DomainError, match="curve degree must be <= 600"):
+        degrees.enumerate_pairs(degrees.MAX_CURVE_DEGREE + 1, 0, s_max=10)
+
+
+def test_enumerate_s_max_beyond_two_d_squared_changes_nothing():
+    for d in range(1, 7):
+        for g in (0, 1, 2, 3, 5, 10, 50):
+            s_max = 12 * d * d + 40
+            full = degrees.enumerate_pairs(d, g)
+            assert degrees.enumerate_pairs(d, g, s_max=s_max) == full, (d, g)
+            # the docstring's argument: for s >= 2d^2 the least e = -a (mod s)
+            # already exceeds the t >= s bound d*a/(s^2 - d)
+            for s in range(2 * d * d, s_max + 1):
+                a = s * (d * (s - 4) + 2 - 2 * g) + d * d
+                assert a <= 0 or (-a % s or s) > d * a // (s * s - d), (d, g, s)

@@ -130,6 +130,8 @@ def test_thm3_examples():
 
     with pytest.raises(DomainError):
         theorems.thm3_check(0, 4, 0, (9, 9))
+    with pytest.raises(DomainError, match="curve degree"):
+        theorems.thm3_check(4, -4, -3, (9, 9))
 
 
 def test_thm3_consistent_with_configuration_deltas():
