@@ -21,9 +21,10 @@ exceptional surfaces and rulings are deliberately NOT basis elements here;
 they are combinations of the classes above (see stci.graphs for rulings).
 
 The surface data (s, t, d, g) shared by stci.theorems and stci.degrees is
-validated here once (``multiplicity``), and the quantity q that the ruling
-coefficients of the surface product subtract is defined here once
-(``q_value``).
+validated here once (``check_surface``, ``multiplicity``), and the
+quantities a and q = n*a/s that the degree bounds and the ruling
+coefficients of the surface product rest on are defined here once
+(``a_value``, ``q_value``).
 """
 
 from __future__ import annotations
@@ -32,26 +33,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError, DomainError
-
-__all__ = [
-    "check_curve",
-    "check_degrees",
-    "multiplicity",
-    "q_value",
-    "BlowupContext",
-    "CycleClass",
-    "StExpansion",
-    "make_context",
-    "beta_from_p",
-    "mul",
-    "surface_class",
-    "canonical_class",
-    "st_expansion",
-    "pad_p",
-    "a_closed_form",
-    "format_class",
-    "class_to_json",
-]
 
 
 def check_curve(d: int, g: int) -> None:
@@ -62,10 +43,16 @@ def check_curve(d: int, g: int) -> None:
         raise DomainError(f"genus must be >= 0, got {g}")
 
 
+def check_surface(s: int) -> None:
+    """Raise DomainError unless the surface degree s is >= 1."""
+    if s < 1:
+        raise DomainError(f"surface degree must be >= 1, got {s}")
+
+
 def check_degrees(s: int, t: int, d: int, g: int) -> None:
     """Raise DomainError unless s, t >= 1 and check_curve(d, g) passes."""
-    if s < 1 or t < 1:
-        raise DomainError(f"surface degrees must be >= 1, got s={s}, t={t}")
+    check_surface(s)
+    check_surface(t)
     check_curve(d, g)
 
 
@@ -77,14 +64,18 @@ def multiplicity(s: int, t: int, d: int, g: int) -> int:
     return s * t // d
 
 
+def a_value(s: int, d: int, g: int) -> int:
+    """a = s(d(s-4) + 2 - 2g) + d^2; a/s = d^2/s + d(s-4) + 2 - 2g."""
+    return s * (d * (s - 4) + 2 - 2 * g) + d * d
+
+
 def q_value(s: int, t: int, d: int, g: int) -> int:
-    """q = d[n(s-4) + t] + (2-2g)n with n = s*t/d.
+    """q = d[n(s-4) + t] + (2-2g)n = n*a/s with n = s*t/d, a = a_value(s, d, g).
 
     Exchanging s and t gives the t-orientation.  No validation: callers
     check (s, t, d, g) with ``multiplicity`` first.
     """
-    n = s * t // d
-    return d * (n * (s - 4) + t) + (2 - 2 * g) * n
+    return s * t // d * a_value(s, d, g) // s
 
 
 @dataclass(frozen=True)
@@ -146,8 +137,7 @@ def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
 
 def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
     """beta_k = d*s + (2 - 4d - 2g) - p_k, componentwise."""
-    if s < 1:
-        raise DomainError(f"surface degree must be >= 1, got {s}")
+    check_surface(s)
     base = d * s + (2 - 4 * d - 2 * g)
     return tuple(base - pk for pk in p)
 
@@ -230,12 +220,10 @@ class CycleClass:
         return NotImplemented
 
 
-def mul(x: CycleClass, y: CycleClass, ctx: BlowupContext | None = None) -> CycleClass:
+def mul(x: CycleClass, y: CycleClass) -> CycleClass:
     """Graded product; degree > 3 components vanish."""
-    if ctx is None:
-        ctx = x.ctx
-    if x.ctx != ctx or y.ctx != ctx:
-        raise ContextMismatchError("cycle classes belong to different blowup contexts")
+    x._require_same_ctx(y)
+    ctx = x.ctx
     n, d = ctx.n, ctx.d
     beta, alpha = ctx.beta, ctx.alpha
 

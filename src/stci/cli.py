@@ -28,6 +28,10 @@ FORMATS = ("human", "json", "csv")
 # margins are integers of about n bits, one per level.
 MAX_N = 256
 
+# Python's default int<->str digit limit (3.10.7 and later), under which
+# argv is read; exact results may be longer.
+ARGV_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class Document:
@@ -109,13 +113,21 @@ def cmd_phi(args) -> Document:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers of at most ARGV_DIGITS characters each.
+
+    ``run`` lifts Python's digit limit so that results print exactly; a p
+    entry keeps it, as argparse's integers do, because it scales n results.
+    """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if not s.strip():
         return ()
+    tokens = [tok.strip() for tok in s.split(",")]
     try:
-        return tuple(int(tok.strip()) for tok in s.split(","))
+        if max(map(len, tokens)) > ARGV_DIGITS:
+            raise ValueError("too many digits")
+        return tuple(map(int, tokens))
     except ValueError as exc:
         raise ParseError(f"bad integer list {text!r}") from exc
 
@@ -304,17 +316,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_int_digits(limit: int) -> int:
+    """Set the int<->str digit limit (0: none) and return the old one; a
+    no-op before Python 3.10.7, which has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, print, and return the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    limit = _set_int_digits(0)
     try:
         text = render(args.handler(args), args.format)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_int_digits(limit)
     sys.stdout.write(text)
     return 0
 

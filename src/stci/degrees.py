@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chow import check_curve, q_value
+from .chow import a_value, check_curve, q_value
 from .errors import DomainError
-
-__all__ = ["DegreePairRecord", "enumerate_pairs", "MAX_CURVE_DEGREE"]
 
 # The largest curve degree enumerate_pairs accepts.  The s loop has
 # 2d^2 - 3 steps and the divisor walks add about d^2 log d in all: d = 600
@@ -47,11 +45,11 @@ def enumerate_pairs(
     """All admissible (s, t) with 3 <= s <= s_max, s <= t <= t_max, sorted.
 
     (s, t) is admissible when d | st, n = st/d >= 2, q > 0 and (n-1) | q.
-    With t = dn/s, q = n*a/s for a = s(d(s-4) + 2 - 2g) + d^2, and this
-    holds exactly when a > 0, e = a/(n-1) divides a and s | (a + e); t >= s
-    bounds e by d*a/(s^2 - d).  The defaults s_max = 2d^2 - 1 and
-    t_max = 2d^4 - 1 are the proven bounds.  For t >= s,
-    q_t - q = d(n-1)(t-s), so the t-orientation holds whenever the
+    With t = dn/s, q = n*a/s for a = s(d(s-4) + 2 - 2g) + d^2 (``a_value``),
+    and this holds exactly when a > 0, e = a/(n-1) divides a and
+    s | (a + e); t >= s bounds e by d*a/(s^2 - d).  The defaults
+    s_max = 2d^2 - 1 and t_max = 2d^4 - 1 are the proven bounds.  For
+    t >= s, q_t - q = d(n-1)(t-s), so the t-orientation holds whenever the
     s-orientation does: every record has both flags, and ``symmetric``
     is kept for existing callers but changes nothing.
 
@@ -73,7 +71,7 @@ def enumerate_pairs(
 
     records = []
     for s in range(3, s_max + 1):
-        a = s * (d * (s - 4) + 2 - 2 * g) + d * d
+        a = a_value(s, d, g)
         if a <= 0:
             continue
         e_max = a if s * s <= d else min(a, d * a // (s * s - d))

@@ -13,13 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 
-__all__ = [
-    "EuclidProfile",
-    "euclid_profile",
-    "format_rational",
-    "parse_rational",
-]
-
 
 def format_rational(value: Fraction | int) -> str:
     """Render an exact scalar as "p/q", or "p" when the denominator is 1."""
@@ -45,10 +38,6 @@ class EuclidProfile:
     of the two before it, and the sequence ends at its first zero.
     ``quotients[i]`` is the integer quotient taken at step i+1, so the two
     tuples satisfy ``len(quotients) == len(remainders) - 1``.
-
-    Two step-count conventions coexist downstream: some formulas index by
-    the last nonzero remainder, others by the first zero.  Both are exposed
-    so each caller can use its own convention without off-by-one drift.
     """
 
     N: int
@@ -58,35 +47,8 @@ class EuclidProfile:
 
     @property
     def t_last_nonzero(self) -> int:
+        """Index of the last nonzero remainder."""
         return len(self.remainders) - 2
-
-    @property
-    def t_first_zero(self) -> int:
-        return len(self.remainders) - 1
-
-    def rem(self, i: int) -> int:
-        """i-th iterated remainder; entries past the first zero are 0."""
-        if i < 0:
-            raise DomainError("remainder index must be nonnegative")
-        if i < len(self.remainders):
-            return self.remainders[i]
-        return 0
-
-    def div(self, i: int) -> int:
-        """i-th iterated quotient (1-based); entries past the end are 0."""
-        if i < 1:
-            raise DomainError("quotient index must be positive")
-        if i <= len(self.quotients):
-            return self.quotients[i - 1]
-        return 0
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "remainders": list(self.remainders),
-            "quotients": list(self.quotients),
-        }
 
 
 def euclid_profile(N: int, k: int) -> EuclidProfile:

@@ -199,9 +199,7 @@ def spitup_decomposition(graph: LabeledGraph) -> list[LabeledGraph]:
     return out
 
 
-def strict_transform_class(
-    graph: LabeledGraph, top: Optional[int] = None
-) -> tuple[int, ...]:
+def strict_transform_class(graph: LabeledGraph) -> tuple[int, ...]:
     """Class of the strict transform of the root ruling, over R_1..R_n.
 
     The graph must live on [k, n] with k >= 1.  Solves the triangular
@@ -209,10 +207,7 @@ def strict_transform_class(
     runs over the iterated truncations.  The solution is R_k alone when
     k = n, otherwise R_k - R_{k+1} - ... - R_r with r = k + graph_order.
     """
-    n = graph.top if top is None else top
-    if n != graph.top:
-        raise DomainError(f"top level {n} does not match graph top {graph.top}")
-    k = graph.base
+    n, k = graph.top, graph.base
     if k < 1:
         raise DomainError("ruling levels start at 1")
 

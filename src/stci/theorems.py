@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import le
 from typing import Iterable, Optional, Sequence
 
-from .chow import check_curve, check_degrees, multiplicity, q_value
+from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, q_value
 from .errors import DomainError
 from .rdp import (
     Config,
@@ -28,23 +28,6 @@ from .rdp import (
     type_of,
     weighted_type_sum,
 )
-
-__all__ = [
-    "StciParams",
-    "Thm1Result",
-    "Thm3Result",
-    "ThmAVerdict",
-    "thm1_value",
-    "thm2_rhs",
-    "thm2_margins",
-    "thm3_check",
-    "resolution_bound",
-    "kformula_bound",
-    "miyaoka_budget",
-    "bungobungo_solve",
-    "config_search",
-    "thmA_verdict",
-]
 
 
 @dataclass(frozen=True)
@@ -128,13 +111,12 @@ def thm3_check(
     type_seq: Iterable[int],
     truncate_at: Optional[int] = None,
 ) -> Thm3Result:
-    """Compare the weighted type sum against d^2/s + d(s-4) + 2 - 2g.
+    """Compare the weighted type sum against a/s = d^2/s + d(s-4) + 2 - 2g.
 
     ``truncate_at`` restricts the sum to the first so many entries; the
     full finite type is used by default.
     """
-    if s < 1:
-        raise DomainError(f"surface degree must be >= 1, got {s}")
+    check_surface(s)
     check_curve(d, g)
     t = normalize_type(type_seq)
     if truncate_at is not None:
@@ -142,15 +124,14 @@ def thm3_check(
             raise DomainError("truncation index must be >= 0")
         t = normalize_type(t[:truncate_at])
     lhs = weighted_type_sum(t)
-    rhs = Fraction(d * d, s) + d * (s - 4) + 2 - 2 * g
+    rhs = Fraction(a_value(s, d, g), s)
     return Thm3Result(lhs, rhs, lhs >= rhs)
 
 
 def resolution_bound(s: int) -> int:
     """Cap (s/3)(2s^2 - 6s + 7) - 1 on exceptional curves in a minimal
     resolution of a degree-s surface with rational singularities."""
-    if s < 1:
-        raise DomainError(f"surface degree must be >= 1, got {s}")
+    check_surface(s)
     return s * (2 * s * s - 6 * s + 7) // 3 - 1
 
 

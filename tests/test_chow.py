@@ -76,8 +76,6 @@ def test_context_mismatch_rejected():
         chow.mul(a.h(), b.h())
     with pytest.raises(ContextMismatchError):
         a.h() + b.h()
-    with pytest.raises(ContextMismatchError):
-        chow.mul(a.h(), a.h(), b)
 
 
 def _random_class(rng, ctx):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from stci import chow, degrees, rdp, theorems
 from stci.cli import run
-from stci.exact import parse_rational
+from stci.exact import format_rational, parse_rational
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # Exact stdout of one command per subcommand, as (human, json, csv).
 GOLDEN = {
@@ -347,6 +351,56 @@ def test_readme_examples(capsys):
         assert out == expected, argv
 
 
+def test_readme_quick_tour():
+    """Run the README's python block; a line that ends in ``# <expression>``
+    must evaluate to that expression."""
+    text = README.read_text()
+    block = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            assert eval(code, namespace) == eval(comment, namespace), line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 11
+
+
+def test_import_stci_loads_its_layers_only():
+    probe = (
+        "import sys, stci; "
+        "print(sorted(name for name in vars(stci) if not name.startswith('_'))); "
+        "print(sorted({'stci.cli', 'argparse'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    layers = ["chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"]
+    assert out == f"{layers}\n[]\n"
+
+
+def test_results_past_the_int_str_limit(capsys):
+    # argv is read under Python's 4,300-digit int<->str limit; results are not
+    s, t = "9" * 1500, "9" * 2200
+    limit = sys.get_int_max_str_digits()
+    outputs = [run_cli(capsys, "bound", s), run_cli(capsys, "thm1", "--s", t, "--t", t, "--d", "1")]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        value = theorems.thm1_value(theorems.StciParams(int(t), int(t), 1, 0))
+        expected = [
+            f"{theorems.resolution_bound(int(s))}\n",
+            f"value: {format_rational(value.value)}\nintegral: {'yes' if value.integral else 'no'}\n",
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected[0]) > 4300 and len(expected[1]) > 4300
+    assert outputs == [(0, out, "") for out in expected]
+
+
 def test_help_and_usage_text(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, "thm1", "--help") == (0, THM1_HELP, "")
@@ -388,6 +442,7 @@ def test_cost_guard_caps(capsys):
         ["thm3", "--s", "4", "--d", "4", "--type", "(1^[300])"],
         ["chow", "expand", "--s", "16", "--t", "16", "--d", "1", "--p", "1"],
         ["thm2", "--s", "16", "--t", "16", "--d", "1", "--p", "1"],
+        ["thm2", "--s", "4", "--t", "4", "--d", "4", "--p", "9" * 4300],
     ):
         assert run_cli(capsys, *argv)[0] == 0, argv
     for argv in (
@@ -397,15 +452,19 @@ def test_cost_guard_caps(capsys):
         ["thm3", "--s", "4", "--d", "4", "--type", "(1^[300],1)"],
         ["chow", "expand", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
         ["thm2", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
+        ["thm2", "--s", "4", "--t", "4", "--d", "4", "--p", "9" * 4301],
         ["enumerate", "--d", str(degrees.MAX_CURVE_DEGREE + 1)],
     ):
         assert _refused(capsys, *argv), argv
 
 
 # Argv drawn from the CLI grammar: zero, negative and huge integers (huge
-# only where a cost guard caps the work), malformed descriptors and lists.
+# only where a cost guard caps the work or a result passes Python's
+# 4,300-digit int<->str limit), malformed descriptors and lists.
 _INT = st.sampled_from(["-7", "-1", "0", "1", "2", "3", "3", "4", "4", "5", "6", "8", "12", "x"])
-_HUGE = st.one_of(_INT, st.sampled_from(["301", "100000000000"]))
+_HUGE = st.one_of(
+    _INT, st.sampled_from(["301", "100000000000"]), st.integers(1400, 4300).map("9".__mul__)
+)
 _DESCRIPTOR = st.one_of(
     st.builds("A:{}:{}".format, _HUGE, _INT),
     st.builds("D1:{}".format, _HUGE),

@@ -13,7 +13,6 @@ def test_profile_7_4():
     assert prof.remainders == (4, 3, 1, 0)
     assert prof.quotients == (1, 1, 3)
     assert prof.t_last_nonzero == 2
-    assert prof.t_first_zero == 3
 
 
 def test_profile_divisible():
@@ -21,7 +20,6 @@ def test_profile_divisible():
     assert prof.remainders == (3, 0)
     assert prof.quotients == (2,)
     assert prof.t_last_nonzero == 0
-    assert prof.t_first_zero == 1
 
 
 def test_profile_k_equals_n():
@@ -35,26 +33,6 @@ def test_profile_domain_errors():
         euclid_profile(7, 0)
     with pytest.raises(DomainError):
         euclid_profile(4, 5)
-
-
-def test_profile_accessors():
-    prof = euclid_profile(7, 4)
-    assert [prof.rem(i) for i in range(6)] == [4, 3, 1, 0, 0, 0]
-    assert [prof.div(i) for i in range(1, 6)] == [1, 1, 3, 0, 0]
-    with pytest.raises(DomainError):
-        prof.rem(-1)
-    with pytest.raises(DomainError):
-        prof.div(0)
-
-
-def test_profile_json():
-    prof = euclid_profile(7, 4)
-    assert prof.to_json() == {
-        "N": 7,
-        "k": 4,
-        "remainders": [4, 3, 1, 0],
-        "quotients": [1, 1, 3],
-    }
 
 
 def test_remainders_strictly_decreasing():
@@ -89,7 +67,7 @@ def test_weighted_remainder_drop_bound():
             prof = euclid_profile(N, k)
             total = Fraction(0)
             running = 0
-            for i in range(1, prof.t_first_zero + 1):
+            for i in range(1, len(prof.quotients) + 1):
                 running += prof.quotients[i - 1]
                 total += Fraction(
                     prof.remainders[i - 1] - prof.remainders[i], running

@@ -114,9 +114,6 @@ def test_strict_transform_class_examples():
 
 
 def test_strict_transform_class_validation():
-    g = graphs.replay(1, ("+",))
-    with pytest.raises(DomainError):
-        graphs.strict_transform_class(g, top=5)
     with pytest.raises(DomainError):
         graphs.strict_transform_class(graphs.single_vertex(0))
 

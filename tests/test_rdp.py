@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import stci
 from stci import rdp
 from stci.errors import DomainError, ParseError
 
@@ -56,66 +55,66 @@ def test_type_roundtrip(entries):
 
 
 def test_phi_examples():
-    assert stci.phi(10, 4) == (4, 3, 1, 1, 1)
-    assert stci.phi(6, 1) == (1,) * 6
-    assert stci.phi(7, 4) == (4,)
+    assert rdp.phi(10, 4) == (4, 3, 1, 1, 1)
+    assert rdp.phi(6, 1) == (1,) * 6
+    assert rdp.phi(7, 4) == (4,)
 
 
 def test_phi_families():
     for k in range(1, 8):
         for r in range(1, 8):
-            assert stci.phi(r * k, k) == (k,) * (r - 1) + (1,) * k
+            assert rdp.phi(r * k, k) == (k,) * (r - 1) + (1,) * k
             if r >= 2:
-                assert stci.phi(r * k - 1, k) == (k,) * (r - 1)
+                assert rdp.phi(r * k - 1, k) == (k,) * (r - 1)
 
 
 def test_phi_symmetry():
     for n in range(1, 40):
         for k in range(1, n + 1):
-            assert stci.phi(n, k) == stci.phi(n, n - k + 1)
+            assert rdp.phi(n, k) == rdp.phi(n, n - k + 1)
 
 
 def test_phi_domain():
     with pytest.raises(DomainError):
-        stci.phi(5, 0)
+        rdp.phi(5, 0)
     with pytest.raises(DomainError):
-        stci.phi(5, 6)
+        rdp.phi(5, 6)
 
 
 # -- classification ----------------------------------------------------------
 
 
 def test_classify():
-    assert stci.classify("A:10:7") == rdp.RdpPair("A", 10, 4)
-    assert stci.classify("A:10:4") == rdp.RdpPair("A", 10, 4)
-    assert stci.classify("D1:6") == rdp.pair_d_first(6)
-    assert stci.classify("Dn:7") == rdp.pair_d_last(7)
-    assert stci.classify("E6") is rdp.E6
-    assert stci.classify("E7") is rdp.E7
+    assert rdp.classify("A:10:7") == rdp.RdpPair("A", 10, 4)
+    assert rdp.classify("A:10:4") == rdp.RdpPair("A", 10, 4)
+    assert rdp.classify("D1:6") == rdp.pair_d_first(6)
+    assert rdp.classify("Dn:7") == rdp.pair_d_last(7)
+    assert rdp.classify("E6") is rdp.E6
+    assert rdp.classify("E7") is rdp.E7
 
 
 def test_classify_rejects_bad_parameters():
     with pytest.raises(DomainError):
-        stci.classify("Dn:4")
+        rdp.classify("Dn:4")
     with pytest.raises(DomainError):
-        stci.classify("D1:3")
+        rdp.classify("D1:3")
     with pytest.raises(DomainError):
-        stci.classify("A:3:0")
+        rdp.classify("A:3:0")
     with pytest.raises(DomainError):
-        stci.classify("A:3:4")
+        rdp.classify("A:3:4")
     with pytest.raises(ParseError):
-        stci.classify("Q:3")
+        rdp.classify("Q:3")
     with pytest.raises(ParseError):
-        stci.classify("A:3")
+        rdp.classify("A:3")
     with pytest.raises(ParseError):
-        stci.classify("A:x:1")
+        rdp.classify("A:x:1")
     with pytest.raises(ParseError):
-        stci.classify("E6:1")
+        rdp.classify("E6:1")
 
 
 def test_format_pair_roundtrip():
     for text in ("A:10:4", "D1:6", "Dn:7", "E6", "E7"):
-        assert rdp.format_pair(stci.classify(text)) == text
+        assert rdp.format_pair(rdp.classify(text)) == text
 
 
 def test_direct_construction_must_be_canonical():
@@ -131,63 +130,63 @@ def test_direct_construction_must_be_canonical():
 
 
 def test_type_of():
-    assert stci.type_of(stci.classify("A:3:1")) == (1, 1, 1)
-    assert stci.type_of(rdp.pair_d_first(9)) == (2,)
-    assert stci.type_of(rdp.pair_d_last(5)) == (2, 1, 1, 1, 1)
-    assert stci.type_of(rdp.pair_d_last(6)) == (3,)
-    assert stci.type_of(rdp.E6) == (2, 2)
-    assert stci.type_of(rdp.E7) == (3,)
+    assert rdp.type_of(rdp.classify("A:3:1")) == (1, 1, 1)
+    assert rdp.type_of(rdp.pair_d_first(9)) == (2,)
+    assert rdp.type_of(rdp.pair_d_last(5)) == (2, 1, 1, 1, 1)
+    assert rdp.type_of(rdp.pair_d_last(6)) == (3,)
+    assert rdp.type_of(rdp.E6) == (2, 2)
+    assert rdp.type_of(rdp.E7) == (3,)
 
 
 def test_scalar_invariants():
-    inv = stci.scalar_invariants(stci.classify("A:2:1"))
+    inv = rdp.scalar_invariants(rdp.classify("A:2:1"))
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (3, Fraction(2, 3), 2, 0)
-    inv = stci.scalar_invariants(rdp.pair_d_last(7))
+    inv = rdp.scalar_invariants(rdp.pair_d_last(7))
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (4, Fraction(7, 4), 7, -2)
-    inv = stci.scalar_invariants(rdp.pair_d_last(5))
+    inv = rdp.scalar_invariants(rdp.pair_d_last(5))
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (4, Fraction(5, 4), 5, -1)
-    inv = stci.scalar_invariants(rdp.pair_d_last(6))
+    inv = rdp.scalar_invariants(rdp.pair_d_last(6))
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (2, Fraction(3, 2), 6, 3)
-    inv = stci.scalar_invariants(rdp.pair_d_first(6))
+    inv = rdp.scalar_invariants(rdp.pair_d_first(6))
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (2, Fraction(1), 6, 4)
-    inv = stci.scalar_invariants(rdp.E6)
+    inv = rdp.scalar_invariants(rdp.E6)
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (3, Fraction(4, 3), 6, 2)
-    inv = stci.scalar_invariants(rdp.E7)
+    inv = rdp.scalar_invariants(rdp.E7)
     assert (inv.order, inv.delta, inv.sigma, inv.deficiency) == (2, Fraction(3, 2), 7, 4)
 
 
 def test_blowup_of():
-    assert stci.blowup_of(rdp.E6) == rdp.RdpPair("A", 3, 2)
-    assert stci.blowup_of(stci.classify("A:10:4")) == rdp.RdpPair("A", 6, 3)
-    assert stci.blowup_of(rdp.pair_d_last(7)) == rdp.RdpPair("A", 6, 1)
-    assert stci.blowup_of(rdp.pair_d_last(6)) is None
-    assert stci.blowup_of(rdp.pair_d_first(11)) is None
-    assert stci.blowup_of(rdp.E7) is None
-    assert stci.blowup_of(stci.classify("A:7:4")) is None
-    assert stci.blowup_of(stci.classify("A:2:1")) == rdp.RdpPair("A", 1, 1)
+    assert rdp.blowup_of(rdp.E6) == rdp.RdpPair("A", 3, 2)
+    assert rdp.blowup_of(rdp.classify("A:10:4")) == rdp.RdpPair("A", 6, 3)
+    assert rdp.blowup_of(rdp.pair_d_last(7)) == rdp.RdpPair("A", 6, 1)
+    assert rdp.blowup_of(rdp.pair_d_last(6)) is None
+    assert rdp.blowup_of(rdp.pair_d_first(11)) is None
+    assert rdp.blowup_of(rdp.E7) is None
+    assert rdp.blowup_of(rdp.classify("A:7:4")) is None
+    assert rdp.blowup_of(rdp.classify("A:2:1")) == rdp.RdpPair("A", 1, 1)
 
 
 def test_blowup_type_consistency_small():
     for pair in rdp.classified_pairs(60):
-        t = stci.type_of(pair)
-        successor = stci.blowup_of(pair)
-        rest = () if successor is None else stci.type_of(successor)
+        t = rdp.type_of(pair)
+        successor = rdp.blowup_of(pair)
+        rest = () if successor is None else rdp.type_of(successor)
         assert t == (t[0],) + rest, pair
 
 
 def test_weighted_type_sum():
-    assert stci.weighted_type_sum((2, 2)) == Fraction(4, 3)
-    assert stci.weighted_type_sum(()) == 0
-    assert stci.weighted_type_sum((3, 1, 1, 1, 1, 1, 1)) == Fraction(15, 8)
+    assert rdp.weighted_type_sum((2, 2)) == Fraction(4, 3)
+    assert rdp.weighted_type_sum(()) == 0
+    assert rdp.weighted_type_sum((3, 1, 1, 1, 1, 1, 1)) == Fraction(15, 8)
 
 
 def test_miyaoka_contribution():
-    assert stci.miyaoka_contribution(stci.classify("A:1:1")) == Fraction(3, 2)
-    assert stci.miyaoka_contribution(stci.classify("A:2:1")) == Fraction(8, 3)
+    assert rdp.miyaoka_contribution(rdp.classify("A:1:1")) == Fraction(3, 2)
+    assert rdp.miyaoka_contribution(rdp.classify("A:2:1")) == Fraction(8, 3)
     with pytest.raises(DomainError):
-        stci.miyaoka_contribution(rdp.E6)
+        rdp.miyaoka_contribution(rdp.E6)
     with pytest.raises(DomainError):
-        stci.miyaoka_contribution(rdp.pair_d_first(4))
+        rdp.miyaoka_contribution(rdp.pair_d_first(4))
     config = rdp.parse_config("A:1:1 + 6*A:2:1 + 2*A:3:1")
     assert rdp.config_miyaoka(config) == 25
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import stci
 from oracles import bungobungo_scan, config_search_unpruned, thm2_margins_double_sum
 from stci import chow, graphs, rdp, theorems
 from stci.errors import DomainError
@@ -225,7 +224,7 @@ def test_config_search_nine_eight_two():
         "A:1:1 + 6*A:2:1 + 2*A:3:1",
         "6*A:2:1 + A:3:1 + A:4:2",
     ]
-    with_a42 = [c for c in found if stci.classify("A:4:2") in c]
+    with_a42 = [c for c in found if rdp.classify("A:4:2") in c]
     assert len(with_a42) == 1
     inv = rdp.config_invariants(with_a42[0])
     assert inv.delta == 6 * Fraction(2, 3) + Fraction(3, 4) + Fraction(6, 5)
