@@ -32,21 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ContextMismatchError, DomainError
+from .errors import ContextMismatchError, DomainError, echo
 
 
 def check_curve(d: int, g: int) -> None:
     """Raise DomainError unless the curve has degree d >= 1 and genus g >= 0."""
     if d < 1:
-        raise DomainError(f"curve degree must be >= 1, got {d}")
+        raise DomainError(f"curve degree must be >= 1, got {echo(d)}")
     if g < 0:
-        raise DomainError(f"genus must be >= 0, got {g}")
+        raise DomainError(f"genus must be >= 0, got {echo(g)}")
 
 
 def check_surface(s: int) -> None:
     """Raise DomainError unless the surface degree s is >= 1."""
     if s < 1:
-        raise DomainError(f"surface degree must be >= 1, got {s}")
+        raise DomainError(f"surface degree must be >= 1, got {echo(s)}")
 
 
 def check_degrees(s: int, t: int, d: int, g: int) -> None:
@@ -60,7 +60,7 @@ def multiplicity(s: int, t: int, d: int, g: int) -> int:
     """Validate (s, t, d, g) and return the multiplicity n = s*t/d."""
     check_degrees(s, t, d, g)
     if (s * t) % d != 0:
-        raise DomainError(f"curve degree {d} must divide s*t = {s * t}")
+        raise DomainError(f"curve degree {echo(d)} must divide s*t = {echo(s * t)}")
     return s * t // d
 
 
@@ -273,11 +273,6 @@ def surface_class(deg: int, k: int, ctx: BlowupContext) -> CycleClass:
     return ctx.zero()._replace(h=deg, e=e)
 
 
-def canonical_class(k: int, ctx: BlowupContext) -> CycleClass:
-    """-4H + E_1 + ... + E_k."""
-    return -surface_class(4, k, ctx)
-
-
 @dataclass(frozen=True)
 class StExpansion:
     h2_coeff: int
@@ -314,48 +309,3 @@ def a_closed_form(
         raise DomainError(f"index m={m} outside 1..{n}")
     padded = pad_p(p, n)
     return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def _terms(x: CycleClass) -> list[tuple[int, str]]:
-    out = [(x.c0, "1"), (x.h, "H")]
-    out += [(c, f"E{i + 1}") for i, c in enumerate(x.e)]
-    out.append((x.h2, "H^2"))
-    out += [(c, f"R{i + 1}") for i, c in enumerate(x.r)]
-    out.append((x.pt, "pt"))
-    return [(c, name) for c, name in out if c]
-
-
-def format_class(x: CycleClass) -> str:
-    """Human rendering like "4H - E1 - E2" or "8R3 - pt"."""
-    terms = _terms(x)
-    if not terms:
-        return "0"
-    pieces = []
-    for idx, (c, name) in enumerate(terms):
-        mag = abs(c)
-        if name == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = name
-        else:
-            body = f"{mag}{name}"
-        if idx == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
-
-
-def class_to_json(x: CycleClass) -> dict:
-    return {
-        "c0": x.c0,
-        "h": x.h,
-        "e": list(x.e),
-        "h2": x.h2,
-        "r": list(x.r),
-        "pt": x.pt,
-    }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import chow, degrees, rdp, theorems
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, echo
 from .exact import format_rational, parse_rational
 
 FORMATS = ("human", "json", "csv")
@@ -82,7 +82,7 @@ def render(doc: Document, fmt: str) -> str:
 
 def _at_most(cap: int, name: str, value: int) -> int:
     if value > cap:
-        raise DomainError(f"{name} must be <= {cap}, got {value}: the work grows with it")
+        raise DomainError(f"{name} must be <= {cap}, got {echo(value)}: the work grows with it")
     return value
 
 
@@ -129,7 +129,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             raise ValueError("too many digits")
         return tuple(map(int, tokens))
     except ValueError as exc:
-        raise ParseError(f"bad integer list {text!r}") from exc
+        raise ParseError(f"bad integer list {echo(text)}") from exc
 
 
 def _params(args) -> theorems.StciParams:
@@ -223,7 +223,7 @@ def cmd_search_config(args) -> Document:
 
 def cmd_enumerate(args) -> Document:
     records = degrees.enumerate_pairs(args.d, args.g, s_max=args.s_max, t_max=args.t_max)
-    rows = [(r.s, r.t, r.n, format_rational(r.p_s), format_rational(r.p_t)) for r in records]
+    rows = [(r.s, r.t, r.n, str(r.p_s), str(r.p_t)) for r in records]
     line = "({},{})  n={}  p_s={}  p_t={}"
     return table(("s", "t", "n", "p_s", "p_t"), rows, line, "no admissible pairs")
 

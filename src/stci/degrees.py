@@ -11,11 +11,10 @@ divisors rather than the (s, t) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .chow import a_value, check_curve, q_value
-from .errors import DomainError
+from .chow import a_value, check_curve
+from .errors import DomainError, echo
 
 # The largest curve degree enumerate_pairs accepts.  The s loop has
 # 2d^2 - 3 steps and the divisor walks add about d^2 log d in all: d = 600
@@ -30,8 +29,8 @@ class DegreePairRecord:
     s: int
     t: int
     n: int
-    p_s: Fraction
-    p_t: Fraction
+    p_s: int
+    p_t: int
     flags: tuple[str, ...]
 
 
@@ -50,8 +49,9 @@ def enumerate_pairs(
     s | (a + e); t >= s bounds e by d*a/(s^2 - d).  The defaults
     s_max = 2d^2 - 1 and t_max = 2d^4 - 1 are the proven bounds.  For
     t >= s, q_t - q = d(n-1)(t-s), so the t-orientation holds whenever the
-    s-orientation does: every record has both flags, and ``symmetric``
-    is kept for existing callers but changes nothing.
+    s-orientation does: every record has both flags, p_s = q/(n-1) =
+    (a + e)/s and p_t = p_s + d(t-s), and ``symmetric`` is kept for
+    existing callers but changes nothing.
 
     No admissible pair has s >= 2d^2, so a larger s_max is cut to 2d^2 - 1.
     For such s, a = d^2 (mod s) with 0 < d^2 < s, so the least positive
@@ -62,7 +62,7 @@ def enumerate_pairs(
     check_curve(d, g)
     if d > MAX_CURVE_DEGREE:
         raise DomainError(
-            f"curve degree must be <= {MAX_CURVE_DEGREE}, got {d}: "
+            f"curve degree must be <= {MAX_CURVE_DEGREE}, got {echo(d)}: "
             "the enumeration grows as d^2 log d"
         )
     s_max = 2 * d * d - 1 if s_max is None else min(s_max, 2 * d * d - 1)
@@ -82,7 +82,7 @@ def enumerate_pairs(
             t, rem = divmod(d * n, s)
             if rem or not s <= t <= t_max:
                 continue
-            p_t = Fraction(q_value(t, s, d, g), n - 1)
-            records.append(DegreePairRecord(s, t, n, Fraction((a + e) // s), p_t, _BOTH))
+            p_s = (a + e) // s
+            records.append(DegreePairRecord(s, t, n, p_s, p_s + d * (t - s), _BOTH))
     records.sort(key=lambda rec: (rec.s, rec.t))
     return records

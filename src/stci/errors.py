@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types, and how their messages quote an input."""
+
+# The most characters of text, or digits of an integer, that an error
+# message quotes; longer input is named by its length, so that a refusal
+# stays one short line whatever the input.
+ECHO_CAP = 60
+_ECHO_INT = 10**ECHO_CAP
 
 
 class DomainError(ValueError):
@@ -11,3 +17,22 @@ class ParseError(DomainError):
 
 class ContextMismatchError(DomainError):
     """Cycle classes from different blowup contexts were mixed."""
+
+
+def echo(value: object) -> str:
+    """An input as an error message quotes it: ``repr``, or ``str`` for an
+    int, unless text has more than ECHO_CAP characters or an int more than
+    ECHO_CAP digits; then only that count."""
+    if isinstance(value, int) and not -_ECHO_INT < value < _ECHO_INT:
+        return f"<{_digits(abs(value))} digits>"
+    if isinstance(value, str) and len(value) > ECHO_CAP:
+        return f"<{len(value)} characters>"
+    return str(value) if isinstance(value, int) else repr(value)
+
+
+def _digits(value: int) -> int:
+    """Decimal digits of value >= 1, without converting it to text."""
+    k = (value.bit_length() - 1) * 3010299 // 10**7  # log10(2) > 0.3010299
+    while 10 ** (k + 1) <= value:
+        k += 1
+    return k + 1

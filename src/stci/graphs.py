@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 
 Op = Union[str, int]  # "+" or the subdivision vertex label
 
@@ -56,15 +56,6 @@ class LabeledGraph:
         if not self.base <= v <= self.top:
             raise DomainError(f"vertex {v} outside [{self.base}, {self.top}]")
         return self.mu[v - self.base]
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
 
 def single_vertex(k: int) -> LabeledGraph:
@@ -148,16 +139,6 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     return replay(base, decompose(probe))
 
 
-def graph_order(graph: LabeledGraph) -> int:
-    """r - base, where r is the unique neighbor of the smallest vertex."""
-    if graph.top == graph.base:
-        raise DomainError("order is undefined for a single-vertex graph")
-    nbrs = graph.neighbors(graph.base)
-    if len(nbrs) != 1:
-        raise DomainError("not a standard labeled graph: root degree != 1")
-    return nbrs.pop() - graph.base
-
-
 def truncate(graph: LabeledGraph) -> LabeledGraph:
     """Remove the smallest vertex, re-based as a standard graph.
 
@@ -183,29 +164,14 @@ def truncate(graph: LabeledGraph) -> LabeledGraph:
     return replay(graph.base + 1, new_hist)
 
 
-def spitup_decomposition(graph: LabeledGraph) -> list[LabeledGraph]:
-    """The truncations entering the multiplicity identity.
-
-    For a graph of order p, returns [G - {k}, G - {k,k+1}, ...,
-    G - {k..k+p-1}]; mu of the original graph equals the indicator of the
-    root plus the zero-extended mu of each of these.
-    """
-    p = graph_order(graph)
-    out = []
-    cur = graph
-    for _ in range(p):
-        cur = truncate(cur)
-        out.append(cur)
-    return out
-
-
 def strict_transform_class(graph: LabeledGraph) -> tuple[int, ...]:
     """Class of the strict transform of the root ruling, over R_1..R_n.
 
     The graph must live on [k, n] with k >= 1.  Solves the triangular
     system R_l = sum_j mu_{G_l}(j) * [strict transform of R_j], where G_l
     runs over the iterated truncations.  The solution is R_k alone when
-    k = n, otherwise R_k - R_{k+1} - ... - R_r with r = k + graph_order.
+    k = n, otherwise R_k - R_{k+1} - ... - R_r, where r is the root's only
+    neighbour.
     """
     n, k = graph.top, graph.base
     if k < 1:
@@ -264,47 +230,3 @@ def cone_decompose(a: Iterable[int]) -> Optional[tuple[int, ...]]:
     """
     check = snort_check(a)
     return check.margins if check.feasible else None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def format_history(ops: Iterable[Op]) -> str:
-    return ",".join(str(op) for op in ops)
-
-
-def parse_history(text: str) -> tuple[Op, ...]:
-    s = text.strip()
-    if not s:
-        return ()
-    out: list[Op] = []
-    for token in s.split(","):
-        token = token.strip()
-        if token == PLUS:
-            out.append(PLUS)
-        elif token.lstrip("-").isdigit():
-            out.append(int(token))
-        else:
-            raise ParseError(f"bad history token {token!r}")
-    return tuple(out)
-
-
-def graph_to_json(graph: LabeledGraph) -> dict:
-    return {
-        "base": graph.base,
-        "vertices": list(graph.vertices),
-        "edges": sorted([a, b] for a, b in graph.edges),
-        "mu": {str(v): graph.mu_of(v) for v in graph.vertices},
-        "history": format_history(graph.history),
-    }
-
-
-def graph_from_json(data: dict) -> LabeledGraph:
-    vertices = data["vertices"]
-    graph = from_parts(min(vertices), max(vertices), data["edges"])
-    if "mu" in data:
-        for v in graph.vertices:
-            if data["mu"].get(str(v)) != graph.mu_of(v):
-                raise DomainError(f"stored mu disagrees at vertex {v}")
-    return graph

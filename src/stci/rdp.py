@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, echo
 
 TypeSeq = tuple[int, ...]
 
@@ -49,7 +49,7 @@ def normalize_type(entries: Iterable[int]) -> TypeSeq:
         seq.pop()
     for p in seq:
         if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
-            raise DomainError(f"type entries must be positive integers, got {p!r}")
+            raise DomainError(f"type entries must be positive integers, got {echo(p)}")
     return tuple(seq)
 
 
@@ -99,10 +99,10 @@ def parse_type(text: str) -> TypeSeq:
         elif token.isdigit():
             runs.append((int(token), 1))
         else:
-            raise ParseError(f"bad type entry {token!r} in {text!r}")
+            raise ParseError(f"bad type entry {echo(token)} in {echo(text)}")
     length = sum(count for _, count in runs)
     if length > MAX_INDEX:
-        raise DomainError(f"type length must be <= {MAX_INDEX}, got {length}")
+        raise DomainError(f"type length must be <= {MAX_INDEX}, got {echo(length)}")
     return normalize_type(p for p, count in runs for _ in range(count))
 
 
@@ -127,7 +127,7 @@ def phi(n: int, k: int) -> TypeSeq:
     remainder repeated by its quotient, up to the last nonzero remainder.
     """
     if not 1 <= k <= n:
-        raise DomainError(f"phi requires 1 <= k <= n, got n={n}, k={k}")
+        raise DomainError(f"phi requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
     out: list[int] = []
     while True:
         if 2 * k > n + 1:
@@ -162,10 +162,10 @@ class RdpPair:
                 raise DomainError(f"A({n},{k}) is not canonical: need 1 <= k <= (n+1)/2")
         elif sp == "D1":
             if n < 4 or k != 0:
-                raise DomainError(f"D1 requires n >= 4, got n={n}")
+                raise DomainError(f"D1 requires n >= 4, got n={echo(n)}")
         elif sp == "Dn":
             if n < 5 or k != 0:
-                raise DomainError(f"Dn requires n >= 5, got n={n}")
+                raise DomainError(f"Dn requires n >= 5, got n={echo(n)}")
         elif sp == "E6":
             if (n, k) != (6, 0):
                 raise DomainError("E6 carries no parameters")
@@ -179,7 +179,7 @@ class RdpPair:
 def pair_a(n: int, k: int) -> RdpPair:
     """A-series pair; k > (n+1)/2 is folded to n-k+1 by the type symmetry."""
     if n < 1 or not 1 <= k <= n:
-        raise DomainError(f"A-pair requires 1 <= k <= n, got n={n}, k={k}")
+        raise DomainError(f"A-pair requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
     if 2 * k > n + 1:
         k = n - k + 1
     return RdpPair("A", n, k)
@@ -201,7 +201,7 @@ def _descriptor_int(token: str, text: str) -> int:
     try:
         return int(token)
     except ValueError as exc:
-        raise ParseError(f"bad pair descriptor {text!r}") from exc
+        raise ParseError(f"bad pair descriptor {echo(text)}") from exc
 
 
 def classify(text: str) -> RdpPair:
@@ -219,9 +219,9 @@ def classify(text: str) -> RdpPair:
     elif parts[0] in ("E6", "E7") and len(parts) == 1:
         return E6 if parts[0] == "E6" else E7
     else:
-        raise ParseError(f"bad pair descriptor {text!r}")
+        raise ParseError(f"bad pair descriptor {echo(text)}")
     if pair.n > MAX_INDEX:
-        raise DomainError(f"pair index must be <= {MAX_INDEX}, got {pair.n}")
+        raise DomainError(f"pair index must be <= {MAX_INDEX}, got {echo(pair.n)}")
     return pair
 
 
@@ -342,19 +342,20 @@ def parse_config(text: str) -> Config:
     for term in s.split("+"):
         term = term.strip()
         if not term:
-            raise ParseError(f"empty term in configuration {text!r}")
+            raise ParseError(f"empty term in configuration {echo(text)}")
         mult, pair_text = 1, term
         if "*" in term:
             mult_text, _, pair_text = term.partition("*")
             try:
                 mult = int(mult_text.strip())
             except ValueError as exc:
-                raise ParseError(f"bad multiplicity in {term!r}") from exc
+                raise ParseError(f"bad multiplicity in {echo(term)}") from exc
             if mult < 1:
-                raise ParseError(f"multiplicity must be >= 1 in {term!r}")
+                raise ParseError(f"multiplicity must be >= 1 in {echo(term)}")
         if len(out) + mult > MAX_PAIRS:
             raise DomainError(
-                f"a configuration holds at most {MAX_PAIRS} pairs, got at least {len(out) + mult}"
+                f"a configuration holds at most {MAX_PAIRS} pairs, "
+                f"got at least {echo(len(out) + mult)}"
             )
         out.extend([classify(pair_text.strip())] * mult)
     return make_config(out)

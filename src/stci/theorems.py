@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import le
 from typing import Iterable, Optional, Sequence
 
-from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, q_value
-from .errors import DomainError
+from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
+from .errors import DomainError, echo
 from .rdp import (
     Config,
     RdpPair,
@@ -39,13 +39,11 @@ class StciParams:
     d: int
     g: int
     n: int = field(init=False, compare=False, repr=False)
+    q: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", multiplicity(self.s, self.t, self.d, self.g))
-
-    @property
-    def q(self) -> int:
-        return q_value(self.s, self.t, self.d, self.g)
+        object.__setattr__(self, "q", q_value(self.s, self.t, self.d, self.g))
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,6 @@ def thm1_value(params: StciParams) -> Thm1Result:
     return Thm1Result(value, value.denominator == 1)
 
 
-def _padded(p: Sequence[int], width: int) -> tuple[int, ...]:
-    p = tuple(p)
-    if len(p) >= width:
-        return p[:width]
-    return p + (0,) * (width - len(p))
-
-
 def thm2_rhs(params: StciParams, k: int) -> int:
     """Right-hand side 2^(k-1) q of the k-th inequality."""
     return (1 << (k - 1)) * params.q
@@ -84,14 +75,14 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
     S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
     S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded beyond the supplied
-    prefix.
+    prefix, and entries past n-1 are ignored.
     """
     n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
     margins = []
     dyadic = 0
-    for k, pk in enumerate(_padded(p, n - 1), start=1):
+    for k, pk in enumerate(pad_p(tuple(p)[: n - 1], n - 1), start=1):
         margins.append(dyadic + (n - k) * pk - thm2_rhs(params, k))
         dyadic = 2 * dyadic + (n - k + 1) * pk
     return tuple(margins)
@@ -133,12 +124,6 @@ def resolution_bound(s: int) -> int:
     resolution of a degree-s surface with rational singularities."""
     check_surface(s)
     return s * (2 * s * s - 6 * s + 7) // 3 - 1
-
-
-def kformula_bound(s: int, d: int, g: int, l: int) -> int:
-    """Upper bound d(s-1) - kappa on p_1, with kappa = 3d + 2g - 2 - l."""
-    kappa = 3 * d + 2 * g - 2 - l
-    return d * (s - 1) - kappa
 
 
 def miyaoka_budget(s: int) -> Fraction:
@@ -226,7 +211,7 @@ def config_search(
         max_sigma = resolution_bound(4)
     if max_sigma > MAX_SIGMA_CAP:
         raise DomainError(
-            f"max_sigma must be <= {MAX_SIGMA_CAP}, got {max_sigma}: "
+            f"max_sigma must be <= {MAX_SIGMA_CAP}, got {echo(max_sigma)}: "
             "the search grows exponentially in it"
         )
 

@@ -1,19 +1,23 @@
-"""Second routes to quantities the library computes one way.
+"""Second routes to quantities the library computes one way, and the
+helpers only tests read.
 
-Each function recomputes a library result by an independent method, so a
+Each route recomputes a library result by an independent method, so a
 test can compare the two: the Euclidean closed form of phi, the
 closed form of the strict-transform class, the quadratic dyadic and
 triangular cone sums, the double sum behind thm2_margins, the binomial
 form of the degree-pair divisibility condition, the (s, t) grid scan
 behind enumerate_pairs, the Fraction scan of all nonincreasing sequences
-behind bungobungo_solve, and the unpruned configuration search.
+behind bungobungo_solve, and the unpruned configuration search.  The
+helpers are the Euclidean profile, graph neighbours, order and spitup
+decomposition, the canonical class and the K-formula bound.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from stci.chow import multiplicity, q_value
+from stci.chow import multiplicity, q_value, surface_class
 from stci.errors import DomainError
-from stci.exact import euclid_profile
+from stci.graphs import truncate
 from stci.rdp import (
     classified_pairs,
     config_invariants,
@@ -24,6 +28,44 @@ from stci.rdp import (
     type_of,
     weighted_type_sum,
 )
+
+
+@dataclass(frozen=True)
+class EuclidProfile:
+    """Iterated remainders and quotients of N by k.
+
+    ``remainders[0] == k`` by convention, each later entry is the remainder
+    of the two before it, and the sequence ends at its first zero.
+    ``quotients[i]`` is the integer quotient taken at step i+1, so the two
+    tuples satisfy ``len(quotients) == len(remainders) - 1``.
+    """
+
+    N: int
+    k: int
+    remainders: tuple
+    quotients: tuple
+
+    @property
+    def t_last_nonzero(self):
+        """Index of the last nonzero remainder."""
+        return len(self.remainders) - 2
+
+
+def euclid_profile(N, k):
+    """Full remainder/quotient profile of the Euclidean algorithm on (N, k).
+
+    Requires 1 <= k <= N.
+    """
+    if k < 1 or k > N:
+        raise DomainError(f"euclid_profile requires 1 <= k <= N, got N={N}, k={k}")
+    remainders = [k]
+    quotients = []
+    prev, cur = N, k
+    while cur:
+        quotients.append(prev // cur)
+        prev, cur = cur, prev % cur
+        remainders.append(cur)
+    return EuclidProfile(N, k, tuple(remainders), tuple(quotients))
 
 
 def phi_closed_form(n, k):
@@ -43,6 +85,47 @@ def strict_transform_closed_form(graph):
     k, n = graph.base, graph.top
     r = max([k] + [b for a, b in graph.edges if a == k])
     return (0,) * (k - 1) + (1,) + (-1,) * (r - k) + (0,) * (n - r)
+
+
+def neighbors(graph, v):
+    """The vertices joined to v by an edge."""
+    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
+
+
+def graph_order(graph):
+    """r - base, where r is the unique neighbor of the smallest vertex."""
+    if graph.top == graph.base:
+        raise DomainError("order is undefined for a single-vertex graph")
+    nbrs = neighbors(graph, graph.base)
+    if len(nbrs) != 1:
+        raise DomainError("not a standard labeled graph: root degree != 1")
+    return nbrs.pop() - graph.base
+
+
+def spitup_decomposition(graph):
+    """The truncations entering the multiplicity identity.
+
+    For a graph of order p, returns [G - {k}, G - {k,k+1}, ...,
+    G - {k..k+p-1}]; mu of the original graph equals the indicator of the
+    root plus the zero-extended mu of each of these.
+    """
+    out = []
+    cur = graph
+    for _ in range(graph_order(graph)):
+        cur = truncate(cur)
+        out.append(cur)
+    return out
+
+
+def canonical_class(k, ctx):
+    """-4H + E_1 + ... + E_k."""
+    return -surface_class(4, k, ctx)
+
+
+def kformula_bound(s, d, g, l):
+    """Upper bound d(s-1) - kappa on p_1, with kappa = 3d + 2g - 2 - l."""
+    kappa = 3 * d + 2 * g - 2 - l
+    return d * (s - 1) - kappa
 
 
 def dyadic_margins(a):

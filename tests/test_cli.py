@@ -458,6 +458,43 @@ def test_cost_guard_caps(capsys):
         assert _refused(capsys, *argv), argv
 
 
+def test_long_input_is_named_by_its_length(capsys):
+    # past errors.ECHO_CAP characters or digits an error names the input's
+    # length instead of repeating it; shorter input is quoted as it was
+    nines = "9" * 99_996
+    long_argv = (
+        ["rdp", "info", f"A:{nines}:1"],
+        ["rdp", "info", f"A:5:{nines}"],
+        ["rdp", "info", f"D1:-{nines[1:]}9"],
+        ["rdp", "info", "x" * 100_000],
+        ["thm3", "--s", "4", "--d", "4", "--type", f"(1^[{nines[2:]}])"],
+        ["thm3", "--s", "4", "--d", "4", "--type", "x" * 100_000],
+        ["rdp", "config", f"{nines[2:]}*A:2:1"],
+        ["rdp", "config", f"{nines[:-3]}x*A:2:1"],
+        ["rdp", "config", "x" * 100_000],
+        ["search-config", "--type", "(9,9)", "--require-delta", "x" * 100_000],
+        ["thm2", "--s", "4", "--t", "4", "--d", "4", "--p", "x" * 100_000],
+    )
+    huge = "9" * 4300  # the most digits argparse reads
+    argparse_argv = (
+        ["phi", huge, "1"],
+        ["phi", "5", huge],
+        ["thm1", "--s", huge, "--t", huge, "--d", "7"],
+        ["enumerate", "--d", huge],
+        ["search-config", "--type", "(9,9)", "--max-sigma", huge],
+    )
+    for argv in long_argv + argparse_argv:
+        assert len(argv[-1]) == 100_000 or huge in argv, argv[:-1]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv[:-1]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:-1]
+        assert len(err.encode()) <= 200, (argv[:-1], err)
+    assert run_cli(capsys, "rdp", "info", f"A:{nines}:1") == (
+        1, "", "error: pair index must be <= 300, got <99996 digits>\n"
+    )
+    assert run_cli(capsys, "rdp", "info", "Q:3") == (1, "", "error: bad pair descriptor 'Q:3'\n")
+
+
 # Argv drawn from the CLI grammar: zero, negative and huge integers (huge
 # only where a cost guard caps the work or a result passes Python's
 # 4,300-digit int<->str limit), malformed descriptors and lists.

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import euclid_profile
 from stci.errors import DomainError, ParseError
-from stci.exact import euclid_profile, format_rational, parse_rational
+from stci.exact import format_rational, parse_rational
 
 
 def test_profile_7_4():

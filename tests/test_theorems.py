@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bungobungo_scan, config_search_unpruned, thm2_margins_double_sum
+from oracles import (
+    bungobungo_scan,
+    config_search_unpruned,
+    kformula_bound,
+    thm2_margins_double_sum,
+)
 from stci import chow, graphs, rdp, theorems
 from stci.errors import DomainError
 
@@ -13,6 +18,11 @@ from stci.errors import DomainError
 def test_params_validation():
     params = theorems.StciParams(4, 4, 4, 0)
     assert params.n == 4
+    # q is computed once, like n, and leaves equality, hash and repr alone
+    assert params.q == chow.q_value(4, 4, 4, 0) == 24
+    assert params == theorems.StciParams(4, 4, 4, 0)
+    assert hash(params) == hash((4, 4, 4, 0))
+    assert repr(params) == "StciParams(s=4, t=4, d=4, g=0)"
     with pytest.raises(DomainError):
         theorems.StciParams(3, 3, 4, 0)
     with pytest.raises(DomainError):
@@ -45,6 +55,7 @@ def test_thm2_examples():
     assert [theorems.thm2_rhs(params, k) for k in (1, 2, 3)] == [24, 48, 96]
     assert theorems.thm2_margins(params, (8, 8, 8)) == (0, 0, 0)
     assert theorems.thm2_margins(params, (9, 8, 2)) == (3, 4, 2)
+    assert theorems.thm2_margins(params, (9, 8, 2, 7, 7, 7, 7, 7)) == (3, 4, 2)
     with pytest.raises(DomainError):
         theorems.thm2_margins(theorems.StciParams(1, 1, 1, 0), ())
 
@@ -168,11 +179,11 @@ def test_resolution_bound():
 
 
 def test_kformula_bound():
-    assert theorems.kformula_bound(4, 4, 0, 7) == 9
-    assert theorems.kformula_bound(1, 1, 0, 3) == 2
+    assert kformula_bound(4, 4, 0, 7) == 9
+    assert kformula_bound(1, 1, 0, 3) == 2
     for d in range(1, 6):
         for g in range(0, 4):
-            assert theorems.kformula_bound(5, d, g, 3 * d + 2 * g - 2) == d * 4
+            assert kformula_bound(5, d, g, 3 * d + 2 * g - 2) == d * 4
 
 
 def test_miyaoka_budget():
