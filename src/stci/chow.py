@@ -29,7 +29,7 @@ coefficients of the surface product rest on are defined here once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError, DomainError, echo
@@ -103,28 +103,28 @@ class BlowupContext:
         return CycleClass(self, 0, 0, (0,) * n, 0, (0,) * n, 0)
 
     def one(self) -> "CycleClass":
-        return self.zero()._replace(c0=1)
+        return replace(self.zero(), c0=1)
 
     def h(self) -> "CycleClass":
-        return self.zero()._replace(h=1)
+        return replace(self.zero(), h=1)
 
     def e(self, k: int) -> "CycleClass":
         self._check_level(k)
         vec = [0] * self.n
         vec[k - 1] = 1
-        return self.zero()._replace(e=tuple(vec))
+        return replace(self.zero(), e=tuple(vec))
 
     def h2(self) -> "CycleClass":
-        return self.zero()._replace(h2=1)
+        return replace(self.zero(), h2=1)
 
     def r(self, k: int) -> "CycleClass":
         self._check_level(k)
         vec = [0] * self.n
         vec[k - 1] = 1
-        return self.zero()._replace(r=tuple(vec))
+        return replace(self.zero(), r=tuple(vec))
 
     def point(self) -> "CycleClass":
-        return self.zero()._replace(pt=1)
+        return replace(self.zero(), pt=1)
 
     def _check_level(self, k: int) -> None:
         if not 1 <= k <= self.n:
@@ -153,19 +153,6 @@ class CycleClass:
     h2: int
     r: tuple[int, ...]
     pt: int
-
-    def _replace(self, **kw) -> "CycleClass":
-        data = {
-            "ctx": self.ctx,
-            "c0": self.c0,
-            "h": self.h,
-            "e": self.e,
-            "h2": self.h2,
-            "r": self.r,
-            "pt": self.pt,
-        }
-        data.update(kw)
-        return CycleClass(**data)
 
     def _require_same_ctx(self, other: "CycleClass") -> None:
         if self.ctx != other.ctx:
@@ -270,7 +257,7 @@ def surface_class(deg: int, k: int, ctx: BlowupContext) -> CycleClass:
     if not 0 <= k <= ctx.n:
         raise DomainError(f"level {k} outside 0..{ctx.n}")
     e = tuple(-1 if i < k else 0 for i in range(ctx.n))
-    return ctx.zero()._replace(h=deg, e=e)
+    return replace(ctx.zero(), h=deg, e=e)
 
 
 @dataclass(frozen=True)

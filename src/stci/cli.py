@@ -89,20 +89,19 @@ def _at_most(cap: int, name: str, value: int) -> int:
 _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
-def _invariant_values(type_seq, inv) -> list:
+def _invariant_values(inv: rdp.Invariants) -> list:
     delta = format_rational(inv.delta)
-    return [rdp.format_type(type_seq), inv.order, delta, inv.sigma, inv.deficiency]
+    return [rdp.format_type(inv.type_seq), inv.order, delta, inv.sigma, inv.deficiency]
 
 
 def cmd_rdp_info(args) -> Document:
-    pair = rdp.classify(args.pair)
-    values = _invariant_values(rdp.type_of(pair), rdp.scalar_invariants(pair))
-    return record(dict(zip(_INVARIANTS, values)))
+    inv = rdp.scalar_invariants(rdp.classify(args.pair))
+    return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
 
 
 def cmd_rdp_config(args) -> Document:
     inv = rdp.config_invariants(rdp.parse_config(args.expr))
-    return record(dict(zip(_INVARIANTS, _invariant_values(inv.type_seq, inv))))
+    return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
 
 
 def cmd_phi(args) -> Document:
@@ -216,7 +215,7 @@ def cmd_search_config(args) -> Document:
     rows = []
     for config in results:
         inv = rdp.config_invariants(config)
-        rows.append([rdp.format_config(config), *_invariant_values(inv.type_seq, inv)])
+        rows.append([rdp.format_config(config), *_invariant_values(inv)])
     line = "{0}  order={2} delta={3} sigma={4} deficiency={5}"
     return table(("config", *_INVARIANTS), rows, line, "no configurations")
 

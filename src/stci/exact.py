@@ -8,9 +8,13 @@ used anywhere in the math core.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, echo
+
+# The forms format_rational prints, optionally signed: "p" and "p/q".
+_RATIONAL_FORM = re.compile(r"\s*[-+]?\d+(/\d+)?\s*")
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -22,8 +26,11 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact scalar."""
+    """Parse "p/q" or "p" into an exact scalar; any other form is refused,
+    as Fraction would build 10**e for an exponent such as "1e<e>"."""
     try:
+        if not _RATIONAL_FORM.fullmatch(text):
+            raise ValueError("not of the form p or p/q")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {echo(text)}") from exc

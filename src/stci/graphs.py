@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, echo
 
 Op = Union[str, int]  # "+" or the subdivision vertex label
 
@@ -47,10 +47,6 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]]
     mu: tuple[int, ...]
     history: tuple[Op, ...]
-
-    @property
-    def vertices(self) -> range:
-        return range(self.base, self.top + 1)
 
     def mu_of(self, v: int) -> int:
         if not self.base <= v <= self.top:
@@ -98,33 +94,7 @@ def decompose(graph: LabeledGraph) -> tuple[Op, ...]:
     Raises DomainError if the edges do not form a standard labeled graph
     on [base, top].
     """
-    edges = {tuple(sorted(e)) for e in graph.edges}
-    ops: list[Op] = []
-    for v in range(graph.top, graph.base, -1):
-        nbrs = {a if b == v else b for (a, b) in edges if v in (a, b)}
-        if any(w > v for w in nbrs):
-            raise DomainError("not a standard labeled graph: edge above current top")
-        if nbrs == {v - 1}:
-            ops.append(PLUS)
-            edges.remove((v - 1, v))
-        elif len(nbrs) == 2 and (v - 1) in nbrs:
-            (l,) = nbrs - {v - 1}
-            restored = (min(l, v - 1), max(l, v - 1))
-            if restored in edges:
-                raise DomainError("not a standard labeled graph: undo collides")
-            edges.remove((min(l, v), v))
-            edges.remove((v - 1, v))
-            edges.add(restored)
-            ops.append(l)
-        else:
-            raise DomainError("not a standard labeled graph: bad top neighborhood")
-    if edges:
-        raise DomainError("not a standard labeled graph: leftover edges")
-    ops.reverse()
-    result = tuple(ops)
-    if replay(graph.base, result).edges != graph.edges:
-        raise DomainError("not a standard labeled graph: replay mismatch")
-    return result
+    return from_parts(graph.base, graph.top, graph.edges).history
 
 
 def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGraph:
@@ -132,11 +102,35 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     if top < base:
         raise DomainError("empty vertex interval")
     edge_set = frozenset(tuple(sorted(e)) for e in edges)
+    # each operation adds one vertex and, net, one edge: top - base edges in all
+    if len(edge_set) != top - base:
+        raise DomainError(f"not a standard labeled graph: needs {echo(top - base)} edges")
     for a, b in edge_set:
         if a == b or not (base <= a <= top and base <= b <= top):
             raise DomainError(f"bad edge ({a}, {b})")
-    probe = LabeledGraph(base, top, edge_set, (0,) * (top - base + 1), ())
-    return replay(base, decompose(probe))
+    remaining = set(edge_set)
+    ops: list[Op] = []
+    for v in range(top, base, -1):
+        nbrs = {a if b == v else b for (a, b) in remaining if v in (a, b)}
+        if nbrs == {v - 1}:
+            ops.append(PLUS)
+            remaining.remove((v - 1, v))
+        elif len(nbrs) == 2 and (v - 1) in nbrs:
+            (l,) = nbrs - {v - 1}
+            restored = (min(l, v - 1), max(l, v - 1))
+            if restored in remaining:
+                raise DomainError("not a standard labeled graph: undo collides")
+            remaining.remove((min(l, v), v))
+            remaining.remove((v - 1, v))
+            remaining.add(restored)
+            ops.append(l)
+        else:
+            raise DomainError("not a standard labeled graph: bad top neighborhood")
+    ops.reverse()
+    graph = replay(base, ops)
+    if graph.edges != edge_set:
+        raise DomainError("not a standard labeled graph: replay mismatch")
+    return graph
 
 
 def truncate(graph: LabeledGraph) -> LabeledGraph:

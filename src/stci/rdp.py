@@ -18,6 +18,7 @@ dropped; the empty tuple is the smooth type.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -55,28 +56,18 @@ def normalize_type(entries: Iterable[int]) -> TypeSeq:
 
 def add_types(a: Iterable[int], b: Iterable[int]) -> TypeSeq:
     """Componentwise sum with zero extension."""
-    a, b = tuple(a), tuple(b)
-    width = max(len(a), len(b))
-    a += (0,) * (width - len(a))
-    b += (0,) * (width - len(b))
-    return normalize_type(x + y for x, y in zip(a, b))
+    return normalize_type(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def format_type(t: Iterable[int]) -> str:
     """Bracket notation: runs of length >= 3 collapse to ``v^[count]``."""
-    t = tuple(t)
     parts: list[str] = []
-    i = 0
-    while i < len(t):
-        j = i
-        while j < len(t) and t[j] == t[i]:
-            j += 1
-        run = j - i
+    for value, group in itertools.groupby(t):
+        run = len(list(group))
         if run >= 3:
-            parts.append(f"{t[i]}^[{run}]")
+            parts.append(f"{value}^[{run}]")
         else:
-            parts.extend([str(t[i])] * run)
-        i = j
+            parts.extend([str(value)] * run)
     return "(" + ",".join(parts) + ")"
 
 
@@ -249,15 +240,18 @@ def type_of(p: RdpPair) -> TypeSeq:
 
 
 @dataclass(frozen=True)
-class ScalarInvariants:
+class Invariants:
+    """Type sequence, order, delta, sigma and deficiency of a pair or config."""
+
+    type_seq: TypeSeq
     order: int
     delta: Fraction
     sigma: int
     deficiency: int
 
 
-def scalar_invariants(p: RdpPair) -> ScalarInvariants:
-    """Order, delta, sigma, and deficiency of a single pair."""
+def scalar_invariants(p: RdpPair) -> Invariants:
+    """Type sequence, order, delta, sigma, and deficiency of a single pair."""
     if p.species == "A":
         order = (p.n + 1) // math.gcd(p.k, p.n + 1)
         delta = Fraction(p.k * (p.n - p.k + 1), p.n + 1)
@@ -273,20 +267,15 @@ def scalar_invariants(p: RdpPair) -> ScalarInvariants:
     else:
         order = 2
         delta = Fraction(3, 2)
-    sigma = p.n
-    deficiency = sigma - sum(type_of(p))
-    return ScalarInvariants(order, delta, sigma, deficiency)
+    type_seq = type_of(p)
+    return Invariants(type_seq, order, delta, p.n, p.n - sum(type_seq))
 
 
 def blowup_of(p: RdpPair) -> Optional[RdpPair]:
     """Pair arising after one blowup along the curve; None when smooth."""
     if p.species == "A":
         n, k = p.n, p.k
-        if 2 * k == n + 1:
-            return None
-        if 2 * k > n - k + 1:
-            return pair_a(n - k, n - 2 * k + 1)
-        return pair_a(n - k, k)
+        return None if 2 * k == n + 1 else pair_a(n - k, k)
     if p.species == "Dn" and p.n % 2 == 1:
         return pair_a(p.n - 1, 1)
     if p.species == "E6":
@@ -372,30 +361,19 @@ def format_config(config: Config) -> str:
     return " + ".join(terms)
 
 
-@dataclass(frozen=True)
-class ConfigInvariants:
-    type_seq: TypeSeq
-    order: int
-    delta: Fraction
-    sigma: int
-    deficiency: int
-
-
-def config_invariants(config: Iterable[RdpPair]) -> ConfigInvariants:
+def config_invariants(config: Iterable[RdpPair]) -> Invariants:
     """Additive invariants of a configuration; order aggregates by lcm."""
     type_seq: TypeSeq = ()
     order = 1
     delta = Fraction(0)
     sigma = 0
-    deficiency = 0
     for p in config:
         inv = scalar_invariants(p)
-        type_seq = add_types(type_seq, type_of(p))
+        type_seq = add_types(type_seq, inv.type_seq)
         order = math.lcm(order, inv.order)
         delta += inv.delta
         sigma += inv.sigma
-        deficiency += inv.deficiency
-    return ConfigInvariants(type_seq, order, delta, sigma, deficiency)
+    return Invariants(type_seq, order, delta, sigma, sigma - sum(type_seq))
 
 
 def config_miyaoka(config: Iterable[RdpPair]) -> Fraction:

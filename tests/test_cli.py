@@ -458,6 +458,20 @@ def test_cost_guard_caps(capsys):
         assert _refused(capsys, *argv), argv
 
 
+def test_rationals_outside_p_and_p_over_q_are_refused(capsys):
+    # Fraction alone also reads decimals and exponents, and builds 10**e
+    # for "1e<e>" before the search starts; the cheap values come first
+    for value in ("1e1000", "1E5", "0.5", "1e100000000"):
+        for flag in ("--require-delta", "--miyaoka-budget"):
+            argv = ["search-config", "--type", "(9,9)", flag, value]
+            assert _refused(capsys, *argv), argv
+    assert run_cli(capsys, "search-config", "--type", "(9,9)", "--require-delta", "0.5") == (
+        1, "", "error: not a rational: '0.5'\n"
+    )
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+6") == 6
+
+
 def test_long_input_is_named_by_its_length(capsys):
     # past errors.ECHO_CAP characters or digits an error names the input's
     # length instead of repeating it; shorter input is quoted as it was
@@ -514,7 +528,7 @@ _CONFIG = st.lists(_TERM, max_size=3).map(" + ".join)
 _ENTRY = st.one_of(_INT, st.builds("{}^[{}]".format, _INT, _HUGE))
 _TYPE = st.lists(_ENTRY, max_size=4).map(lambda entries: "(" + ",".join(entries) + ")")
 _LIST = st.lists(_INT, max_size=5).map(",".join)
-_RATIONAL = st.sampled_from(["6", "73/12", "1/0", "-1/2", "x"])
+_RATIONAL = st.sampled_from(["6", "73/12", "1/0", "-1/2", "x", "1e100000000"])
 _STDT = [("--s", _HUGE), ("--t", _HUGE), ("--d", _HUGE), ("--g", _HUGE)]
 
 # (words, required arguments, optional arguments); a flag of None marks a

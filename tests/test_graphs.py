@@ -30,7 +30,7 @@ def random_graph(rng, base, max_ops):
 
 def test_plus_on_single_vertex():
     g = graphs.apply_op(graphs.single_vertex(3), "+")
-    assert g.vertices == range(3, 5)
+    assert (g.base, g.top) == (3, 4)
     assert g.edges == frozenset({(3, 4)})
     assert g.mu == (1, 1)
 
@@ -81,6 +81,31 @@ def test_from_parts_roundtrip():
     assert rebuilt == g
 
 
+def test_from_parts_counts_edges_before_building():
+    # a standard graph on [base, top] has top - base edges; a graph of
+    # this size built before that check would allocate or overflow
+    for top in (10**7, 10**18, 10**30):
+        with pytest.raises(DomainError, match="needs"):
+            graphs.from_parts(1, top, [])
+    # the right count is not enough: an undo that re-creates an edge, and
+    # a top vertex with no neighbours
+    with pytest.raises(DomainError, match="undo collides"):
+        graphs.from_parts(1, 4, [(3, 4), (1, 4), (1, 3)])
+    with pytest.raises(DomainError, match="bad top neighborhood"):
+        graphs.from_parts(1, 4, [(1, 2), (2, 3), (1, 3)])
+
+
+def test_from_parts_replays_once(monkeypatch):
+    g = graphs.replay(1, ("+", 1, "+", 3))
+    calls = []
+    replay = graphs.replay
+    monkeypatch.setattr(graphs, "replay", lambda base, ops: calls.append(base) or replay(base, ops))
+    assert graphs.from_parts(1, g.top, g.edges) == g
+    assert len(calls) == 1
+    assert graphs.decompose(g) == g.history
+    assert len(calls) == 2
+
+
 def test_graph_order():
     assert graph_order(graphs.replay(1, ("+",))) == 1
     assert graph_order(graphs.replay(1, ("+", "+"))) == 1
@@ -108,7 +133,7 @@ def test_spitup_identity():
         total = [0] * (g.top - g.base + 1)
         total[0] = 1
         for part in parts:
-            for v in part.vertices:
+            for v in range(part.base, part.top + 1):
                 total[v - g.base] += part.mu_of(v)
         assert tuple(total) == g.mu
 

@@ -174,6 +174,31 @@ def test_blowup_type_consistency_small():
         assert t == (t[0],) + rest, pair
 
 
+def test_pair_records_agree_over_the_universe():
+    # every classified pair with index <= 300: its record is that of the
+    # one-pair configuration, and its type is p_1 followed by the type of
+    # the pair one blowup leaves (the paper's definition of the sequence)
+    pairs = list(rdp.classified_pairs(rdp.MAX_INDEX))
+    assert len(pairs) == 23_245
+    for pair in pairs:
+        assert rdp.config_invariants((pair,)) == rdp.scalar_invariants(pair), pair
+        t = rdp.type_of(pair)
+        successor = rdp.blowup_of(pair)
+        rest = () if successor is None else rdp.type_of(successor)
+        assert t == (t[0],) + rest, pair
+
+
+def test_config_invariants_types_each_pair_once(monkeypatch):
+    calls = []
+    type_of = rdp.type_of
+    monkeypatch.setattr(rdp, "type_of", lambda pair: calls.append(pair) or type_of(pair))
+    config = rdp.parse_config("8*A:2:1 + A:3:1 + Dn:7 + E6")
+    inv = rdp.config_invariants(config)
+    assert len(calls) == len(config) == 11
+    assert inv.type_seq == (14, 12, 2, 1, 1, 1, 1)
+    assert inv.deficiency == inv.sigma - sum(inv.type_seq) == 0
+
+
 def test_weighted_type_sum():
     assert rdp.weighted_type_sum((2, 2)) == Fraction(4, 3)
     assert rdp.weighted_type_sum(()) == 0
