@@ -208,48 +208,35 @@ class CycleClass:
 
 
 def mul(x: CycleClass, y: CycleClass) -> CycleClass:
-    """Graded product; degree > 3 components vanish."""
+    """Graded product; degree > 3 components vanish.
+
+    One forward and one backward pass over the levels.  For i != j,
+    E_i.E_j adds -beta_min x_i y_j to R_max, so R_j collects the running
+    sums sum_{i<j} beta_i x_i and sum_{i<j} beta_i y_i.  Each E_k^2 adds
+    -beta_m to every R_m with m < k: a suffix sum of x_k y_k, whose total
+    gives the -d H^2 term.
+    """
     x._require_same_ctx(y)
     ctx = x.ctx
-    n, d = ctx.n, ctx.d
-    beta, alpha = ctx.beta, ctx.alpha
-
-    c0 = x.c0 * y.c0
-    h = x.c0 * y.h + y.c0 * x.h
-    e = [x.c0 * y.e[i] + y.c0 * x.e[i] for i in range(n)]
-    h2 = x.c0 * y.h2 + y.c0 * x.h2
-    r = [x.c0 * y.r[i] + y.c0 * x.r[i] for i in range(n)]
-    pt = x.c0 * y.pt + y.c0 * x.pt
-
-    # degree 1 x degree 1
-    h2 += x.h * y.h
-    for i in range(n):
-        cross = x.h * y.e[i] + x.e[i] * y.h
-        if cross:
-            r[i] += d * cross
-    for i in range(n):
-        if not x.e[i]:
-            continue
-        for j in range(n):
-            c = x.e[i] * y.e[j]
-            if not c:
-                continue
-            if i < j:
-                r[j] -= beta[i] * c
-            elif j < i:
-                r[i] -= beta[j] * c
-            else:
-                h2 -= d * c
-                r[i] -= alpha[i] * c
-                for m in range(i):
-                    r[m] -= beta[m] * c
-
-    # degree 1 x degree 2 (H.H^2 = pt, E_k.R_k = -pt; the rest vanish)
-    pt += x.h * y.h2 + y.h * x.h2
-    for i in range(n):
-        pt -= x.e[i] * y.r[i] + y.e[i] * x.r[i]
-
-    return CycleClass(ctx, c0, h, tuple(e), h2, tuple(r), pt)
+    d = ctx.d
+    xc, yc, xh, yh = x.c0, y.c0, x.h, y.h
+    e = tuple(xc * ye + yc * xe for xe, ye in zip(x.e, y.e))
+    r = []
+    # H.H^2 = pt and E_k.R_k = -pt; the other degree 1 x degree 2 products vanish
+    pt = xc * y.pt + yc * x.pt + xh * y.h2 + yh * x.h2
+    sx = sy = 0
+    for b, a, xe, ye, xr, yr in zip(ctx.beta, ctx.alpha, x.e, y.e, x.r, y.r):
+        deg11 = d * (xh * ye + xe * yh) - ye * sx - xe * sy - a * xe * ye
+        r.append(xc * yr + yc * xr + deg11)
+        pt -= xe * yr + ye * xr
+        sx += b * xe
+        sy += b * ye
+    diag = 0
+    for m in range(ctx.n - 1, -1, -1):
+        r[m] -= ctx.beta[m] * diag
+        diag += x.e[m] * y.e[m]
+    h2 = xc * y.h2 + yc * x.h2 + xh * yh - d * diag
+    return CycleClass(ctx, xc * yc, xc * yh + yc * xh, e, h2, tuple(r), pt)
 
 
 def surface_class(deg: int, k: int, ctx: BlowupContext) -> CycleClass:

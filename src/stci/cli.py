@@ -24,8 +24,8 @@ from .exact import format_rational, parse_rational
 FORMATS = ("human", "json", "csv")
 
 # The largest multiplicity n = st/d that `chow expand` and `thm2` accept:
-# the expansion multiplies n-level classes (O(n^2) products) and the thm2
-# margins are integers of about n bits, one per level.
+# `chow expand` prints n entries and `thm2` prints n - 1 margins of about n
+# bits each.
 MAX_N = 256
 
 # Python's default int<->str digit limit (3.10.7 and later), under which

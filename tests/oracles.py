@@ -3,6 +3,7 @@ helpers only tests read.
 
 Each route recomputes a library result by an independent method, so a
 test can compare the two: the Euclidean closed form of phi, the
+ring product summed term by term over every pair of levels, the
 closed form of the strict-transform class, the quadratic dyadic and
 triangular cone sums, the double sum behind thm2_margins, the binomial
 form of the degree-pair divisibility condition, the (s, t) grid scan
@@ -15,7 +16,7 @@ decomposition, the canonical class and the K-formula bound.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from stci.chow import multiplicity, q_value, surface_class
+from stci.chow import CycleClass, multiplicity, q_value, surface_class
 from stci.errors import DomainError
 from stci.graphs import truncate
 from stci.rdp import (
@@ -77,6 +78,55 @@ def phi_closed_form(n, k):
     for i in range(profile.t_last_nonzero + 1):
         out.extend([profile.remainders[i]] * profile.quotients[i])
     return tuple(out)
+
+
+def mul_term_by_term(x: CycleClass, y: CycleClass) -> CycleClass:
+    """Graded product; degree > 3 components vanish.
+
+    Sums E_i.E_j over every pair of levels and each E_k^2 over the levels
+    below k, so a product of n-level classes costs O(n^2).
+    """
+    x._require_same_ctx(y)
+    ctx = x.ctx
+    n, d = ctx.n, ctx.d
+    beta, alpha = ctx.beta, ctx.alpha
+
+    c0 = x.c0 * y.c0
+    h = x.c0 * y.h + y.c0 * x.h
+    e = [x.c0 * y.e[i] + y.c0 * x.e[i] for i in range(n)]
+    h2 = x.c0 * y.h2 + y.c0 * x.h2
+    r = [x.c0 * y.r[i] + y.c0 * x.r[i] for i in range(n)]
+    pt = x.c0 * y.pt + y.c0 * x.pt
+
+    # degree 1 x degree 1
+    h2 += x.h * y.h
+    for i in range(n):
+        cross = x.h * y.e[i] + x.e[i] * y.h
+        if cross:
+            r[i] += d * cross
+    for i in range(n):
+        if not x.e[i]:
+            continue
+        for j in range(n):
+            c = x.e[i] * y.e[j]
+            if not c:
+                continue
+            if i < j:
+                r[j] -= beta[i] * c
+            elif j < i:
+                r[i] -= beta[j] * c
+            else:
+                h2 -= d * c
+                r[i] -= alpha[i] * c
+                for m in range(i):
+                    r[m] -= beta[m] * c
+
+    # degree 1 x degree 2 (H.H^2 = pt, E_k.R_k = -pt; the rest vanish)
+    pt += x.h * y.h2 + y.h * x.h2
+    for i in range(n):
+        pt -= x.e[i] * y.r[i] + y.e[i] * x.r[i]
+
+    return CycleClass(ctx, c0, h, tuple(e), h2, tuple(r), pt)
 
 
 def strict_transform_closed_form(graph):

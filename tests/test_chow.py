@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import canonical_class
+from oracles import canonical_class, mul_term_by_term
 from stci import chow
 from stci.errors import ContextMismatchError, DomainError
 
@@ -90,6 +90,40 @@ def _random_class(rng, ctx):
         tuple(rng.randint(-4, 4) for _ in range(n)),
         rng.randint(-4, 4),
     )
+
+
+def _dense_class(rng, ctx):
+    """A random class with a nonzero coefficient in each of its six groups."""
+    while True:
+        x = _random_class(rng, ctx)
+        if all((x.c0, x.h, any(x.e), x.h2, any(x.r), x.pt)):
+            return x
+
+
+def test_mul_matches_term_by_term_oracle():
+    rng = random.Random(8)
+    for _ in range(3000):
+        d = rng.randint(1, 6)
+        g = rng.randint(0, 4)
+        n = rng.randint(1, 12)
+        ctx = chow.make_context(d, g, tuple(rng.randint(-20, 20) for _ in range(n)))
+        x, y = _dense_class(rng, ctx), _dense_class(rng, ctx)
+        assert chow.mul(x, y) == mul_term_by_term(x, y), (ctx, x, y)
+
+
+def test_surface_product_at_n256_matches_oracle_and_closed_form():
+    rng = random.Random(256)
+    s, t, d, g = 32, 24, 3, 2
+    n = chow.multiplicity(s, t, d, g)
+    assert n == 256
+    p = tuple(rng.randint(0, 200) for _ in range(n))
+    ctx = chow.make_context(d, g, chow.beta_from_p(s, d, g, p))
+    x, y = chow.surface_class(s, n, ctx), chow.surface_class(t, n, ctx)
+    product = chow.mul(x, y)
+    assert product == mul_term_by_term(x, y)
+    assert product.h2 == 0
+    closed = tuple(chow.a_closed_form(s, t, d, g, p, m) for m in range(1, n + 1))
+    assert product.r == closed
 
 
 def test_mul_commutative_associative():

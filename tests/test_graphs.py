@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -199,3 +200,29 @@ def test_cone_reconstruction():
             )
             assert rebuilt == a
 
+
+def test_from_parts_accepts_exactly_standard_graphs():
+    # every edge set with top - base edges on 1..7 vertices; other counts
+    # are refused by the count check alone
+    base = 1
+    grown = {graphs.single_vertex(base)}
+    for size, count in enumerate((1, 1, 2, 5, 13, 34, 89), start=1):
+        top = base + size - 1
+        standard = {g.edges for g in grown}
+        assert len(standard) == count
+        accepted = set()
+        pairs = itertools.combinations(range(base, top + 1), 2)
+        for edges in itertools.combinations(list(pairs), size - 1):
+            try:
+                graph = graphs.from_parts(base, top, edges)
+            except DomainError:
+                continue
+            assert graph.edges == frozenset(edges)
+            assert graph == graphs.replay(base, graph.history)
+            accepted.add(graph.edges)
+        assert accepted == standard
+        grown = {
+            graphs.apply_op(g, op)
+            for g in grown
+            for op in ["+"] + sorted(neighbors(g, g.top))
+        }

@@ -60,6 +60,26 @@ def test_thm2_examples():
         theorems.thm2_margins(theorems.StciParams(1, 1, 1, 0), ())
 
 
+def test_thm2_margins_are_closed_form_cone_margins():
+    # Theorem 2 is the ruling-cone test applied to the closed-form ruling
+    # coefficients a_1..a_{n-1} of the surface product
+    cases = [(4, 4, 4, 0, (9, 8, 2))]
+    rng = random.Random(2)
+    while len(cases) < 1000:
+        d = rng.randint(1, 6)
+        n = rng.randint(2, 40)
+        s = rng.choice([k for k in range(1, n * d + 1) if n * d % k == 0])
+        p = tuple(rng.randint(-10, 60) for _ in range(rng.randint(0, n - 1)))
+        cases.append((s, n * d // s, d, rng.randint(0, 5), p))
+    for s, t, d, g, p in cases:
+        params = theorems.StciParams(s, t, d, g)
+        a = [chow.a_closed_form(s, t, d, g, p, k) for k in range(1, params.n)]
+        assert theorems.thm2_margins(params, p) == graphs.snort_check(a).margins
+    assert graphs.snort_check(
+        [chow.a_closed_form(4, 4, 4, 0, (9, 8, 2), k) for k in (1, 2, 3)]
+    ).margins == (3, 4, 2)
+
+
 def test_thm2_margins_equal_cone_margins():
     # the k-th inequality slack equals the k-th cone margin of the
     # ruling-coefficient vector of the surface product
