@@ -3,8 +3,9 @@
 Each subcommand computes one ``Document`` and ``render`` prints it as human
 text (default), JSON, or CSV via --format.  Exit codes: 0 on success, 1 on
 a domain error (bad parameters, malformed descriptors, or an input past a
-documented cost cap), 2 on usage errors.  Exact rationals appear in JSON
-and CSV as "p/q" strings, never as floats.
+documented cost cap), 2 on usage errors.  Any other exception is a bug:
+it prints one ``internal error: <type>: <message>`` line and exits 1.
+Exact rationals appear in JSON and CSV as "p/q" strings, never as floats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from . import chow, degrees, rdp, theorems
@@ -188,6 +189,11 @@ def cmd_thm3(args) -> Document:
     return record({"lhs": lhs, "rhs": rhs, "holds": result.holds}, inputs)
 
 
+def cmd_thmA(args) -> Document:
+    verdict = theorems.thmA_verdict(args.s, args.t, args.d, args.g)
+    return record(asdict(verdict), {"s": args.s, "t": args.t, "d": args.d, "g": args.g})
+
+
 def cmd_bound(args) -> Document:
     bound = theorems.resolution_bound(args.s)
     return replace(record({"s": args.s, "bound": bound}), human=str(bound))
@@ -267,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     thm1 = sub.add_parser("thm1", help="common ruling count for disjoint singular loci")
     thm2 = sub.add_parser("thm2", help="margins of the dyadic inequality family")
     thm3 = sub.add_parser("thm3", help="weighted type sum against the delta bound")
-    for p in (expand, thm1, thm2):
+    thmA = sub.add_parser("thmA", help="whether the degree bound forces d <= g+3")
+    for p in (expand, thm1, thm2, thmA):
         for flag in ("--s", "--t", "--d"):
             p.add_argument(flag, type=int, required=True)
         p.add_argument("--g", type=int, default=0)
@@ -282,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     thm3.add_argument("--type", required=True, help='type like "(9,9)"')
     thm3.add_argument("--truncate-at", type=int, default=None, dest="truncate_at")
     _leaf(thm3, cmd_thm3)
+    _leaf(thmA, cmd_thmA)
 
     bound = sub.add_parser("bound", help="resolution curve-count bound")
     bound.add_argument("s", type=int)
@@ -336,6 +344,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         text = render(args.handler(args), args.format)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
     finally:
         _set_int_digits(limit)

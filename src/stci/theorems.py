@@ -8,9 +8,10 @@ n = s*t/d, validated and combined into q by stci.chow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
@@ -20,7 +21,6 @@ from .rdp import (
     RdpPair,
     TypeSeq,
     classified_pairs,
-    config_invariants,
     config_miyaoka,
     make_config,
     normalize_type,
@@ -174,8 +174,10 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
-# needs 19 (the resolution bound) and its widened check 25; the cost grows
-# about threefold per 5 added, and at 30 no target tried took over 0.2 s.
+# needs 19 (the resolution bound) and its widened check 25.  The cost grows
+# two- to threefold per 5 added (target (10,): 2.0/5.4/12 ms at 20/25/30 on
+# a 2-vCPU AMD EPYC, Python 3.11); at 30 the slowest target tried, (14,),
+# took 28 ms for its 5,841 configurations.
 MAX_SIGMA_CAP = 30
 
 
@@ -193,16 +195,22 @@ def config_search(
     """All configurations of classified pairs whose type equals target.
 
     ``max_sigma`` bounds the total sigma of a configuration (default: the
-    quartic resolution bound, 19) and thereby makes the search finite; the
-    remaining filters act on the assembled configuration.  When
+    quartic resolution bound, 19) and thereby makes the search finite.
+    Every configuration found has type sum sum(target), so its deficiency
+    is sigma - sum(target) and ``max_deficiency`` caps sigma too.  When
     ``miyaoka_budget_cap`` is given, a configuration passes only if all
     its members have A-series contributions summing to at most the cap.
     Results are canonically sorted and deterministic.  A ``max_sigma``
     above MAX_SIGMA_CAP is refused before any search.
 
-    A branch ends when its remaining type is not nonincreasing (every
-    pair's type is, so every sum of them is) or when even the least
-    sigma/sum(type) of the candidates would overspend ``max_sigma``.
+    Pairs of one type are interchangeable in the type sum, so the search
+    runs in two stages.  The type stage tiles target with multisets of
+    distinct types; a branch ends when its remaining type is not
+    nonincreasing (every pair's type is, so every sum of them is) or when
+    even the least sigma/sum(type) would overspend the sigma cap, with
+    each type's least sigma as the running floor.  The fill stage then
+    picks, for each type of a tiling, a multiset of pairs of that type in
+    sigma order, and stops once the picks left could not fit the cap.
     """
     target = normalize_type(target)
     if not target:
@@ -214,49 +222,70 @@ def config_search(
             f"max_sigma must be <= {MAX_SIGMA_CAP}, got {echo(max_sigma)}: "
             "the search grows exponentially in it"
         )
+    budget = max_sigma
+    if max_deficiency is not None:
+        budget = min(budget, sum(target) + max_deficiency)
 
-    candidates = []
-    for pair in classified_pairs(max_sigma):
+    groups: dict[TypeSeq, list[RdpPair]] = {}
+    for pair in sorted(classified_pairs(budget), key=attrgetter("n")):
+        if miyaoka_budget_cap is not None and pair.species != "A":
+            continue
         piece = type_of(pair)
         if _fits(piece, target):
-            candidates.append((pair, piece, scalar_invariants(pair).sigma))
-    ratio = min((Fraction(sig, sum(piece)) for _, piece, sig in candidates), default=Fraction(0))
+            groups.setdefault(piece, []).append(pair)
+    types = sorted(groups, reverse=True)
+    floors = [groups[piece][0].n for piece in types]
+    ratio = min((Fraction(f, sum(piece)) for f, piece in zip(floors, types)), default=Fraction(0))
     num, den = ratio.numerator, ratio.denominator
 
     results: list[Config] = []
+    tiling: list[int] = []
     chosen: list[RdpPair] = []
 
-    def descend(start: int, remaining: list[int], sigma_used: int) -> None:
+    def fill(runs: list, r: int, left: int, start: int, spent: int) -> None:
+        if not left:
+            r += 1
+            if r == len(runs):
+                if require_delta is not None:
+                    if sum(scalar_invariants(p).delta for p in chosen) != require_delta:
+                        return
+                if miyaoka_budget_cap is not None:
+                    if config_miyaoka(chosen) > miyaoka_budget_cap:
+                        return
+                results.append(make_config(chosen))
+                return
+            left, start = runs[r][1], 0
+        group, _, later = runs[r]
+        for pos in range(start, len(group)):
+            sigma = group[pos].n
+            if spent + left * sigma + later > budget:
+                break
+            chosen.append(group[pos])
+            fill(runs, r, left - 1, pos, spent + sigma)
+            chosen.pop()
+
+    def descend(start: int, remaining: list[int], floor: int) -> None:
         left = sum(remaining)
         if not left:
-            config = make_config(chosen)
-            inv = config_invariants(config)
-            if max_deficiency is not None and inv.deficiency > max_deficiency:
-                return
-            if require_delta is not None and inv.delta != require_delta:
-                return
-            if miyaoka_budget_cap is not None:
-                if any(p.species != "A" for p in config):
-                    return
-                if config_miyaoka(config) > miyaoka_budget_cap:
-                    return
-            results.append(config)
+            runs, later = [], floor
+            for idx, count in Counter(tiling).items():
+                later -= count * floors[idx]
+                runs.append((groups[types[idx]], count, later))
+            fill(runs, 0, runs[0][1], 0, 0)
             return
         if any(x < y for x, y in zip(remaining, remaining[1:])):
             return
-        if sigma_used * den + num * left > max_sigma * den:
+        if floor * den + num * left > budget * den:
             return
-        for idx in range(start, len(candidates)):
-            pair, piece, sigma = candidates[idx]
-            if sigma_used + sigma > max_sigma:
-                continue
-            if not _fits(piece, remaining):
+        for idx in range(start, len(types)):
+            piece = types[idx]
+            if floor + floors[idx] > budget or not _fits(piece, remaining):
                 continue
             for i, v in enumerate(piece):
                 remaining[i] -= v
-            chosen.append(pair)
-            descend(idx, remaining, sigma_used + sigma)
-            chosen.pop()
+            tiling.append(idx)
+            descend(idx, remaining, floor + floors[idx])
+            tiling.pop()
             for i, v in enumerate(piece):
                 remaining[i] += v
 

@@ -57,6 +57,12 @@ GOLDEN = {
         '{"s": 4, "d": 4, "g": 0, "type": "(9,8,2)", "lhs": "35/6", "rhs": "6", "holds": false}\n',
         "lhs,rhs,holds\n35/6,6,False\n",
     ),
+    "thmA --s 4 --t 4 --d 1 --g 1": (
+        "applies: yes\nconclusion: yes\nwitness: r = 4 <= 19; d <= g + 3 is forced\n",
+        '{"s": 4, "t": 4, "d": 1, "g": 1, "applies": true, "conclusion": true, '
+        '"witness": "r = 4 <= 19; d <= g + 3 is forced"}\n',
+        "applies,conclusion,witness\nTrue,True,r = 4 <= 19; d <= g + 3 is forced\n",
+    ),
     "bound 5": ("44\n", '{"s": 5, "bound": 44}\n', "s,bound\n5,44\n"),
     "bungo": (
         "n=0 type=(9,8,2)\nn=0 type=(9,9)\nn=0 type=(9,9,1)\n",
@@ -323,10 +329,11 @@ def test_golden_outputs(capsys):
             assert run_cli(capsys, *argv) == (0, out, ""), argv
 
 
-def readme_examples():
-    """(argv, expected stdout, head count or None) from the README's CLI block."""
+def readme_examples(nth=1):
+    """(argv, expected stdout, head count or None) from the nth sh block of
+    the README's CLI section; the first is the CLI block."""
     text = README.read_text()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = text.split("## CLI", 1)[1].split("```sh\n")[nth].split("```", 1)[0]
     for example in block.strip().split("\n\n"):
         command, *output = example.split("\n")
         tokens = shlex.split(command.removeprefix("$ "))
@@ -349,6 +356,23 @@ def test_readme_examples(capsys):
         if head is not None:
             out = "".join(out.splitlines(keepends=True)[:head])
         assert out == expected, argv
+
+
+def test_readme_thmA_examples(capsys):
+    examples = list(readme_examples(2))
+    assert [argv[0] for argv, _, _ in examples] == ["thmA", "thmA"]
+    for argv, expected, _ in examples:
+        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def broken(s, t, d, g):
+        raise AssertionError("hypotheses hold\nbut d > g + 3")
+
+    monkeypatch.setattr(theorems, "thmA_verdict", broken)
+    assert run_cli(capsys, "thmA", "--s", "4", "--t", "4", "--d", "1", "--g", "1") == (
+        1, "", "internal error: AssertionError: hypotheses hold but d > g + 3\n"
+    )
 
 
 def test_readme_quick_tour():
@@ -540,6 +564,7 @@ _GRAMMAR = [
     (["chow", "expand"], _STDT + [("--p", _LIST)], []),
     (["thm1"], _STDT, []),
     (["thm2"], _STDT + [("--p", _LIST)], []),
+    (["thmA"], _STDT, []),
     (
         ["thm3"],
         [("--s", _HUGE), ("--d", _HUGE), ("--g", _HUGE), ("--type", _TYPE)],
@@ -597,5 +622,5 @@ def test_fuzzed_argv_exit_cleanly(argv):
     first = _run_quietly(argv)
     code, _, err = first
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err, argv
+    assert "Traceback" not in err and not err.startswith("internal error:"), argv
     assert _run_quietly(argv) == first, argv

@@ -337,6 +337,36 @@ def test_config_search_matches_unpruned_small():
     assert checked == 378
 
 
+def test_config_search_filters_match_unpruned_small():
+    # the deficiency cap prunes the search and the leaf sums per-pair
+    # deltas, so every filter is checked against the unpruned oracle
+    checked = 0
+    for length in range(1, 7):
+        for target in itertools.product(range(1, 8), repeat=length):
+            if sum(target) > 7:
+                continue
+            for max_sigma in (5, 8, 12):
+                found = config_search_unpruned(target, max_sigma=max_sigma)
+                deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]}
+                filters = [{"max_deficiency": m} for m in (-1, 0, 2)]
+                filters += [{"require_delta": delta} for delta in sorted(deltas)]
+                filters += [{"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24)]
+                for kwargs in filters:
+                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                    want = config_search_unpruned(target, max_sigma=max_sigma, **kwargs)
+                    assert got == want, (target, max_sigma, kwargs)
+                checked += 1
+    assert checked == 378
+
+
+def test_config_search_matches_unpruned_quartic_at_cap():
+    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
+        for max_deficiency in (None, 0, 1, 2, 3):
+            kwargs = {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency}
+            got = theorems.config_search(target, **kwargs)
+            assert got == config_search_unpruned(target, **kwargs), (target, max_deficiency)
+
+
 def test_config_search_negative_deficiency():
     # Dn(5) has type (2,1,1,1,1) and sigma 5 < 6: sigma does not bound
     # the type sum from above
