@@ -29,8 +29,10 @@ coefficients of the surface product rest on are defined here once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from collections import namedtuple
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContextMismatchError, DomainError, echo
 
@@ -78,21 +80,19 @@ def q_value(s: int, t: int, d: int, g: int) -> int:
     return s * t // d * a_value(s, d, g) // s
 
 
-@dataclass(frozen=True)
-class BlowupContext:
-    """Immutable ring data: curve degree, genus, and the beta sequence."""
+class BlowupContext(namedtuple("BlowupContext", "d g beta alpha")):
+    """Immutable ring data: curve degree, genus, the beta sequence, and
+    the alpha sequence derived from them."""
 
-    d: int
-    g: int
-    beta: tuple[int, ...]
-    alpha: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_curve(self.d, self.g)
-        alpha = [2 - 2 * self.g - 4 * self.d]
-        for b in self.beta:
-            alpha.append(alpha[-1] - b)
-        object.__setattr__(self, "alpha", tuple(alpha))
+    def __new__(cls, d: int, g: int, beta: tuple[int, ...]) -> "BlowupContext":
+        check_curve(d, g)
+        alpha = tuple(accumulate(beta, sub, initial=2 - 2 * g - 4 * d))
+        return super().__new__(cls, d, g, beta, alpha)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
     @property
     def n(self) -> int:
@@ -103,28 +103,28 @@ class BlowupContext:
         return CycleClass(self, 0, 0, (0,) * n, 0, (0,) * n, 0)
 
     def one(self) -> "CycleClass":
-        return replace(self.zero(), c0=1)
+        return self.zero()._replace(c0=1)
 
     def h(self) -> "CycleClass":
-        return replace(self.zero(), h=1)
+        return self.zero()._replace(h=1)
 
     def e(self, k: int) -> "CycleClass":
         self._check_level(k)
         vec = [0] * self.n
         vec[k - 1] = 1
-        return replace(self.zero(), e=tuple(vec))
+        return self.zero()._replace(e=tuple(vec))
 
     def h2(self) -> "CycleClass":
-        return replace(self.zero(), h2=1)
+        return self.zero()._replace(h2=1)
 
     def r(self, k: int) -> "CycleClass":
         self._check_level(k)
         vec = [0] * self.n
         vec[k - 1] = 1
-        return replace(self.zero(), r=tuple(vec))
+        return self.zero()._replace(r=tuple(vec))
 
     def point(self) -> "CycleClass":
-        return replace(self.zero(), pt=1)
+        return self.zero()._replace(pt=1)
 
     def _check_level(self, k: int) -> None:
         if not 1 <= k <= self.n:
@@ -142,8 +142,7 @@ def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
     return tuple(base - pk for pk in p)
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """Graded class with integer coefficients; immutable."""
 
     ctx: BlowupContext
@@ -244,11 +243,10 @@ def surface_class(deg: int, k: int, ctx: BlowupContext) -> CycleClass:
     if not 0 <= k <= ctx.n:
         raise DomainError(f"level {k} outside 0..{ctx.n}")
     e = tuple(-1 if i < k else 0 for i in range(ctx.n))
-    return replace(ctx.zero(), h=deg, e=e)
+    return ctx.zero()._replace(h=deg, e=e)
 
 
-@dataclass(frozen=True)
-class StExpansion:
+class StExpansion(NamedTuple):
     h2_coeff: int
     a: tuple[int, ...]
 

@@ -15,8 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import chow, degrees, rdp, theorems
 from .errors import DomainError, ParseError, echo
@@ -34,8 +33,7 @@ MAX_N = 256
 ARGV_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One command's answer: human text, a JSON value, CSV columns and rows."""
 
     human: str
@@ -168,7 +166,8 @@ def cmd_thm2(args) -> Document:
     params = _params(args)
     p = _parse_int_list(args.p)
     margins = theorems.thm2_margins(params, p)
-    rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
+    q = params.q
+    rhs = [(1 << (k - 1)) * q for k in range(1, params.n)]
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))
     holds = all(m >= 0 for m in margins)
@@ -191,12 +190,12 @@ def cmd_thm3(args) -> Document:
 
 def cmd_thmA(args) -> Document:
     verdict = theorems.thmA_verdict(args.s, args.t, args.d, args.g)
-    return record(asdict(verdict), {"s": args.s, "t": args.t, "d": args.d, "g": args.g})
+    return record(verdict._asdict(), {"s": args.s, "t": args.t, "d": args.d, "g": args.g})
 
 
 def cmd_bound(args) -> Document:
     bound = theorems.resolution_bound(args.s)
-    return replace(record({"s": args.s, "bound": bound}), human=str(bound))
+    return record({"s": args.s, "bound": bound})._replace(human=str(bound))
 
 
 def cmd_bungo(args) -> Document:

@@ -10,8 +10,7 @@ divisors rather than the (s, t) grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chow import a_value, check_curve
 from .errors import DomainError, echo
@@ -24,8 +23,7 @@ MAX_CURVE_DEGREE = 600
 _BOTH = ("s-orientation", "t-orientation")
 
 
-@dataclass(frozen=True)
-class DegreePairRecord:
+class DegreePairRecord(NamedTuple):
     s: int
     t: int
     n: int

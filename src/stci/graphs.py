@@ -23,8 +23,7 @@ running sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, echo
 
@@ -33,8 +32,7 @@ Op = Union[str, int]  # "+" or the subdivision vertex label
 PLUS: Op = "+"
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     """Standard labeled graph on the vertex interval [base, top].
 
     ``mu[v - base]`` is the multiplicity of vertex v.  ``history`` replays
@@ -108,24 +106,29 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     for a, b in edge_set:
         if a == b or not (base <= a <= top and base <= b <= top):
             raise DomainError(f"bad edge ({a}, {b})")
-    remaining = set(edge_set)
+    # peel the top vertex off until base is left: each peel undoes one
+    # operation, and every remaining edge at the top vertex points down
+    adjacent: dict[int, set[int]] = {v: set() for v in range(base, top + 1)}
+    for a, b in edge_set:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
     ops: list[Op] = []
     for v in range(top, base, -1):
-        nbrs = {a if b == v else b for (a, b) in remaining if v in (a, b)}
+        nbrs = adjacent.pop(v)
+        below = adjacent[v - 1]
         if nbrs == {v - 1}:
             ops.append(PLUS)
-            remaining.remove((v - 1, v))
         elif len(nbrs) == 2 and (v - 1) in nbrs:
             (l,) = nbrs - {v - 1}
-            restored = (min(l, v - 1), max(l, v - 1))
-            if restored in remaining:
+            if l in below:
                 raise DomainError("not a standard labeled graph: undo collides")
-            remaining.remove((min(l, v), v))
-            remaining.remove((v - 1, v))
-            remaining.add(restored)
+            adjacent[l].remove(v)
+            adjacent[l].add(v - 1)
+            below.add(l)
             ops.append(l)
         else:
             raise DomainError("not a standard labeled graph: bad top neighborhood")
+        below.remove(v)
     ops.reverse()
     # No edge comparison needed: each peel removed every edge at its vertex and
     # restored the one edge its operation consumes, and the count check leaves
@@ -194,8 +197,7 @@ def strict_transform_class(graph: LabeledGraph) -> tuple[int, ...]:
 # the ruling cone
 
 
-@dataclass(frozen=True)
-class ConeCheck:
+class ConeCheck(NamedTuple):
     feasible: bool
     margins: tuple[int, ...]
 

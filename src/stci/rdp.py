@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, ParseError, echo
 
@@ -134,37 +133,35 @@ def phi(n: int, k: int) -> TypeSeq:
 # classified pairs
 
 
-@dataclass(frozen=True, order=True)
-class RdpPair:
+class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
     """A classified pair; construct via pair_a / pair_d_first / pair_d_last.
 
     n is the Dynkin index (6 and 7 for the exceptional species); k is the
-    curve position and is meaningful for species "A" only.
+    curve position and is meaningful for species "A" only.  Pairs order as
+    the tuples (species, n, k).
     """
 
-    species: str
-    n: int
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        sp, n, k = self.species, self.n, self.k
-        if sp == "A":
+    def __new__(cls, species: str, n: int, k: int = 0) -> "RdpPair":
+        if species == "A":
             if n < 1 or not 1 <= k <= (n + 1) // 2:
                 raise DomainError(f"A({n},{k}) is not canonical: need 1 <= k <= (n+1)/2")
-        elif sp == "D1":
+        elif species == "D1":
             if n < 4 or k != 0:
                 raise DomainError(f"D1 requires n >= 4, got n={echo(n)}")
-        elif sp == "Dn":
+        elif species == "Dn":
             if n < 5 or k != 0:
                 raise DomainError(f"Dn requires n >= 5, got n={echo(n)}")
-        elif sp == "E6":
+        elif species == "E6":
             if (n, k) != (6, 0):
                 raise DomainError("E6 carries no parameters")
-        elif sp == "E7":
+        elif species == "E7":
             if (n, k) != (7, 0):
                 raise DomainError("E7 carries no parameters")
         else:
-            raise DomainError(f"unknown species {sp!r}")
+            raise DomainError(f"unknown species {species!r}")
+        return super().__new__(cls, species, n, k)
 
 
 def pair_a(n: int, k: int) -> RdpPair:
@@ -239,8 +236,7 @@ def type_of(p: RdpPair) -> TypeSeq:
     return (3,)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """Type sequence, order, delta, sigma and deficiency of a pair or config."""
 
     type_seq: TypeSeq

@@ -8,11 +8,10 @@ n = s*t/d, validated and combined into q by stci.chow.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import attrgetter, le
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
 from .errors import DomainError, echo
@@ -30,24 +29,28 @@ from .rdp import (
 )
 
 
-@dataclass(frozen=True)
-class StciParams:
-    """Degrees (s, t) of the two surfaces, curve degree d, genus g."""
+class StciParams(namedtuple("StciParams", "s t d g")):
+    """Degrees (s, t) of the two surfaces, curve degree d, genus g; checked
+    by ``multiplicity`` when built."""
 
-    s: int
-    t: int
-    d: int
-    g: int
-    n: int = field(init=False, compare=False, repr=False)
-    q: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", multiplicity(self.s, self.t, self.d, self.g))
-        object.__setattr__(self, "q", q_value(self.s, self.t, self.d, self.g))
+    def __new__(cls, s: int, t: int, d: int, g: int) -> "StciParams":
+        multiplicity(s, t, d, g)
+        return super().__new__(cls, s, t, d, g)
+
+    @property
+    def n(self) -> int:
+        """The multiplicity s*t/d."""
+        return self.s * self.t // self.d
+
+    @property
+    def q(self) -> int:
+        """q from ``q_value``; computed on each read."""
+        return q_value(*self)
 
 
-@dataclass(frozen=True)
-class Thm1Result:
+class Thm1Result(NamedTuple):
     value: Fraction
     integral: bool
 
@@ -75,21 +78,21 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
     S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
     S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded beyond the supplied
-    prefix, and entries past n-1 are ignored.
+    prefix, and entries past n-1 are ignored.  rhs(k) = 2^(k-1) q is
+    ``thm2_rhs``.
     """
-    n = params.n
+    n, q = params.n, params.q
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
     margins = []
     dyadic = 0
     for k, pk in enumerate(pad_p(tuple(p)[: n - 1], n - 1), start=1):
-        margins.append(dyadic + (n - k) * pk - thm2_rhs(params, k))
+        margins.append(dyadic + (n - k) * pk - (1 << (k - 1)) * q)
         dyadic = 2 * dyadic + (n - k + 1) * pk
     return tuple(margins)
 
 
-@dataclass(frozen=True)
-class Thm3Result:
+class Thm3Result(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     holds: bool
@@ -297,8 +300,7 @@ def config_search(
 # the d <= g + 3 criterion
 
 
-@dataclass(frozen=True)
-class ThmAVerdict:
+class ThmAVerdict(NamedTuple):
     applies: bool
     conclusion: bool
     witness: str

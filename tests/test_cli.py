@@ -406,6 +406,17 @@ def test_import_stci_loads_its_layers_only():
     assert out == f"{layers}\n[]\n"
 
 
+def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
+    # a cold process pays for every module it imports; -S keeps site's own
+    # imports out of the count
+    probe = "import sys, stci.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_results_past_the_int_str_limit(capsys):
     # argv is read under Python's 4,300-digit int<->str limit; results are not
     s, t = "9" * 1500, "9" * 2200

@@ -18,7 +18,7 @@ from stci.errors import DomainError
 def test_params_validation():
     params = theorems.StciParams(4, 4, 4, 0)
     assert params.n == 4
-    # q is computed once, like n, and leaves equality, hash and repr alone
+    # n and q are read off the four fields, so equality, hash and repr see only those
     assert params.q == chow.q_value(4, 4, 4, 0) == 24
     assert params == theorems.StciParams(4, 4, 4, 0)
     assert hash(params) == hash((4, 4, 4, 0))
