@@ -166,8 +166,7 @@ def cmd_thm2(args) -> Document:
     params = _params(args)
     p = _parse_int_list(args.p)
     margins = theorems.thm2_margins(params, p)
-    q = params.q
-    rhs = [(1 << (k - 1)) * q for k in range(1, params.n)]
+    rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))
     holds = all(m >= 0 for m in margins)

@@ -10,7 +10,8 @@ adding the vertex m+1 above the current maximum m:
 Every standard graph is produced by a unique operation sequence, which
 ``decompose`` recovers from the edge set alone.  The multiplicity map mu
 starts at 1 on the root and extends by mu(m+1) = mu(m) for "+" and
-mu(m+1) = mu(m) + mu(l) for subdivision.
+mu(m+1) = mu(m) + mu(l) for subdivision.  ``replay`` builds every graph
+from its sequence; ``apply_op`` replays a history plus one operation.
 
 ``strict_transform_class`` solves the triangular system relating total
 and strict ruling transforms and returns the class of the strict
@@ -37,7 +38,7 @@ class LabeledGraph(NamedTuple):
 
     ``mu[v - base]`` is the multiplicity of vertex v.  ``history`` replays
     from the single vertex ``base`` to exactly this graph.  Build
-    instances with single_vertex / apply_op / replay / from_parts.
+    instances with replay / apply_op / from_parts.
     """
 
     base: int
@@ -52,38 +53,33 @@ class LabeledGraph(NamedTuple):
         return self.mu[v - self.base]
 
 
-def single_vertex(k: int) -> LabeledGraph:
-    return LabeledGraph(k, k, frozenset(), (1,), ())
-
-
 def apply_op(graph: LabeledGraph, op: Op) -> LabeledGraph:
     """Apply one standard operation, returning the grown graph."""
-    m = graph.top
-    new = m + 1
-    if op == PLUS:
-        edges = set(graph.edges)
-        edges.add((m, new))
-        mu = graph.mu + (graph.mu_of(m),)
-    else:
-        if not isinstance(op, int):
-            raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
-        l = op
-        key = (min(l, m), max(l, m))
-        if l == m or key not in graph.edges:
-            raise DomainError(f"subdivision at {l} requires edge ({l}, {m})")
-        edges = set(graph.edges)
-        edges.remove(key)
-        edges.add((l, new))
-        edges.add((m, new))
-        mu = graph.mu + (graph.mu_of(m) + graph.mu_of(l),)
-    return LabeledGraph(graph.base, new, frozenset(edges), mu, graph.history + (op,))
+    return replay(graph.base, graph.history + (op,))
 
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
-    graph = single_vertex(base)
-    for op in ops:
-        graph = apply_op(graph, op)
-    return graph
+    """Grow the single vertex ``base`` by ``ops``, freezing the result once."""
+    edges: set[tuple[int, int]] = set()
+    mu = [1]
+    history = tuple(ops)
+    m = base
+    for op in history:
+        new = m + 1
+        if op == PLUS:
+            mu.append(mu[-1])
+        elif not isinstance(op, int):
+            raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
+        else:
+            key = (min(op, m), max(op, m))
+            if op == m or key not in edges:
+                raise DomainError(f"subdivision at {op} requires edge ({op}, {m})")
+            edges.remove(key)
+            edges.add((op, new))
+            mu.append(mu[-1] + mu[op - base])
+        edges.add((m, new))
+        m = new
+    return LabeledGraph(base, m, frozenset(edges), tuple(mu), history)
 
 
 def decompose(graph: LabeledGraph) -> tuple[Op, ...]:

@@ -86,7 +86,7 @@ def parse_type(text: str) -> TypeSeq:
         m = _RUN_TOKEN.match(token)
         if m:
             runs.append((int(m.group(1)), int(m.group(2))))
-        elif token.isdigit():
+        elif token.isdecimal():
             runs.append((int(token), 1))
         else:
             raise ParseError(f"bad type entry {echo(token)} in {echo(text)}")

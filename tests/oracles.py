@@ -4,10 +4,11 @@ helpers only tests read.
 Each route recomputes a library result by an independent method, so a
 test can compare the two: the Euclidean closed form of phi, the
 ring product summed term by term over every pair of levels, the
-closed form of the strict-transform class, the quadratic dyadic and
-triangular cone sums, the double sum behind thm2_margins, the binomial
-form of the degree-pair divisibility condition, the (s, t) grid scan
-behind enumerate_pairs, the Fraction scan of all nonincreasing sequences
+step-by-step graph builder behind replay, the closed form of the
+strict-transform class, the quadratic dyadic and triangular cone sums,
+the double sum behind thm2_margins, the binomial form of the
+degree-pair divisibility condition, the (s, t) grid scan behind
+enumerate_pairs, the Fraction scan of all nonincreasing sequences
 behind bungobungo_solve, and the unpruned configuration search.  The
 helpers are the Euclidean profile, graph neighbours, order and spitup
 decomposition, the canonical class and the K-formula bound.
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from stci.chow import CycleClass, multiplicity, q_value, surface_class
 from stci.errors import DomainError
-from stci.graphs import truncate
+from stci.graphs import PLUS, LabeledGraph, truncate
 from stci.rdp import (
     classified_pairs,
     config_invariants,
@@ -135,6 +136,32 @@ def strict_transform_closed_form(graph):
     k, n = graph.base, graph.top
     r = max([k] + [b for a, b in graph.edges if a == k])
     return (0,) * (k - 1) + (1,) + (-1,) * (r - k) + (0,) * (n - r)
+
+
+def replay_step_by_step(base, ops):
+    """The single vertex grown one operation at a time, each step copying
+    the edge set, mu and history into a new graph: quadratic in len(ops)."""
+    graph = LabeledGraph(base, base, frozenset(), (1,), ())
+    for op in ops:
+        m = graph.top
+        new = m + 1
+        edges = set(graph.edges)
+        if op == PLUS:
+            edges.add((m, new))
+            mu = graph.mu + (graph.mu_of(m),)
+        else:
+            if not isinstance(op, int):
+                raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
+            l = op
+            key = (min(l, m), max(l, m))
+            if l == m or key not in graph.edges:
+                raise DomainError(f"subdivision at {l} requires edge ({l}, {m})")
+            edges.remove(key)
+            edges.add((l, new))
+            edges.add((m, new))
+            mu = graph.mu + (graph.mu_of(m) + graph.mu_of(l),)
+        graph = LabeledGraph(base, new, frozenset(edges), mu, graph.history + (op,))
+    return graph
 
 
 def neighbors(graph, v):

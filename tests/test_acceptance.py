@@ -136,7 +136,7 @@ def test_criterion_7_config_case_analysis():
 
 
 def _random_graph(rng, base, max_ops):
-    g = graphs.single_vertex(base)
+    g = graphs.replay(base, ())
     for _ in range(rng.randint(0, max_ops)):
         m = g.top
         choices = ["+"] + sorted(l for l in neighbors(g, m) if l < m)

@@ -544,6 +544,28 @@ def test_long_input_is_named_by_its_length(capsys):
     assert run_cli(capsys, "rdp", "info", "Q:3") == (1, "", "error: bad pair descriptor 'Q:3'\n")
 
 
+def test_non_decimal_digits_in_a_type_are_a_parse_error(capsys):
+    # str.isdigit() accepts superscripts and other digits that int() rejects
+    assert run_cli(capsys, "thm3", "--s", "4", "--d", "4", "--type", "(²)") == (
+        1, "", "error: bad type entry '²' in '(²)'\n"
+    )
+    assert run_cli(capsys, "search-config", "--type", "5⁰4") == (
+        1, "", "error: bad type entry '5⁰4' in '5⁰4'\n"
+    )
+    # decimal digits of other scripts are what int() reads
+    assert rdp.parse_type("(٩,٩)") == (9, 9)
+
+
+def test_p_list_starting_negative_needs_an_equals_sign(capsys):
+    # argparse reads "-5,-3" after a space as an option, not as --p's value
+    base = ["thm2", "--s", "4", "--t", "4", "--d", "4"]
+    code, out, err = run_cli(capsys, *base, "--p", "-5,-3")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --p: expected one argument\n")
+    code, out, err = run_cli(capsys, *base, "--p=-5,-3", "--format", "csv")
+    assert (code, out, err) == (0, "k,lhs,rhs,margin\n1,-15,24,-39\n2,-26,48,-74\n3,-49,96,-145\n", "")
+
+
 # Argv drawn from the CLI grammar: zero, negative and huge integers (huge
 # only where a cost guard caps the work or a result passes Python's
 # 4,300-digit int<->str limit), malformed descriptors and lists.

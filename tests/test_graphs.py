@@ -8,6 +8,7 @@ from oracles import (
     dyadic_margins,
     graph_order,
     neighbors,
+    replay_step_by_step,
     spitup_decomposition,
     strict_transform_closed_form,
 )
@@ -21,7 +22,7 @@ def staircase(k, p):
 
 
 def random_graph(rng, base, max_ops):
-    g = graphs.single_vertex(base)
+    g = graphs.replay(base, ())
     for _ in range(rng.randint(0, max_ops)):
         m = g.top
         choices = ["+"] + sorted(l for l in neighbors(g, m) if l < m)
@@ -30,7 +31,7 @@ def random_graph(rng, base, max_ops):
 
 
 def test_plus_on_single_vertex():
-    g = graphs.apply_op(graphs.single_vertex(3), "+")
+    g = graphs.apply_op(graphs.replay(3, ()), "+")
     assert (g.base, g.top) == (3, 4)
     assert g.edges == frozenset({(3, 4)})
     assert g.mu == (1, 1)
@@ -53,13 +54,53 @@ def test_subdivision_requires_edge():
     with pytest.raises(DomainError):
         graphs.apply_op(g, 1)
     with pytest.raises(DomainError):
-        graphs.apply_op(graphs.single_vertex(1), 1)
+        graphs.apply_op(graphs.replay(1, ()), 1)
     with pytest.raises(DomainError):
         graphs.apply_op(g, "L")
 
 
+def _random_op(rng, base, ops, noise):
+    """With probability ``noise`` any label near the vertex range or a token
+    that is not an operation, else '+' or a label valid on the grown graph."""
+    m = base + len(ops)
+    if rng.random() < noise:
+        return rng.choice([rng.randint(base - 3, m + 3), "x", 2.0, True])
+    roll = rng.random()
+    if roll < 0.4:
+        return "+"
+    if roll < 0.7 and ops and isinstance(ops[-1], int):
+        return ops[-1]  # subdividing at l left the edge (l, m)
+    return m - 1 if m > base else "+"  # the top is always adjacent to m - 1
+
+
+def _outcome(build, base, ops):
+    try:
+        return build(base, ops)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_replay_matches_step_by_step_builder():
+    rng = random.Random(11)
+    built = 0
+    for _ in range(4000):
+        base = rng.randint(-3, 5)
+        noise = rng.choice((0, 0.03, 0.1, 0.5))
+        ops = []
+        for _ in range(rng.randint(0, 30)):
+            ops.append(_random_op(rng, base, ops, noise))
+        want = _outcome(replay_step_by_step, base, ops)
+        assert _outcome(graphs.replay, base, ops) == want, (base, ops)
+        if not isinstance(want, str):
+            built += 1
+            op = _random_op(rng, base, ops, 0.5)
+            grown = _outcome(graphs.apply_op, want, op)
+            assert grown == _outcome(replay_step_by_step, base, ops + [op]), (base, ops, op)
+    assert 1000 < built < 3000  # both outcomes are common
+
+
 def test_decompose_examples():
-    assert graphs.decompose(graphs.single_vertex(5)) == ()
+    assert graphs.decompose(graphs.replay(5, ())) == ()
     g = staircase(2, 5)
     assert graphs.decompose(g) == ("+", 2, 2, 2, 2)
 
@@ -112,7 +153,7 @@ def test_graph_order():
     assert graph_order(graphs.replay(1, ("+", "+"))) == 1
     assert graph_order(graphs.replay(1, ("+", 1, 1))) == 3
     with pytest.raises(DomainError):
-        graph_order(graphs.single_vertex(1))
+        graph_order(graphs.replay(1, ()))
 
 
 def test_truncate_matches_vertex_deletion():
@@ -140,14 +181,14 @@ def test_spitup_identity():
 
 
 def test_strict_transform_class_examples():
-    assert graphs.strict_transform_class(graphs.single_vertex(3)) == (0, 0, 1)
+    assert graphs.strict_transform_class(graphs.replay(3, ())) == (0, 0, 1)
     assert graphs.strict_transform_class(graphs.replay(2, ("+",))) == (0, 1, -1)
     assert graphs.strict_transform_class(graphs.replay(1, ("+", 1))) == (1, -1, -1)
 
 
 def test_strict_transform_class_validation():
     with pytest.raises(DomainError):
-        graphs.strict_transform_class(graphs.single_vertex(0))
+        graphs.strict_transform_class(graphs.replay(0, ()))
 
 
 def test_strict_transform_block_ends_at_order():
@@ -205,7 +246,7 @@ def test_from_parts_accepts_exactly_standard_graphs():
     # every edge set with top - base edges on 1..7 vertices; other counts
     # are refused by the count check alone
     base = 1
-    grown = {graphs.single_vertex(base)}
+    grown = {graphs.replay(base, ())}
     for size, count in enumerate((1, 1, 2, 5, 13, 34, 89), start=1):
         top = base + size - 1
         standard = {g.edges for g in grown}
