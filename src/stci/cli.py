@@ -297,13 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search-config", help="configurations with a given type")
     search.add_argument("--type", required=True, help='target type like "(9,9,1)"')
-    search.add_argument("--max-def", type=int, default=None, dest="max_def")
+    search.add_argument(
+        "--max-def", type=int, default=None, dest="max_def",
+        help="keep configs whose deficiency (sigma minus the target's sum) is at most this",
+    )
     search.add_argument(
         "--max-sigma", type=int, default=None, dest="max_sigma",
         help=f"total sigma cap (default 19, at most {theorems.MAX_SIGMA_CAP})",
     )
-    search.add_argument("--require-delta", default=None, dest="require_delta")
-    search.add_argument("--miyaoka-budget", default=None, dest="miyaoka_budget")
+    search.add_argument(
+        "--require-delta", default=None, dest="require_delta",
+        help='keep configs whose delta is exactly this rational, like "6" or "73/12"',
+    )
+    search.add_argument(
+        "--miyaoka-budget", default=None, dest="miyaoka_budget",
+        help="keep A-series configs whose contributions sum to at most this rational",
+    )
     search.add_argument("--contains", default=None, help="keep configs containing this pair")
     _leaf(search, cmd_search_config)
 

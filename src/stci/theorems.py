@@ -8,9 +8,10 @@ n = s*t/d, validated and combined into q by stci.chow.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import attrgetter, le
+from operator import attrgetter, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
@@ -20,8 +21,8 @@ from .rdp import (
     RdpPair,
     TypeSeq,
     classified_pairs,
-    config_miyaoka,
     make_config,
+    miyaoka_contribution,
     normalize_type,
     scalar_invariants,
     type_of,
@@ -78,8 +79,8 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
     S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
     S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded beyond the supplied
-    prefix, and entries past n-1 are ignored.  rhs(k) = 2^(k-1) q is
-    ``thm2_rhs``.
+    prefix, and entries past n-1 are ignored.  rhs(k) is ``thm2_rhs``'s
+    2^(k-1) q, computed inline from the one q read before the loop.
     """
     n, q = params.n, params.q
     if n < 2:
@@ -177,15 +178,17 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
-# needs 19 (the resolution bound) and its widened check 25.  The cost grows
-# two- to threefold per 5 added (target (10,): 2.0/5.4/12 ms at 20/25/30 on
-# a 2-vCPU AMD EPYC, Python 3.11); at 30 the slowest target tried, (14,),
-# took 28 ms for its 5,841 configurations.
+# needs 19 (the resolution bound) and its widened check 25.  The cost about
+# doubles per 5 added (target (10,): 0.9/2.1/4.2 ms at 20/25/30 on a 2-vCPU
+# AMD EPYC, Python 3.11); at 30 the slowest target tried, (14,), took 10 ms
+# for its 5,841 configurations.
 MAX_SIGMA_CAP = 30
 
 
-def _fits(piece: TypeSeq, remaining: Sequence[int]) -> bool:
-    return len(piece) <= len(remaining) and all(map(le, piece, remaining))
+def _steps(seq: TypeSeq) -> TypeSeq:
+    """(v_1 - v_2, ..., v_{m-1} - v_m, v_m): v is nonincreasing and
+    nonnegative exactly when every step is >= 0."""
+    return tuple(map(sub, seq, seq[1:])) + seq[-1:]
 
 
 def config_search(
@@ -208,12 +211,18 @@ def config_search(
 
     Pairs of one type are interchangeable in the type sum, so the search
     runs in two stages.  The type stage tiles target with multisets of
-    distinct types; a branch ends when its remaining type is not
-    nonincreasing (every pair's type is, so every sum of them is) or when
+    distinct types, in difference coordinates (``_steps``): every pair's
+    type is nonincreasing, so the rest of a tiling is too, and a type may
+    be taken only while its steps fit under the remaining steps.  A target
+    with a negative step has no tiling at all.  A branch also ends when
     even the least sigma/sum(type) would overspend the sigma cap, with
     each type's least sigma as the running floor.  The fill stage then
     picks, for each type of a tiling, a multiset of pairs of that type in
     sigma order, and stops once the picks left could not fit the cap.
+    With a delta or Miyaoka filter, each pair carries its delta and
+    contribution as integers over one common denominator; both are
+    positive, so a pick that would pass the required delta or the cap is
+    skipped, and a finished fill is kept only at the required delta.
     """
     target = normalize_type(target)
     if not target:
@@ -225,74 +234,104 @@ def config_search(
             f"max_sigma must be <= {MAX_SIGMA_CAP}, got {echo(max_sigma)}: "
             "the search grows exponentially in it"
         )
+    steps = _steps(target)
+    if min(steps) < 0:
+        return []
     budget = max_sigma
     if max_deficiency is not None:
         budget = min(budget, sum(target) + max_deficiency)
 
-    groups: dict[TypeSeq, list[RdpPair]] = {}
+    by_type: dict[TypeSeq, list[RdpPair]] = {}
     for pair in sorted(classified_pairs(budget), key=attrgetter("n")):
-        if miyaoka_budget_cap is not None and pair.species != "A":
-            continue
-        piece = type_of(pair)
-        if _fits(piece, target):
-            groups.setdefault(piece, []).append(pair)
-    types = sorted(groups, reverse=True)
-    floors = [groups[piece][0].n for piece in types]
-    ratio = min((Fraction(f, sum(piece)) for f, piece in zip(floors, types)), default=Fraction(0))
+        if miyaoka_budget_cap is None or pair.species == "A":
+            by_type.setdefault(type_of(pair), []).append(pair)
+    fitting = {}
+    for piece in by_type:
+        # the last step alone rules out most types of a long target
+        if len(piece) <= len(steps) and piece[-1] <= steps[len(piece) - 1]:
+            piece_steps = _steps(piece)
+            if all(map(le, piece_steps, steps)):
+                fitting[piece] = piece_steps
+    types = sorted(fitting, reverse=True)
+    type_steps = [fitting[piece] for piece in types]
+    members = [by_type[piece] for piece in types]
+    sizes = [sum(piece) for piece in types]
+    floors = [group[0].n for group in members]
+    ratio = min(map(Fraction, floors, sizes), default=Fraction(0))
     num, den = ratio.numerator, ratio.denominator
+
+    # A filter gives each pair its delta and Miyaoka contribution as
+    # integers over one denominator, the lcm of theirs.  Without one, the
+    # terms and the goal are 0 and fill does not test them.
+    weights: dict[RdpPair, tuple[int, int]] = {}
+    delta_goal = contribution_cap = 0
+    filtered = require_delta is not None or miyaoka_budget_cap is not None
+    if filtered:
+        exact = {
+            pair: (
+                scalar_invariants(pair).delta if require_delta is not None else Fraction(0),
+                miyaoka_contribution(pair) if miyaoka_budget_cap is not None else Fraction(0),
+            )
+            for group in members
+            for pair in group
+        }
+        scale = math.lcm(*(w.denominator for both in exact.values() for w in both))
+        if require_delta is not None:
+            goal = Fraction(require_delta) * scale
+            if goal.denominator != 1:
+                return []
+            delta_goal = goal.numerator
+        if miyaoka_budget_cap is not None:
+            contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
+        weights = {pair: (int(d * scale), int(m * scale)) for pair, (d, m) in exact.items()}
+    groups = [[(pair.n, *weights.get(pair, (0, 0)), pair) for pair in group] for group in members]
 
     results: list[Config] = []
     tiling: list[int] = []
     chosen: list[RdpPair] = []
 
-    def fill(runs: list, r: int, left: int, start: int, spent: int) -> None:
+    def fill(runs: list, r: int, left: int, start: int, spent: int, delta: int, total: int) -> None:
         if not left:
             r += 1
             if r == len(runs):
-                if require_delta is not None:
-                    if sum(scalar_invariants(p).delta for p in chosen) != require_delta:
-                        return
-                if miyaoka_budget_cap is not None:
-                    if config_miyaoka(chosen) > miyaoka_budget_cap:
-                        return
-                results.append(make_config(chosen))
+                if delta == delta_goal:
+                    results.append(make_config(chosen))
                 return
             left, start = runs[r][1], 0
         group, _, later = runs[r]
         for pos in range(start, len(group)):
-            sigma = group[pos].n
+            sigma, d, m, pair = group[pos]
             if spent + left * sigma + later > budget:
                 break
-            chosen.append(group[pos])
-            fill(runs, r, left - 1, pos, spent + sigma)
+            if filtered and (delta + d > delta_goal or total + m > contribution_cap):
+                continue
+            chosen.append(pair)
+            fill(runs, r, left - 1, pos, spent + sigma, delta + d, total + m)
             chosen.pop()
 
-    def descend(start: int, remaining: list[int], floor: int) -> None:
-        left = sum(remaining)
+    def descend(start: int, remaining: list[int], left: int, floor: int) -> None:
         if not left:
             runs, later = [], floor
             for idx, count in Counter(tiling).items():
                 later -= count * floors[idx]
-                runs.append((groups[types[idx]], count, later))
-            fill(runs, 0, runs[0][1], 0, 0)
-            return
-        if any(x < y for x, y in zip(remaining, remaining[1:])):
+                runs.append((groups[idx], count, later))
+            fill(runs, 0, runs[0][1], 0, 0, 0, 0)
             return
         if floor * den + num * left > budget * den:
             return
         for idx in range(start, len(types)):
-            piece = types[idx]
-            if floor + floors[idx] > budget or not _fits(piece, remaining):
+            piece_steps = type_steps[idx]
+            if floor + floors[idx] > budget or not all(map(le, piece_steps, remaining)):
                 continue
-            for i, v in enumerate(piece):
+            for i, v in enumerate(piece_steps):
                 remaining[i] -= v
             tiling.append(idx)
-            descend(idx, remaining, floor + floors[idx])
+            descend(idx, remaining, left - sizes[idx], floor + floors[idx])
             tiling.pop()
-            for i, v in enumerate(piece):
+            for i, v in enumerate(piece_steps):
                 remaining[i] += v
 
-    descend(0, list(target), 0)
+    descend(0, list(steps), sum(target), 0)
     return sorted(set(results))
 
 

@@ -60,6 +60,15 @@ def test_thm2_examples():
         theorems.thm2_margins(theorems.StciParams(1, 1, 1, 0), ())
 
 
+def test_thm2_margins_with_no_p_are_the_negated_rhs():
+    # with p all zero each margin is -rhs(k): the loop's inline 2^(k-1) q
+    # is thm2_rhs
+    for s, t, d, g in ((4, 4, 4, 0), (2, 2, 1, 0), (2, 3, 3, 0), (5, 6, 3, 1), (16, 16, 1, 0)):
+        params = theorems.StciParams(s, t, d, g)
+        expected = tuple(-theorems.thm2_rhs(params, k) for k in range(1, params.n))
+        assert theorems.thm2_margins(params, ()) == expected, params
+
+
 def test_thm2_margins_are_closed_form_cone_margins():
     # Theorem 2 is the ruling-cone test applied to the closed-form ruling
     # coefficients a_1..a_{n-1} of the surface product
@@ -365,6 +374,52 @@ def test_config_search_matches_unpruned_quartic_at_cap():
             kwargs = {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency}
             got = theorems.config_search(target, **kwargs)
             assert got == config_search_unpruned(target, **kwargs), (target, max_deficiency)
+
+
+def _nonincreasing_targets(total, max_length):
+    """Every nonincreasing positive sequence with this sum and length."""
+    def extend(prefix, left, cap):
+        if not left:
+            yield prefix
+        elif len(prefix) < max_length:
+            for v in range(min(left, cap), 0, -1):
+                yield from extend(prefix + (v,), left - v, v)
+
+    return list(extend((), total, total))
+
+
+def test_config_search_matches_unpruned_monotone_targets():
+    # every nonincreasing target with sum 8..10 and length <= 4
+    targets = [t for total in (8, 9, 10) for t in _nonincreasing_targets(total, 4)]
+    assert len(targets) == 56
+    for target in targets:
+        for max_sigma in (12, 19):
+            got = theorems.config_search(target, max_sigma=max_sigma)
+            assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
+
+
+def test_config_search_integer_filters_match_unpruned_quartic():
+    # Miyaoka caps whose denominators are not those of the contributions,
+    # one a hair below the sum 25 that a (9,8,2) configuration reaches,
+    # and a required delta no configuration can reach
+    caps = (Fraction(49, 2), Fraction(70, 3), Fraction(100, 7), 25 - Fraction(1, 10**6))
+    filters = [{"miyaoka_budget_cap": cap} for cap in caps]
+    filters.append({"require_delta": Fraction(1, 997)})
+    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
+        for kwargs in filters:
+            got = theorems.config_search(target, max_sigma=25, **kwargs)
+            want = config_search_unpruned(target, max_sigma=25, **kwargs)
+            assert got == want, (target, kwargs)
+
+
+def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
+    def no_typing(pair):
+        raise AssertionError("a pair was typed for a target with no tiling")
+
+    monkeypatch.setattr(theorems, "type_of", no_typing)
+    for target in ((1, 2), (3, 1, 2), (9, 8, 9)):
+        assert theorems.config_search(target) == []
+        assert theorems.config_search(target, require_delta=Fraction(6), max_sigma=25) == []
 
 
 def test_config_search_negative_deficiency():
