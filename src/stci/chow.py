@@ -262,9 +262,9 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
 
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """p zero-padded to the n levels; more than n entries is a DomainError."""
+    """p zero-padded to n entries; more than n entries is a DomainError."""
     if len(p) > n:
-        raise DomainError(f"p has {len(p)} entries but n = {n}")
+        raise DomainError(f"p must have at most {n} entries, got {len(p)}")
     return tuple(p) + (0,) * (n - len(p))
 
 

@@ -165,7 +165,7 @@ def cmd_thm1(args) -> Document:
 def cmd_thm2(args) -> Document:
     params = _params(args)
     p = _parse_int_list(args.p)
-    margins = theorems.thm2_margins(params, p)
+    margins = theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
     rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))

@@ -12,6 +12,8 @@ The module computes, for single pairs and for multiset configurations:
 * sigma, the number of exceptional curves in the minimal resolution, and
   the deficiency sigma - sum(type).
 
+Every rational sum here goes through ``exact.fraction_sum``.
+
 Type sequences are plain tuples of positive integers with trailing zeros
 dropped; the empty tuple is the smooth type.
 """
@@ -26,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, ParseError, echo
+from .exact import fraction_sum
 
 TypeSeq = tuple[int, ...]
 
@@ -51,11 +54,6 @@ def normalize_type(entries: Iterable[int]) -> TypeSeq:
         if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
             raise DomainError(f"type entries must be positive integers, got {echo(p)}")
     return tuple(seq)
-
-
-def add_types(a: Iterable[int], b: Iterable[int]) -> TypeSeq:
-    """Componentwise sum with zero extension."""
-    return normalize_type(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def format_type(t: Iterable[int]) -> str:
@@ -98,10 +96,7 @@ def parse_type(text: str) -> TypeSeq:
 
 def weighted_type_sum(t: Iterable[int]) -> Fraction:
     """Sum of p_k / (k (k+1)) over the sequence, exactly."""
-    total = Fraction(0)
-    for k, p in enumerate(t, start=1):
-        total += Fraction(p, k * (k + 1))
-    return total
+    return fraction_sum(Fraction(p, k * (k + 1)) for k, p in enumerate(t, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +353,16 @@ def format_config(config: Config) -> str:
 
 
 def config_invariants(config: Iterable[RdpPair]) -> Invariants:
-    """Additive invariants of a configuration; order aggregates by lcm."""
-    type_seq: TypeSeq = ()
-    order = 1
-    delta = Fraction(0)
-    sigma = 0
-    for p in config:
-        inv = scalar_invariants(p)
-        type_seq = add_types(type_seq, inv.type_seq)
-        order = math.lcm(order, inv.order)
-        delta += inv.delta
-        sigma += inv.sigma
+    """Invariants of a configuration in one pass: types add position by
+    position (a sum of types is a type), order by lcm, the rest by sum."""
+    members = [scalar_invariants(p) for p in config]
+    type_seq = tuple(map(sum, itertools.zip_longest(*[m.type_seq for m in members], fillvalue=0)))
+    order = math.lcm(*[m.order for m in members])
+    delta = fraction_sum([m.delta for m in members])
+    sigma = sum([m.sigma for m in members])
     return Invariants(type_seq, order, delta, sigma, sigma - sum(type_seq))
 
 
 def config_miyaoka(config: Iterable[RdpPair]) -> Fraction:
     """Sum of the members' contributions; raises on D/E species."""
-    total = Fraction(0)
-    for p in config:
-        total += miyaoka_contribution(p)
-    return total
+    return fraction_sum(map(miyaoka_contribution, config))

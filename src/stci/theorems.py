@@ -78,16 +78,16 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
 
     margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
     S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
-    S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded beyond the supplied
-    prefix, and entries past n-1 are ignored.  rhs(k) is ``thm2_rhs``'s
-    2^(k-1) q, computed inline from the one q read before the loop.
+    S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded to n-1 entries (more
+    is a DomainError).  rhs(k) is ``thm2_rhs``'s 2^(k-1) q, computed
+    inline from the one q read before the loop.
     """
     n, q = params.n, params.q
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
     margins = []
     dyadic = 0
-    for k, pk in enumerate(pad_p(tuple(p)[: n - 1], n - 1), start=1):
+    for k, pk in enumerate(pad_p(p, n - 1), start=1):
         margins.append(dyadic + (n - k) * pk - (1 << (k - 1)) * q)
         dyadic = 2 * dyadic + (n - k + 1) * pk
     return tuple(margins)
@@ -117,7 +117,7 @@ def thm3_check(
     if truncate_at is not None:
         if truncate_at < 0:
             raise DomainError("truncation index must be >= 0")
-        t = normalize_type(t[:truncate_at])
+        t = t[:truncate_at]
     lhs = weighted_type_sum(t)
     rhs = Fraction(a_value(s, d, g), s)
     return Thm3Result(lhs, rhs, lhs >= rhs)
@@ -332,7 +332,7 @@ def config_search(
                 remaining[i] += v
 
     descend(0, list(steps), sum(target), 0)
-    return sorted(set(results))
+    return sorted(results)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ strict-transform class, the quadratic dyadic and triangular cone sums,
 the double sum behind thm2_margins, the binomial form of the
 degree-pair divisibility condition, the (s, t) grid scan behind
 enumerate_pairs, the Fraction scan of all nonincreasing sequences
-behind bungobungo_solve, and the unpruned configuration search.  The
+behind bungobungo_solve, the unpruned configuration search, and the
+term-by-term folds (pairwise add_types, one Fraction added at a time)
+behind config_invariants, weighted_type_sum and config_miyaoka.  The
 helpers are the Euclidean profile, graph neighbours, order and spitup
 decomposition, the canonical class and the K-formula bound.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,10 +25,12 @@ from stci.chow import CycleClass, multiplicity, q_value, surface_class
 from stci.errors import DomainError
 from stci.graphs import PLUS, LabeledGraph, truncate
 from stci.rdp import (
+    Invariants,
     classified_pairs,
     config_invariants,
     config_miyaoka,
     make_config,
+    miyaoka_contribution,
     normalize_type,
     scalar_invariants,
     type_of,
@@ -348,3 +354,37 @@ def config_search_unpruned(
 
     descend(0, list(target), 0)
     return sorted(set(results))
+
+
+def add_types(a, b):
+    """Componentwise sum of two types with zero extension."""
+    return normalize_type(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def config_invariants_fold(config):
+    """config_invariants one pair at a time: add_types on the running
+    type and one Fraction added per delta."""
+    type_seq, order, delta, sigma = (), 1, Fraction(0), 0
+    for pair in config:
+        inv = scalar_invariants(pair)
+        type_seq = add_types(type_seq, inv.type_seq)
+        order = math.lcm(order, inv.order)
+        delta += inv.delta
+        sigma += inv.sigma
+    return Invariants(type_seq, order, delta, sigma, sigma - sum(type_seq))
+
+
+def weighted_type_sum_fold(t):
+    """Sum of p_k / (k (k+1)), one Fraction added per entry."""
+    total = Fraction(0)
+    for k, p in enumerate(t, start=1):
+        total += Fraction(p, k * (k + 1))
+    return total
+
+
+def config_miyaoka_fold(config):
+    """Sum of the members' Miyaoka contributions, one Fraction at a time."""
+    total = Fraction(0)
+    for pair in config:
+        total += miyaoka_contribution(pair)
+    return total

@@ -209,6 +209,21 @@ def test_thm_commands(capsys):
     assert (data["lhs"], data["rhs"], data["holds"]) == ("6", "6", True)
 
 
+def test_p_entries_past_the_levels(capsys):
+    # thm2 reads the first n - 1 entries and ignores the rest, where the
+    # library refuses them; chow expand refuses more than n entries
+    code, out, err = run_cli(capsys, "thm2", "--s", "4", "--t", "4", "--d", "4", "--p", "9,8,2,7,7,7,7,7")
+    assert (code, err) == (0, "")
+    assert out == (
+        "k=1: lhs 27 vs rhs 24  (margin 3)\n"
+        "k=2: lhs 52 vs rhs 48  (margin 4)\n"
+        "k=3: lhs 98 vs rhs 96  (margin 2)\n"
+        "holds: yes\n"
+    )
+    code, out, err = run_cli(capsys, "chow", "expand", "--s", "4", "--t", "4", "--d", "4", "--p", "9,8,2,7,7")
+    assert (code, out, err) == (1, "", "error: p must have at most 4 entries, got 5\n")
+
+
 def test_bound_and_bungo(capsys):
     code, out, _ = run_cli(capsys, "bound", "4")
     assert code == 0 and out == "19\n"

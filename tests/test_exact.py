@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oracles import euclid_profile
 from stci.errors import DomainError, ParseError
-from stci.exact import format_rational, parse_rational
+from stci.exact import format_rational, fraction_sum, parse_rational
 
 
 def test_profile_7_4():
@@ -102,3 +102,21 @@ def test_rational_normalized(q):
     assert q.denominator > 0
     assert math.gcd(abs(q.numerator), q.denominator) == 1
     assert parse_rational(format_rational(q)) == q
+
+
+def test_fraction_sum_examples():
+    assert fraction_sum([]) == 0 and isinstance(fraction_sum([]), Fraction)
+    assert fraction_sum([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == 1
+    assert fraction_sum([3, Fraction(-7, 4), 0]) == Fraction(5, 4)
+    assert fraction_sum(iter([Fraction(1, 4)] * 8)) == 2
+    assert fraction_sum([Fraction(1, 10**40), Fraction(-1, 10**40)]) == 0
+
+
+@given(st.lists(st.one_of(st.fractions(), st.integers()), max_size=30))
+def test_fraction_sum_equals_running_sum(terms):
+    total = Fraction(0)
+    for term in terms:
+        total += term
+    result = fraction_sum(terms)
+    assert result == total
+    assert math.gcd(abs(result.numerator), result.denominator) == 1

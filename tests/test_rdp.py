@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stci import rdp
+from oracles import add_types, config_invariants_fold, config_miyaoka_fold, weighted_type_sum_fold
+from stci import rdp, theorems
 from stci.errors import DomainError, ParseError
 
 
@@ -20,9 +22,9 @@ def test_normalize_type():
 
 
 def test_add_types():
-    assert rdp.add_types((9, 9), (1, 1, 1)) == (10, 10, 1)
-    assert rdp.add_types((), (2,)) == (2,)
-    assert rdp.add_types((), ()) == ()
+    assert add_types((9, 9), (1, 1, 1)) == (10, 10, 1)
+    assert add_types((), (2,)) == (2,)
+    assert add_types((), ()) == ()
 
 
 def test_format_type():
@@ -199,10 +201,46 @@ def test_config_invariants_types_each_pair_once(monkeypatch):
     assert inv.deficiency == inv.sigma - sum(inv.type_seq) == 0
 
 
+def test_config_invariants_match_pairwise_fold():
+    # every species, 0..30 pairs, with repeats
+    rng = random.Random(13)
+    by_species = {}
+    for pair in rdp.classified_pairs(40):
+        by_species.setdefault(pair.species, []).append(pair)
+    species = sorted(by_species)
+    assert species == ["A", "D1", "Dn", "E6", "E7"]
+    seen = set()
+    for _ in range(2000):
+        config = [rng.choice(by_species[rng.choice(species)]) for _ in range(rng.randint(0, 30))]
+        seen.update(pair.species for pair in config)
+        assert rdp.config_invariants(config) == config_invariants_fold(config), config
+    assert seen == set(species)
+
+
+def test_config_invariants_at_the_pair_cap():
+    distinct = random.Random(5).sample(list(rdp.classified_pairs(rdp.MAX_INDEX)), rdp.MAX_PAIRS)
+    repeated = rdp.parse_config(f"{rdp.MAX_PAIRS}*A:2:1")
+    for config in ((), rdp.make_config(distinct), repeated):
+        assert rdp.config_invariants(config) == config_invariants_fold(config)
+    inv = rdp.config_invariants(repeated)
+    assert inv.type_seq == (1000, 1000) and inv.delta == Fraction(2000, 3)
+
+
 def test_weighted_type_sum():
     assert rdp.weighted_type_sum((2, 2)) == Fraction(4, 3)
     assert rdp.weighted_type_sum(()) == 0
     assert rdp.weighted_type_sum((3, 1, 1, 1, 1, 1, 1)) == Fraction(15, 8)
+
+
+def test_weighted_type_sum_matches_fold():
+    types = [seq for _, seq in theorems.bungobungo_solve()]
+    rng = random.Random(17)
+    for _ in range(300):
+        length = rng.randint(0, rdp.MAX_INDEX)
+        types.append(tuple(sorted((rng.randint(1, 50) for _ in range(length)), reverse=True)))
+    types.append((1,) * rdp.MAX_INDEX)
+    for t in types:
+        assert rdp.weighted_type_sum(t) == weighted_type_sum_fold(t), t
 
 
 def test_miyaoka_contribution():
@@ -214,6 +252,20 @@ def test_miyaoka_contribution():
         rdp.miyaoka_contribution(rdp.pair_d_first(4))
     config = rdp.parse_config("A:1:1 + 6*A:2:1 + 2*A:3:1")
     assert rdp.config_miyaoka(config) == 25
+
+
+def test_config_miyaoka_matches_fold():
+    rng = random.Random(19)
+    a_pairs = [pair for pair in rdp.classified_pairs(60) if pair.species == "A"]
+    configs = [(), rdp.parse_config(f"{rdp.MAX_PAIRS}*A:2:1")]
+    configs += [[rng.choice(a_pairs) for _ in range(rng.randint(1, 30))] for _ in range(500)]
+    for config in configs:
+        total = rdp.config_miyaoka(config)
+        assert isinstance(total, Fraction)
+        assert total == config_miyaoka_fold(config), config
+    for other in (rdp.pair_d_first(4), rdp.pair_d_last(5), rdp.E6, rdp.E7):
+        with pytest.raises(DomainError, match=other.species):
+            rdp.config_miyaoka(rdp.parse_config("A:2:1 + A:3:1") + (other,))
 
 
 # -- configurations ----------------------------------------------------------

@@ -55,7 +55,8 @@ def test_thm2_examples():
     assert [theorems.thm2_rhs(params, k) for k in (1, 2, 3)] == [24, 48, 96]
     assert theorems.thm2_margins(params, (8, 8, 8)) == (0, 0, 0)
     assert theorems.thm2_margins(params, (9, 8, 2)) == (3, 4, 2)
-    assert theorems.thm2_margins(params, (9, 8, 2, 7, 7, 7, 7, 7)) == (3, 4, 2)
+    with pytest.raises(DomainError, match="at most 3 entries, got 8"):
+        theorems.thm2_margins(params, (9, 8, 2, 7, 7, 7, 7, 7))
     with pytest.raises(DomainError):
         theorems.thm2_margins(theorems.StciParams(1, 1, 1, 0), ())
 
@@ -119,6 +120,10 @@ def test_thm2_margins_match_double_sum():
             s = rng.choice([v for v in range(1, st + 1) if st % v == 0])
             params = theorems.StciParams(s, st // s, d, rng.randint(0, 4))
             p = tuple(rng.randint(0, 40) for _ in range(rng.randint(0, n + 1)))
+            if len(p) > n - 1:
+                with pytest.raises(DomainError, match=f"at most {n - 1} entries"):
+                    theorems.thm2_margins(params, p)
+                continue
             expected = thm2_margins_double_sum(params, p)
             assert theorems.thm2_margins(params, p) == expected, (params, p)
 
@@ -396,6 +401,25 @@ def test_config_search_matches_unpruned_monotone_targets():
         for max_sigma in (12, 19):
             got = theorems.config_search(target, max_sigma=max_sigma)
             assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
+
+
+def test_config_search_results_are_sorted_and_distinct():
+    # distinct tilings and fills give distinct multisets, so the results
+    # need one sort and no deduplication
+    cases = [
+        (target, {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency})
+        for target in ((9, 8, 2), (9, 9), (9, 9, 1))
+        for max_deficiency in (None, 2)
+    ]
+    for total in range(1, 11):
+        for target in _nonincreasing_targets(total, 6):
+            cases += [(target, {"max_sigma": max_sigma}) for max_sigma in (12, 19)]
+    results = 0
+    for target, kwargs in cases:
+        found = theorems.config_search(target, **kwargs)
+        assert found == sorted(set(found)), (target, kwargs)
+        results += len(found)
+    assert (len(cases), results) == (254, 6771)
 
 
 def test_config_search_integer_filters_match_unpruned_quartic():
