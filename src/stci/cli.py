@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple, Optional, Sequence
 
 from . import chow, degrees, rdp, theorems
-from .errors import DomainError, ParseError, echo
+from .errors import DomainError, ParseError, at_most, echo
 from .exact import format_rational, parse_rational
 
 FORMATS = ("human", "json", "csv")
@@ -79,12 +79,6 @@ def render(doc: Document, fmt: str) -> str:
 # handlers
 
 
-def _at_most(cap: int, name: str, value: int) -> int:
-    if value > cap:
-        raise DomainError(f"{name} must be <= {cap}, got {echo(value)}: the work grows with it")
-    return value
-
-
 _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
@@ -104,7 +98,7 @@ def cmd_rdp_config(args) -> Document:
 
 
 def cmd_phi(args) -> Document:
-    seq = rdp.phi(_at_most(rdp.MAX_INDEX, "phi n", args.n), args.k)
+    seq = rdp.phi(at_most(args.n, rdp.MAX_INDEX, "phi n", "the work grows with it"), args.k)
     text = rdp.format_type(seq)
     fields = {"n": args.n, "k": args.k, "phi": text}
     return Document(text, fields, ("i", "p_i"), list(enumerate(seq, 1)))
@@ -132,7 +126,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _params(args) -> theorems.StciParams:
     params = theorems.StciParams(args.s, args.t, args.d, args.g)
-    _at_most(MAX_N, "n = st/d", params.n)
+    at_most(params.n, MAX_N, "n = st/d", "the work grows with it")
     return params
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .chow import a_value, check_curve
-from .errors import DomainError, echo
+from .errors import at_most
 
 # The largest curve degree enumerate_pairs accepts.  The s loop has
 # 2d^2 - 3 steps and the divisor walks add about d^2 log d in all: d = 600
@@ -58,11 +58,7 @@ def enumerate_pairs(
     above MAX_CURVE_DEGREE is refused before the loop.
     """
     check_curve(d, g)
-    if d > MAX_CURVE_DEGREE:
-        raise DomainError(
-            f"curve degree must be <= {MAX_CURVE_DEGREE}, got {echo(d)}: "
-            "the enumeration grows as d^2 log d"
-        )
+    at_most(d, MAX_CURVE_DEGREE, "curve degree", "the enumeration grows as d^2 log d")
     s_max = 2 * d * d - 1 if s_max is None else min(s_max, 2 * d * d - 1)
     if t_max is None:
         t_max = 2 * d ** 4 - 1

@@ -1,4 +1,5 @@
-"""Shared exception types, and how their messages quote an input."""
+"""Shared exception types, how their messages quote an input, and the
+one refusal of an input past a cost cap."""
 
 # The most characters of text, or digits of an integer, that an error
 # message quotes; longer input is named by its length, so that a refusal
@@ -28,6 +29,14 @@ def echo(value: object) -> str:
     if isinstance(value, str) and len(value) > ECHO_CAP:
         return f"<{len(value)} characters>"
     return str(value) if isinstance(value, int) else repr(value)
+
+
+def at_most(value: int, cap: int, name: str, why: str = "") -> int:
+    """value, unless it exceeds cap: then a DomainError naming it, the cap
+    and the value, with ``why`` (what grows with it) after a colon."""
+    if value > cap:
+        raise DomainError(f"{name} must be <= {cap}, got {echo(value)}" + (why and f": {why}"))
+    return value
 
 
 def _digits(value: int) -> int:

@@ -27,7 +27,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import DomainError, ParseError, echo
+from .errors import DomainError, ParseError, at_most, echo
 from .exact import fraction_sum
 
 TypeSeq = tuple[int, ...]
@@ -88,9 +88,7 @@ def parse_type(text: str) -> TypeSeq:
             runs.append((int(token), 1))
         else:
             raise ParseError(f"bad type entry {echo(token)} in {echo(text)}")
-    length = sum(count for _, count in runs)
-    if length > MAX_INDEX:
-        raise DomainError(f"type length must be <= {MAX_INDEX}, got {echo(length)}")
+    at_most(sum(count for _, count in runs), MAX_INDEX, "type length")
     return normalize_type(p for p, count in runs for _ in range(count))
 
 
@@ -127,6 +125,19 @@ def phi(n: int, k: int) -> TypeSeq:
 # ---------------------------------------------------------------------------
 # classified pairs
 
+# Each species' least Dynkin index and the integer fields of its descriptor
+# (A:n:k, D1:n, Dn:n, E6, E7); a species with no fields has only its least
+# index.  Descriptors, validation and enumeration read this table.
+_SPECIES = {"A": (1, 2), "D1": (4, 1), "Dn": (5, 1), "E6": (6, 0), "E7": (7, 0)}
+
+# Type sequence, order and delta of the species whose invariants do not
+# depend on the index.
+_FIXED = {
+    "D1": ((2,), 2, Fraction(1)),
+    "E6": ((2, 2), 3, Fraction(4, 3)),
+    "E7": ((3,), 2, Fraction(3, 2)),
+}
+
 
 class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
     """A classified pair; construct via pair_a / pair_d_first / pair_d_last.
@@ -139,23 +150,18 @@ class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
     __slots__ = ()
 
     def __new__(cls, species: str, n: int, k: int = 0) -> "RdpPair":
-        if species == "A":
-            if n < 1 or not 1 <= k <= (n + 1) // 2:
+        try:
+            least, fields = _SPECIES[species]
+        except KeyError:
+            raise DomainError(f"unknown species {species!r}") from None
+        if fields == 2:
+            if n < least or not 1 <= k <= (n + 1) // 2:
                 raise DomainError(f"A({n},{k}) is not canonical: need 1 <= k <= (n+1)/2")
-        elif species == "D1":
-            if n < 4 or k != 0:
-                raise DomainError(f"D1 requires n >= 4, got n={echo(n)}")
-        elif species == "Dn":
-            if n < 5 or k != 0:
-                raise DomainError(f"Dn requires n >= 5, got n={echo(n)}")
-        elif species == "E6":
-            if (n, k) != (6, 0):
-                raise DomainError("E6 carries no parameters")
-        elif species == "E7":
-            if (n, k) != (7, 0):
-                raise DomainError("E7 carries no parameters")
-        else:
-            raise DomainError(f"unknown species {species!r}")
+        elif fields == 1:
+            if n < least or k != 0:
+                raise DomainError(f"{species} requires n >= {least}, got n={echo(n)}")
+        elif (n, k) != (least, 0):
+            raise DomainError(f"{species} carries no parameters")
         return super().__new__(cls, species, n, k)
 
 
@@ -180,31 +186,25 @@ E6 = RdpPair("E6", 6)
 E7 = RdpPair("E7", 7)
 
 
-def _descriptor_int(token: str, text: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(f"bad pair descriptor {echo(text)}") from exc
-
-
 def classify(text: str) -> RdpPair:
     """Parse a pair descriptor: "A:n:k", "D1:n", "Dn:n", "E6", "E7".
 
     An index n above MAX_INDEX is refused.
     """
-    parts = text.strip().split(":")
-    if parts[0] == "A" and len(parts) == 3:
-        pair = pair_a(_descriptor_int(parts[1], text), _descriptor_int(parts[2], text))
-    elif parts[0] == "D1" and len(parts) == 2:
-        pair = pair_d_first(_descriptor_int(parts[1], text))
-    elif parts[0] == "Dn" and len(parts) == 2:
-        pair = pair_d_last(_descriptor_int(parts[1], text))
-    elif parts[0] in ("E6", "E7") and len(parts) == 1:
-        return E6 if parts[0] == "E6" else E7
+    species, *tokens = text.strip().split(":")
+    try:
+        if len(tokens) != _SPECIES[species][1]:
+            raise ValueError(text)
+        ints = [int(token) for token in tokens]
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad pair descriptor {echo(text)}") from exc
+    if species == "A":
+        pair = pair_a(*ints)
+    elif ints:
+        pair = RdpPair(species, *ints)
     else:
-        raise ParseError(f"bad pair descriptor {echo(text)}")
-    if pair.n > MAX_INDEX:
-        raise DomainError(f"pair index must be <= {MAX_INDEX}, got {echo(pair.n)}")
+        pair = E6 if species == "E6" else E7
+    at_most(pair.n, MAX_INDEX, "pair index")
     return pair
 
 
@@ -226,9 +226,7 @@ def type_of(p: RdpPair) -> TypeSeq:
         if p.n % 2 == 0:
             return (p.n // 2,)
         return ((p.n - 1) // 2,) + (1,) * (p.n - 1)
-    if p.species == "E6":
-        return (2, 2)
-    return (3,)
+    return _FIXED[p.species][0]
 
 
 class Invariants(NamedTuple):
@@ -243,22 +241,15 @@ class Invariants(NamedTuple):
 
 def scalar_invariants(p: RdpPair) -> Invariants:
     """Type sequence, order, delta, sigma, and deficiency of a single pair."""
+    type_seq = type_of(p)
     if p.species == "A":
         order = (p.n + 1) // math.gcd(p.k, p.n + 1)
         delta = Fraction(p.k * (p.n - p.k + 1), p.n + 1)
-    elif p.species == "D1":
-        order = 2
-        delta = Fraction(1)
     elif p.species == "Dn":
         order = 2 if p.n % 2 == 0 else 4
         delta = Fraction(p.n, 4)
-    elif p.species == "E6":
-        order = 3
-        delta = Fraction(4, 3)
     else:
-        order = 2
-        delta = Fraction(3, 2)
-    type_seq = type_of(p)
+        _, order, delta = _FIXED[p.species]
     return Invariants(type_seq, order, delta, p.n, p.n - sum(type_seq))
 
 
@@ -275,28 +266,23 @@ def blowup_of(p: RdpPair) -> Optional[RdpPair]:
 
 
 def miyaoka_contribution(p: RdpPair) -> Fraction:
-    """Quotient-singularity contribution (n+1) - 1/(n+1), A-series only."""
+    """Quotient-singularity contribution (n+1) - 1/(n+1) = n(n+2)/(n+1),
+    A-series only."""
     if p.species != "A":
         raise DomainError(
             f"miyaoka contribution is unsupported for species {p.species}: "
             "no group order is on record for D/E pairs"
         )
-    return (p.n + 1) - Fraction(1, p.n + 1)
+    return Fraction(p.n * (p.n + 2), p.n + 1)
 
 
 def classified_pairs(max_param: int) -> Iterator[RdpPair]:
     """All canonical pairs with Dynkin index at most max_param."""
-    for n in range(1, max_param + 1):
-        for k in range(1, (n + 1) // 2 + 1):
-            yield RdpPair("A", n, k)
-    for n in range(4, max_param + 1):
-        yield pair_d_first(n)
-    for n in range(5, max_param + 1):
-        yield pair_d_last(n)
-    if max_param >= 6:
-        yield E6
-    if max_param >= 7:
-        yield E7
+    for species, (least, fields) in _SPECIES.items():
+        top = max_param if fields else min(least, max_param)
+        for n in range(least, top + 1):
+            for k in range(1, (n + 1) // 2 + 1) if fields == 2 else (0,):
+                yield RdpPair(species, n, k)
 
 
 # ---------------------------------------------------------------------------

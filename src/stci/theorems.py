@@ -15,7 +15,7 @@ from operator import attrgetter, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
-from .errors import DomainError, echo
+from .errors import DomainError, at_most
 from .rdp import (
     Config,
     RdpPair,
@@ -180,8 +180,12 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
 # doubles per 5 added (target (10,): 0.9/2.1/4.2 ms at 20/25/30 on a 2-vCPU
-# AMD EPYC, Python 3.11); at 30 the slowest target tried, (14,), took 10 ms
-# for its 5,841 configurations.
+# AMD EPYC, Python 3.11).  At 30 a sweep of all 376,325 nonincreasing
+# targets with sum <= 43 (odd Dn pairs have negative deficiency, so type
+# sums pass sigma, but none passes 43) found the slowest to be
+# (14,6,3,2,1): 15 ms for 1,940 configurations, best of 15, with other
+# five-entry targets within 10% of it.  (14,) has the most configurations,
+# 5,841, in 9 ms; above sum 30 the slowest, (14,8,5,3,1), takes 6.4 ms.
 MAX_SIGMA_CAP = 30
 
 
@@ -229,11 +233,7 @@ def config_search(
         raise DomainError("target type must be nonempty")
     if max_sigma is None:
         max_sigma = resolution_bound(4)
-    if max_sigma > MAX_SIGMA_CAP:
-        raise DomainError(
-            f"max_sigma must be <= {MAX_SIGMA_CAP}, got {echo(max_sigma)}: "
-            "the search grows exponentially in it"
-        )
+    at_most(max_sigma, MAX_SIGMA_CAP, "max_sigma", "the search grows exponentially in it")
     steps = _steps(target)
     if min(steps) < 0:
         return []

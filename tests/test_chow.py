@@ -210,3 +210,12 @@ def test_expansion_matches_closed_form_random():
         assert expansion.h2_coeff == 0
         seen += 1
 
+
+
+def test_levels_outside_one_to_n_are_refused():
+    ctx = chow.make_context(4, 0, (1, 2))
+    assert ctx.e(1).e == (1, 0) and ctx.r(2).r == (0, 1)
+    for build in (ctx.e, ctx.r):
+        for k in (0, ctx.n + 1):
+            with pytest.raises(DomainError, match=f"^level {k} outside 1..2$"):
+                build(k)

@@ -8,10 +8,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stci import chow, degrees, rdp, theorems
-from stci.cli import run
+from stci.cli import record, render, run
+from stci.errors import DomainError
 from stci.exact import format_rational, parse_rational
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -672,3 +674,19 @@ def test_fuzzed_argv_exit_cleanly(argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err and not err.startswith("internal error:"), argv
     assert _run_quietly(argv) == first, argv
+
+
+def test_render_refuses_an_unknown_format():
+    doc = record({"value": 1})
+    assert render(doc, "human") == "value: 1\n"
+    with pytest.raises(DomainError, match="^unknown format 'xml'$"):
+        render(doc, "xml")
+
+
+def test_p_list_in_parentheses_reads_as_the_bare_list(capsys):
+    for command in (["chow", "expand"], ["thm2"]):
+        argv = [*command, "--s", "4", "--t", "4", "--d", "4", "--format", "json"]
+        bare = run_cli(capsys, *argv, "--p", "9,8,2")
+        assert bare[0] == 0
+        assert run_cli(capsys, *argv, "--p", "(9,8,2)") == bare
+        assert run_cli(capsys, *argv, "--p", "()") == run_cli(capsys, *argv, "--p", "")

@@ -1,0 +1,21 @@
+import pytest
+
+from stci.errors import ECHO_CAP, DomainError, at_most
+
+
+def test_at_most_accepts_the_cap_and_refuses_one_past_it():
+    assert at_most(300, 300, "pair index") == 300
+    assert at_most(-5, 300, "pair index") == -5
+    with pytest.raises(DomainError) as info:
+        at_most(301, 300, "pair index")
+    assert str(info.value) == "pair index must be <= 300, got 301"
+    with pytest.raises(DomainError) as info:
+        at_most(601, 600, "curve degree", "the enumeration grows as d^2 log d")
+    assert str(info.value) == "curve degree must be <= 600, got 601: the enumeration grows as d^2 log d"
+
+
+def test_at_most_names_a_long_value_by_its_digit_count():
+    assert ECHO_CAP < 5000
+    with pytest.raises(DomainError) as info:
+        at_most(10**4999, 256, "n = st/d", "the work grows with it")
+    assert str(info.value) == "n = st/d must be <= 256, got <5000 digits>: the work grows with it"

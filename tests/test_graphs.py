@@ -267,3 +267,23 @@ def test_from_parts_accepts_exactly_standard_graphs():
             for g in grown
             for op in ["+"] + sorted(neighbors(g, g.top))
         }
+
+
+def test_refusals_name_the_bad_vertex_edge_or_history():
+    graph = graphs.replay(0, [graphs.PLUS, 0])
+    assert [graph.mu_of(v) for v in range(3)] == [1, 1, 2]
+    for v in (-1, 3):
+        with pytest.raises(DomainError, match=rf"^vertex {v} outside \[0, 2\]$"):
+            graph.mu_of(v)
+    with pytest.raises(DomainError, match="^empty vertex interval$"):
+        graphs.from_parts(3, 2, [])
+    for edge in ((0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(DomainError, match=rf"^bad edge \({min(edge)}, {max(edge)}\)$"):
+            graphs.from_parts(0, 1, [edge])
+    with pytest.raises(DomainError, match="^cannot truncate a single-vertex graph$"):
+        graphs.truncate(graphs.replay(5, []))
+    # replay never starts a history with a subdivision; a record built
+    # directly can
+    malformed = graphs.LabeledGraph(0, 1, frozenset({(0, 1)}), (1, 1), (0,))
+    with pytest.raises(DomainError, match="^malformed history: first operation must be '\\+'$"):
+        graphs.truncate(malformed)

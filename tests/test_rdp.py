@@ -308,3 +308,10 @@ def test_config_invariants():
     assert inv.delta == 0
     assert inv.sigma == 0
     assert inv.deficiency == 0
+
+
+def test_exceptional_species_carry_no_parameters():
+    assert rdp.RdpPair("E7", 7) == rdp.E7
+    for species, n, k in (("E7", 7, 1), ("E7", 8, 0), ("E6", 7, 0)):
+        with pytest.raises(DomainError, match=f"^{species} carries no parameters$"):
+            rdp.RdpPair(species, n, k)

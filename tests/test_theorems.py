@@ -498,3 +498,17 @@ def test_thmA_verdict():
 
     with pytest.raises(DomainError):
         theorems.thmA_verdict(4, 4, 0, 0)
+
+
+def test_negative_truncation_index_is_refused():
+    assert theorems.thm3_check(4, 4, 0, (9, 8, 2), truncate_at=0).lhs == 0
+    with pytest.raises(DomainError, match="^truncation index must be >= 0$"):
+        theorems.thm3_check(4, 4, 0, (9, 8, 2), truncate_at=-1)
+
+
+def test_max_sigma_refusal_line():
+    assert theorems.config_search((1,), max_sigma=theorems.MAX_SIGMA_CAP) == [(rdp.RdpPair("A", 1, 1),)]
+    message = "max_sigma must be <= 30, got 31: the search grows exponentially in it"
+    with pytest.raises(DomainError) as info:
+        theorems.config_search((9, 9), max_sigma=31)
+    assert str(info.value) == message
