@@ -9,8 +9,10 @@ n = s*t/d, validated and combined into q by stci.chow.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -179,13 +181,14 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.9/2.1/4.2 ms at 20/25/30 on a 2-vCPU
-# AMD EPYC, Python 3.11).  At 30 a sweep of all 376,325 nonincreasing
-# targets with sum <= 43 (odd Dn pairs have negative deficiency, so type
-# sums pass sigma, but none passes 43) found the slowest to be
-# (14,6,3,2,1): 15 ms for 1,940 configurations, best of 15, with other
-# five-entry targets within 10% of it.  (14,) has the most configurations,
-# 5,841, in 9 ms; above sum 30 the slowest, (14,8,5,3,1), takes 6.4 ms.
+# doubles per 5 added (target (10,): 0.71/1.5/2.8 ms at 20/25/30, best of
+# 15 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 0.35 ms to type
+# the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
+# sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
+# sigma, but none passes 43) found the slowest to be (14,6,3,2,1): 14.2 ms
+# for 1,940 configurations, with other five-entry targets within 10% of
+# it.  (14,) has the most configurations, 5,841, in 7.8 ms; above sum 30
+# the slowest, (14,8,5,3,1), takes 5.9 ms.
 MAX_SIGMA_CAP = 30
 
 
@@ -193,6 +196,24 @@ def _steps(seq: TypeSeq) -> TypeSeq:
     """(v_1 - v_2, ..., v_{m-1} - v_m, v_m): v is nonincreasing and
     nonnegative exactly when every step is >= 0."""
     return tuple(map(sub, seq, seq[1:])) + seq[-1:]
+
+
+_sigma = attrgetter("n")
+
+
+@cache
+def _typed_pairs() -> tuple[tuple[TypeSeq, int, tuple[RdpPair, ...]], ...]:
+    """Every pair with sigma <= MAX_SIGMA_CAP grouped by type, as rows
+    (the type's ``_steps``, its sum, its pairs in sigma order), types
+    descending; the steps determine the type, so it is not kept.  The
+    table depends on no input, so it is built once, at the first search."""
+    by_type: dict[TypeSeq, list[RdpPair]] = {}
+    for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=_sigma):
+        by_type.setdefault(type_of(pair), []).append(pair)
+    return tuple(
+        (_steps(piece), sum(piece), tuple(by_type[piece]))
+        for piece in sorted(by_type, reverse=True)
+    )
 
 
 def config_search(
@@ -213,11 +234,14 @@ def config_search(
     Results are canonically sorted and deterministic.  A ``max_sigma``
     above MAX_SIGMA_CAP is refused before any search.
 
-    Pairs of one type are interchangeable in the type sum, so the search
-    runs in two stages.  The type stage tiles target with multisets of
-    distinct types, in difference coordinates (``_steps``): every pair's
-    type is nonincreasing, so the rest of a tiling is too, and a type may
-    be taken only while its steps fit under the remaining steps.  A target
+    The pair universe is typed once per process, at the first search
+    (``_typed_pairs``); each call keeps the types whose steps fit the
+    target and cuts each type's pairs at its sigma budget.  Pairs of one
+    type are interchangeable in the type sum, so the search runs in two
+    stages.  The type stage tiles target with multisets of distinct
+    types, in difference coordinates (``_steps``): every pair's type is
+    nonincreasing, so the rest of a tiling is too, and a type may be
+    taken only while its steps fit under the remaining steps.  A target
     with a negative step has no tiling at all.  A branch also ends when
     even the least sigma/sum(type) would overspend the sigma cap, with
     each type's least sigma as the running floor.  The fill stage then
@@ -241,21 +265,20 @@ def config_search(
     if max_deficiency is not None:
         budget = min(budget, sum(target) + max_deficiency)
 
-    by_type: dict[TypeSeq, list[RdpPair]] = {}
-    for pair in sorted(classified_pairs(budget), key=attrgetter("n")):
-        if miyaoka_budget_cap is None or pair.species == "A":
-            by_type.setdefault(type_of(pair), []).append(pair)
-    fitting = {}
-    for piece in by_type:
+    type_steps, sizes, members = [], [], []
+    for piece_steps, size, group in _typed_pairs():
         # the last step alone rules out most types of a long target
-        if len(piece) <= len(steps) and piece[-1] <= steps[len(piece) - 1]:
-            piece_steps = _steps(piece)
-            if all(map(le, piece_steps, steps)):
-                fitting[piece] = piece_steps
-    types = sorted(fitting, reverse=True)
-    type_steps = [fitting[piece] for piece in types]
-    members = [by_type[piece] for piece in types]
-    sizes = [sum(piece) for piece in types]
+        last = len(piece_steps) - 1
+        if last >= len(steps) or piece_steps[last] > steps[last]:
+            continue
+        if all(map(le, piece_steps, steps)):
+            group = group[: bisect_right(group, budget, key=_sigma)]
+            if miyaoka_budget_cap is not None:
+                group = [pair for pair in group if pair.species == "A"]
+            if group:
+                type_steps.append(piece_steps)
+                sizes.append(size)
+                members.append(group)
     floors = [group[0].n for group in members]
     ratio = min(map(Fraction, floors, sizes), default=Fraction(0))
     num, den = ratio.numerator, ratio.denominator
@@ -319,7 +342,7 @@ def config_search(
             return
         if floor * den + num * left > budget * den:
             return
-        for idx in range(start, len(types)):
+        for idx in range(start, len(members)):
             piece_steps = type_steps[idx]
             if floor + floors[idx] > budget or not all(map(le, piece_steps, remaining)):
                 continue

@@ -309,6 +309,18 @@ def _fits(piece, remaining):
     )
 
 
+def config_passes(config, max_deficiency=None, require_delta=None, miyaoka_budget_cap=None):
+    """Whether one finished configuration passes config_search's filters."""
+    inv = config_invariants(config)
+    if max_deficiency is not None and inv.deficiency > max_deficiency:
+        return False
+    if require_delta is not None and inv.delta != require_delta:
+        return False
+    return miyaoka_budget_cap is None or (
+        all(p.species == "A" for p in config) and config_miyaoka(config) <= miyaoka_budget_cap
+    )
+
+
 def config_search_unpruned(
     target,
     max_deficiency=None,
@@ -331,17 +343,8 @@ def config_search_unpruned(
     def descend(start, remaining, sigma_used):
         if not any(remaining):
             config = make_config(chosen)
-            inv = config_invariants(config)
-            if max_deficiency is not None and inv.deficiency > max_deficiency:
-                return
-            if require_delta is not None and inv.delta != require_delta:
-                return
-            if miyaoka_budget_cap is not None and (
-                any(p.species != "A" for p in config)
-                or config_miyaoka(config) > miyaoka_budget_cap
-            ):
-                return
-            results.append(config)
+            if config_passes(config, max_deficiency, require_delta, miyaoka_budget_cap):
+                results.append(config)
             return
         for idx in range(start, len(candidates)):
             pair, piece, sigma = candidates[idx]

@@ -434,6 +434,21 @@ def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
     assert out == "[]\n"
 
 
+def test_cold_bound_builds_no_pair_table():
+    # only config_search reads the typed pair table, so a cold process
+    # that never searches must not pay for building it
+    probe = (
+        "import stci.cli, stci.theorems\n"
+        "code = stci.cli.run(['bound', '4'])\n"
+        "print(code, stci.theorems._typed_pairs.cache_info().misses)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "19\n0 0\n"
+
+
 def test_results_past_the_int_str_limit(capsys):
     # argv is read under Python's 4,300-digit int<->str limit; results are not
     s, t = "9" * 1500, "9" * 2200

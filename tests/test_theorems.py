@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     bungobungo_scan,
+    config_passes,
     config_search_unpruned,
     kformula_bound,
     thm2_margins_double_sum,
@@ -422,6 +423,40 @@ def test_config_search_results_are_sorted_and_distinct():
     assert (len(cases), results) == (254, 6771)
 
 
+def test_config_search_budget_slice_matches_unpruned():
+    # every call cuts one shared table at its own budget: sweep max_sigma
+    # down from the cap and then up from 1, each time from a cleared table,
+    # so either end may build it, and check every result and the table
+    targets = ((9, 8, 2), (9, 9), (9, 9, 1), (1,), (2,), (2, 1, 1, 1, 1), (3, 2, 1), (5, 3))
+    filters = (
+        {},
+        {"max_deficiency": 0},
+        {"max_deficiency": 2},
+        {"miyaoka_budget_cap": Fraction(24)},
+        {"max_deficiency": 1, "miyaoka_budget_cap": Fraction(25)},
+    )
+    sigmas = range(1, theorems.MAX_SIGMA_CAP + 1)
+    # the oracle filters only its leaves, so one unfiltered descent per
+    # target and max_sigma gives every filter's expected result
+    want = {}
+    for target in targets:
+        for max_sigma in sigmas:
+            found = config_search_unpruned(target, max_sigma=max_sigma)
+            for i, kwargs in enumerate(filters):
+                want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
+    built = theorems._typed_pairs.__wrapped__()
+    assert (len(built), sum(len(group) for _, _, group in built)) == (253, 295)
+    for sweep in (reversed(sigmas), sigmas):
+        theorems._typed_pairs.cache_clear()
+        for max_sigma in sweep:
+            for target in targets:
+                for i, kwargs in enumerate(filters):
+                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                    assert got == want[target, max_sigma, i], (target, max_sigma, kwargs)
+        assert theorems._typed_pairs() == built
+    assert sum(map(len, want.values())) == 4181
+
+
 def test_config_search_integer_filters_match_unpruned_quartic():
     # Miyaoka caps whose denominators are not those of the contributions,
     # one a hair below the sum 25 that a (9,8,2) configuration reaches,
@@ -437,9 +472,13 @@ def test_config_search_integer_filters_match_unpruned_quartic():
 
 
 def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
-    def no_typing(pair):
+    def no_typing(*args):
         raise AssertionError("a pair was typed for a target with no tiling")
 
+    # with the table cleared, a build or a typing before the step check fails
+    theorems._typed_pairs.cache_clear()
+    monkeypatch.setattr(theorems, "_typed_pairs", no_typing)
+    monkeypatch.setattr(theorems, "classified_pairs", no_typing)
     monkeypatch.setattr(theorems, "type_of", no_typing)
     for target in ((1, 2), (3, 1, 2), (9, 8, 9)):
         assert theorems.config_search(target) == []
@@ -463,9 +502,13 @@ def test_config_search_sigma_cap(monkeypatch):
     assert theorems.MAX_SIGMA_CAP >= 25
     assert theorems.config_search((9, 9), max_sigma=theorems.MAX_SIGMA_CAP)
 
-    def no_walk(max_param):
-        raise AssertionError("classified_pairs walked before the cap check")
+    def no_walk(*args):
+        raise AssertionError("pair table built before the cap check")
 
+    # the search above built the table; clear it, so that a build before
+    # the cap check would have to run, and fail
+    theorems._typed_pairs.cache_clear()
+    monkeypatch.setattr(theorems, "_typed_pairs", no_walk)
     monkeypatch.setattr(theorems, "classified_pairs", no_walk)
     for max_sigma in (theorems.MAX_SIGMA_CAP + 1, 10 ** 9):
         with pytest.raises(DomainError, match="max_sigma"):
