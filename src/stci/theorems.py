@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter, le, sub
+from operator import attrgetter, itemgetter, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
@@ -27,7 +27,6 @@ from .rdp import (
     miyaoka_contribution,
     normalize_type,
     scalar_invariants,
-    type_of,
     weighted_type_sum,
 )
 
@@ -141,9 +140,10 @@ def miyaoka_budget(s: int) -> Fraction:
 # the quartic type bound
 
 
-# lcm(1..20): a multiple of 4 and of k(k+1) for every k <= 19, so n/4 and
-# each weight 1/(k(k+1)) are integers once scaled by it; a sequence with
-# sum at most 19 has at most 19 entries.
+# lcm(1..20): a multiple of 4 and of e(e+1) for every e <= 20, so n/4, each
+# weight 1/(k(k+1)) and bungobungo_solve's tail bound are integers once
+# scaled by it; a position k and the end e of its greedy tail have
+# e <= k + budget <= 20.
 _BUNGO_SCALE = 232792560
 
 
@@ -154,9 +154,12 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
     (iv) n/4 + sum p_k/(k(k+1)) >= 6.
 
     The search space is finite: (iii) forces n <= 19 and caps the sum.
-    The sum in (iv) is carried scaled to an integer down the recursion,
-    and a branch stops once even the largest tail cannot reach 6: a
-    nonincreasing tail from p_k on adds at most p_k/k.
+    The sum in (iv) is carried scaled to an integer down the recursion.
+    Weights fall with k, so a nonincreasing tail from p_k = p with sum at
+    most budget adds at most p(1/k - 1/e) + r/(e(e+1)), with p at k..e-1
+    and r at e, where e = k + budget // p and r = budget % p.  The bound
+    grows with p, so the descending loop over p stops at the first that
+    cannot reach 6.
     """
     goal = 6 * _BUNGO_SCALE
     out = []
@@ -164,9 +167,11 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
     def descend(n: int, seq: TypeSeq, k: int, cap: int, budget: int, acc: int) -> None:
         if acc >= goal:
             out.append((n, seq))
-        tail, weight = _BUNGO_SCALE // k, _BUNGO_SCALE // (k * (k + 1))
+        head, weight = _BUNGO_SCALE // k, _BUNGO_SCALE // (k * (k + 1))
         for p in range(min(cap, budget), 0, -1):
-            if acc + p * tail < goal:
+            q, r = divmod(budget, p)
+            e = k + q
+            if acc + p * (head - _BUNGO_SCALE // e) + r * (_BUNGO_SCALE // (e * (e + 1))) < goal:
                 break
             descend(n, seq + (p,), k + 1, p, budget - p, acc + p * weight)
 
@@ -181,14 +186,14 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.71/1.5/2.8 ms at 20/25/30, best of
-# 15 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 0.35 ms to type
+# doubles per 5 added (target (10,): 1.3/2.0/3.6 ms at 20/25/30, best of
+# 30 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 1.8 ms to type
 # the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,6,3,2,1): 14.2 ms
-# for 1,940 configurations, with other five-entry targets within 10% of
-# it.  (14,) has the most configurations, 5,841, in 7.8 ms; above sum 30
-# the slowest, (14,8,5,3,1), takes 5.9 ms.
+# sigma, but none passes 43) found the slowest to be (14,6,3,2,1), now
+# 18.5 ms for 1,940 configurations, with other five-entry targets within
+# 10% of it.  (14,) has the most configurations, 5,841, in 10.4 ms; above
+# sum 30 the slowest, (14,8,5,3,1), takes 8.0 ms.
 MAX_SIGMA_CAP = 30
 
 
@@ -198,22 +203,33 @@ def _steps(seq: TypeSeq) -> TypeSeq:
     return tuple(map(sub, seq, seq[1:])) + seq[-1:]
 
 
-_sigma = attrgetter("n")
+_first = itemgetter(0)
 
 
 @cache
-def _typed_pairs() -> tuple[tuple[TypeSeq, int, tuple[RdpPair, ...]], ...]:
-    """Every pair with sigma <= MAX_SIGMA_CAP grouped by type, as rows
-    (the type's ``_steps``, its sum, its pairs in sigma order), types
-    descending; the steps determine the type, so it is not kept.  The
+def _typed_pairs() -> tuple[int, tuple[tuple[TypeSeq, int, tuple, tuple], ...]]:
+    """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
+    types descending, as rows (the type's ``_steps``, which determine it,
+    its sum, its entries, its A-series entries).  Entries are (sigma, delta,
+    Miyaoka term, pair) in sigma order, the terms as integers over
+    scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0).  The
     table depends on no input, so it is built once, at the first search."""
-    by_type: dict[TypeSeq, list[RdpPair]] = {}
-    for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=_sigma):
-        by_type.setdefault(type_of(pair), []).append(pair)
-    return tuple(
-        (_steps(piece), sum(piece), tuple(by_type[piece]))
-        for piece in sorted(by_type, reverse=True)
-    )
+    by_type: dict[TypeSeq, list] = {}
+    for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
+        type_seq, _, delta, sigma, _ = scalar_invariants(pair)
+        term = miyaoka_contribution(pair) if pair.species == "A" else Fraction(0)
+        by_type.setdefault(type_seq, []).append((sigma, delta, term, pair))
+    scale = math.lcm(*(w.denominator for group in by_type.values() for e in group for w in e[1:3]))
+
+    def scaled(w: Fraction) -> int:
+        return w.numerator * (scale // w.denominator)
+
+    rows = []
+    for piece in sorted(by_type, reverse=True):
+        entries = tuple((sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece])
+        a_entries = tuple(entry for entry in entries if entry[3].species == "A")
+        rows.append((_steps(piece), sum(piece), entries, a_entries))
+    return scale, tuple(rows)
 
 
 def config_search(
@@ -236,21 +252,21 @@ def config_search(
 
     The pair universe is typed once per process, at the first search
     (``_typed_pairs``); each call keeps the types whose steps fit the
-    target and cuts each type's pairs at its sigma budget.  Pairs of one
-    type are interchangeable in the type sum, so the search runs in two
-    stages.  The type stage tiles target with multisets of distinct
-    types, in difference coordinates (``_steps``): every pair's type is
-    nonincreasing, so the rest of a tiling is too, and a type may be
-    taken only while its steps fit under the remaining steps.  A target
+    target and cuts each type's entries (A-series only under a Miyaoka
+    cap) at its sigma budget.  Pairs of one type are interchangeable in
+    the type sum, so the search runs in two stages.  The type stage tiles
+    target with multisets of distinct types, in difference coordinates
+    (``_steps``): every pair's type is nonincreasing, so the rest of a
+    tiling is too, and a type may be taken only while its steps fit under
+    the remaining steps.  A target
     with a negative step has no tiling at all.  A branch also ends when
     even the least sigma/sum(type) would overspend the sigma cap, with
     each type's least sigma as the running floor.  The fill stage then
     picks, for each type of a tiling, a multiset of pairs of that type in
     sigma order, and stops once the picks left could not fit the cap.
-    With a delta or Miyaoka filter, each pair carries its delta and
-    contribution as integers over one common denominator; both are
-    positive, so a pick that would pass the required delta or the cap is
-    skipped, and a finished fill is kept only at the required delta.
+    The filters sum the table's integer terms: delta and contribution are
+    positive, so a pick that would pass the required delta or the floored
+    cap is skipped, and a finished fill is kept only at the required delta.
     """
     target = normalize_type(target)
     if not target:
@@ -265,49 +281,33 @@ def config_search(
     if max_deficiency is not None:
         budget = min(budget, sum(target) + max_deficiency)
 
-    type_steps, sizes, members = [], [], []
-    for piece_steps, size, group in _typed_pairs():
+    # an absent filter neither prunes nor rejects: its bound is infinite
+    scale, table = _typed_pairs()
+    delta_goal = contribution_cap = math.inf
+    if require_delta is not None:
+        delta_goal, off_grid = divmod(Fraction(require_delta) * scale, 1)
+        if off_grid:  # no sum of the table's deltas
+            return []
+    if miyaoka_budget_cap is not None:
+        contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
+    filtered = require_delta is not None or miyaoka_budget_cap is not None
+
+    type_steps, sizes, groups = [], [], []
+    for piece_steps, size, entries, a_entries in table:
         # the last step alone rules out most types of a long target
         last = len(piece_steps) - 1
         if last >= len(steps) or piece_steps[last] > steps[last]:
             continue
         if all(map(le, piece_steps, steps)):
-            group = group[: bisect_right(group, budget, key=_sigma)]
-            if miyaoka_budget_cap is not None:
-                group = [pair for pair in group if pair.species == "A"]
+            group = a_entries if miyaoka_budget_cap is not None else entries
+            group = group[: bisect_right(group, budget, key=_first)]
             if group:
                 type_steps.append(piece_steps)
                 sizes.append(size)
-                members.append(group)
-    floors = [group[0].n for group in members]
+                groups.append(group)
+    floors = [group[0][0] for group in groups]
     ratio = min(map(Fraction, floors, sizes), default=Fraction(0))
     num, den = ratio.numerator, ratio.denominator
-
-    # A filter gives each pair its delta and Miyaoka contribution as
-    # integers over one denominator, the lcm of theirs.  Without one, the
-    # terms and the goal are 0 and fill does not test them.
-    weights: dict[RdpPair, tuple[int, int]] = {}
-    delta_goal = contribution_cap = 0
-    filtered = require_delta is not None or miyaoka_budget_cap is not None
-    if filtered:
-        exact = {
-            pair: (
-                scalar_invariants(pair).delta if require_delta is not None else Fraction(0),
-                miyaoka_contribution(pair) if miyaoka_budget_cap is not None else Fraction(0),
-            )
-            for group in members
-            for pair in group
-        }
-        scale = math.lcm(*(w.denominator for both in exact.values() for w in both))
-        if require_delta is not None:
-            goal = Fraction(require_delta) * scale
-            if goal.denominator != 1:
-                return []
-            delta_goal = goal.numerator
-        if miyaoka_budget_cap is not None:
-            contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
-        weights = {pair: (int(d * scale), int(m * scale)) for pair, (d, m) in exact.items()}
-    groups = [[(pair.n, *weights.get(pair, (0, 0)), pair) for pair in group] for group in members]
 
     results: list[Config] = []
     tiling: list[int] = []
@@ -317,7 +317,7 @@ def config_search(
         if not left:
             r += 1
             if r == len(runs):
-                if delta == delta_goal:
+                if require_delta is None or delta == delta_goal:
                     results.append(make_config(chosen))
                 return
             left, start = runs[r][1], 0
@@ -342,7 +342,7 @@ def config_search(
             return
         if floor * den + num * left > budget * den:
             return
-        for idx in range(start, len(members)):
+        for idx in range(start, len(groups)):
             piece_steps = type_steps[idx]
             if floor + floors[idx] > budget or not all(map(le, piece_steps, remaining)):
                 continue

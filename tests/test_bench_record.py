@@ -1,0 +1,73 @@
+"""tools/bench_record.py on canned output and on two small BENCH fixtures;
+no benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = Path(__file__).resolve().parent / "bench_fixtures"
+
+_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def compare(capsys, a, b):
+    code = bench_record.main(["--compare", str(FIXTURES / a), str(FIXTURES / b)])
+    rows = {}
+    for line in capsys.readouterr().out.splitlines()[2:]:
+        workload, metric, rest = line.split(None, 2)
+        rows[workload, metric] = rest
+    return code, rows
+
+
+def test_compare_flags_only_metrics_past_their_bound(capsys):
+    # after/before: setup_s +14% (bound 25%), peak_rss_mb +12.5% (bound 10%)
+    code, rows = compare(capsys, "BENCH_before.json", "BENCH_after.json")
+    assert code == 1
+    flagged = {metric for (_, metric), rest in rows.items() if "PAST BOUND" in rest}
+    assert flagged == {"peak_rss_mb"}
+    assert rows["search", "peak_rss_mb"].endswith("1.125  passes 100 -> 140  PAST BOUND 10%")
+    assert rows["search", "jobs_per_s"].split() == ["3500", "(70)", "5000", "(1e+02)", "1.429"]
+    assert rows["search", "setup_s"].endswith("1.143")
+
+
+def test_compare_direction_follows_better(capsys):
+    # the other way round, the three timings worsen past 20% and RSS improves
+    code, rows = compare(capsys, "BENCH_after.json", "BENCH_before.json")
+    assert code == 1
+    flagged = {metric for (_, metric), rest in rows.items() if "PAST BOUND" in rest}
+    assert flagged == {"jobs_per_s", "job_ms_p50", "job_ms_tail"}
+    assert "passes 140 -> 100" in rows["search", "peak_rss_mb"]
+
+
+def test_compare_with_itself_passes(capsys):
+    code, rows = compare(capsys, "BENCH_after.json", "BENCH_after.json")
+    assert code == 0
+    assert all(rest.split()[4] == "1.000" for rest in rows.values())
+
+
+def test_parse_run_and_summary():
+    stdout = (
+        "workload search seed 3: 152 jobs x 241 passes\n"
+        "job_ms_tail is p93.42 of 152 per-job medians (10 jobs beyond it; 36632 samples)\n"
+        '{"correct": true, "attempted": 36632, "failed": 0, "metrics": '
+        '{"jobs_per_s": {"value": 4900.5, "unit": "1/s"}}}\n'
+    )
+    run = bench_record.parse_run(stdout)
+    assert run == {"passes": 241, "correct": True, "failed": 0, "attempted": 36632,
+                   "metrics": {"jobs_per_s": 4900.5}}
+    assert bench_record.summary([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "iqr": 2.0, "runs": 5}
+    assert bench_record.summary([7.0]) == {"median": 7.0, "iqr": 0.0, "runs": 1}
+
+
+def test_compare_flags_new_failures(tmp_path, capsys):
+    failing = json.loads((FIXTURES / "BENCH_after.json").read_text())
+    failing["workloads"]["search"].update(correct=False, failed=3)
+    (tmp_path / "BENCH_failing.json").write_text(json.dumps(failing))
+    code = bench_record.main(
+        ["--compare", str(FIXTURES / "BENCH_after.json"), str(tmp_path / "BENCH_failing.json")]
+    )
+    assert code == 1
+    assert "search     FAILURES: A 0 of 30000, B 3 of 30000" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,10 +240,37 @@ def test_bungobungo_matches_fraction_scan():
 
 
 def test_bungobungo_scale_makes_weights_integral():
+    # k(k+1) up to k = 20: the greedy tail bound reads 1/(e(e+1)) at e <= 20
     scale = theorems._BUNGO_SCALE
     assert scale == math.lcm(*range(1, 21))
     assert scale % 4 == 0
-    assert all(scale % (k * (k + 1)) == 0 for k in range(1, 20))
+    assert all(scale % (k * (k + 1)) == 0 for k in range(1, 21))
+
+
+def _calls_in_theorems(fn, *args, **kwargs):
+    """fn's result and how often each function of stci/theorems.py was entered."""
+    calls = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == theorems.__file__:
+            calls[frame.f_code.co_name] = calls.get(frame.f_code.co_name, 0) + 1
+
+    theorems._typed_pairs()  # build the table outside the count
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_search_node_counts():
+    # a weaker bound visits more nodes; bungo visited 261 under the
+    # infinite-run bound acc + p * (S // k)
+    solutions, calls = _calls_in_theorems(theorems.bungobungo_solve)
+    assert (len(solutions), calls["descend"]) == (3, 25)
+    found, calls = _calls_in_theorems(theorems.config_search, (9, 8, 2), max_sigma=25)
+    assert (len(found), calls["descend"], calls["fill"]) == (56, 300, 322)
 
 
 def test_bungobungo_rejected_candidates():
@@ -434,6 +462,8 @@ def test_config_search_budget_slice_matches_unpruned():
         {"max_deficiency": 2},
         {"miyaoka_budget_cap": Fraction(24)},
         {"max_deficiency": 1, "miyaoka_budget_cap": Fraction(25)},
+        {"require_delta": Fraction(6)},
+        {"max_deficiency": 1, "require_delta": Fraction(6)},
     )
     sigmas = range(1, theorems.MAX_SIGMA_CAP + 1)
     # the oracle filters only its leaves, so one unfiltered descent per
@@ -445,7 +475,15 @@ def test_config_search_budget_slice_matches_unpruned():
             for i, kwargs in enumerate(filters):
                 want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
     built = theorems._typed_pairs.__wrapped__()
-    assert (len(built), sum(len(group) for _, _, group in built)) == (253, 295)
+    scale, rows = built
+    assert (len(rows), sum(len(entries) for _, _, entries, _ in rows)) == (253, 295)
+    for _, _, entries, a_entries in rows:
+        assert a_entries == tuple(e for e in entries if e[3].species == "A")
+        for sigma, delta, contribution, pair in entries:
+            assert sigma == pair.n
+            assert Fraction(delta, scale) == rdp.scalar_invariants(pair).delta
+            if pair.species == "A":
+                assert Fraction(contribution, scale) == rdp.miyaoka_contribution(pair)
     for sweep in (reversed(sigmas), sigmas):
         theorems._typed_pairs.cache_clear()
         for max_sigma in sweep:
@@ -454,7 +492,7 @@ def test_config_search_budget_slice_matches_unpruned():
                     got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
                     assert got == want[target, max_sigma, i], (target, max_sigma, kwargs)
         assert theorems._typed_pairs() == built
-    assert sum(map(len, want.values())) == 4181
+    assert sum(map(len, want.values())) == 4982
 
 
 def test_config_search_integer_filters_match_unpruned_quartic():
@@ -479,7 +517,7 @@ def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
     theorems._typed_pairs.cache_clear()
     monkeypatch.setattr(theorems, "_typed_pairs", no_typing)
     monkeypatch.setattr(theorems, "classified_pairs", no_typing)
-    monkeypatch.setattr(theorems, "type_of", no_typing)
+    monkeypatch.setattr(theorems, "scalar_invariants", no_typing)
     for target in ((1, 2), (3, 1, 2), (9, 8, 9)):
         assert theorems.config_search(target) == []
         assert theorems.config_search(target, require_delta=Fraction(6), max_sigma=25) == []
