@@ -2,7 +2,7 @@
 
 Usage:
     python3 tools/bench_record.py LABEL[=CHECKOUT] [LABEL=CHECKOUT ...]
-        [--seeds 1 2 3 4 5] [--seconds 20] [--workload NAME ...] [--out-dir DIR]
+        [--seeds 1 2 3 4 5] [--seconds 20] [--workload NAME ...]
     python3 tools/bench_record.py --compare BENCH_a.json BENCH_b.json
 
 Recording runs ``perfbench/run.py --trace 0`` of each checkout (default:
@@ -10,17 +10,19 @@ this one) as a subprocess, once per workload and seed, and reads the JSON
 last line of each run and the pass count from its ``<n> jobs x <p>
 passes`` line.  With two or more checkouts the runs are interleaved: for
 each workload and seed every checkout runs in turn, and the one that runs
-first rotates from seed to seed.  Each checkout gets one file with the
-host (CPU model, vCPU count, Python version), the checkout's git SHA and,
-per workload, the median, IQR and run count of every end-to-end metric
-and of the pass count, with the raw runs beside them.
+first rotates from seed to seed.  Each checkout gets one file at the root
+of this checkout, with the host (CPU model, vCPU count, Python version),
+the checkout's git SHA and, per workload, the median, IQR and run count
+of every end-to-end metric and of the pass count, with the raw runs
+beside them.
 
 Comparing prints, per workload and metric, both medians with their IQRs
 and the ratio B/A, and flags a metric whose median is worse than A's by
 more than its bound in BENCHMARK.json; the pass counts are printed next
 to ``peak_rss_mb``, because ``run.py`` keeps one time array per pass.
-The exit code is 1 when a metric is flagged or B fails more jobs than A.  Neither mode changes
-``perfbench/`` or ``BENCHMARK.json``; both only read them.
+The exit code is 1 when a metric is flagged or B fails more jobs than A.
+Neither mode changes ``perfbench/`` or ``BENCHMARK.json``; both only read
+them.
 """
 
 from __future__ import annotations
@@ -114,8 +116,7 @@ def record(label: str, checkout: str, runs: dict, seeds: list[int], seconds: flo
             "seeds": seeds, "seconds": seconds, "workloads": workloads}
 
 
-def record_main(targets: list[str], seeds: list[int], seconds: float,
-                workloads: list[str], out_dir: str) -> int:
+def record_main(targets: list[str], seeds: list[int], seconds: float, workloads: list[str]) -> int:
     checkouts = []
     for target in targets:
         label, _, checkout = target.partition("=")
@@ -130,7 +131,7 @@ def record_main(targets: list[str], seeds: list[int], seconds: float,
                 print(f"{label} {workload} seed {seed}: {done['passes']} passes, "
                       f"jobs_per_s {done['metrics']['jobs_per_s']:.1f}", file=sys.stderr)
     for label, checkout in checkouts:
-        path = os.path.join(out_dir, f"BENCH_{label}.json")
+        path = os.path.join(ROOT, f"BENCH_{label}.json")
         with open(path, "w") as f:
             json.dump(record(label, checkout, runs[label], seeds, seconds), f, indent=1)
             f.write("\n")
@@ -179,7 +180,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workload", action="append", dest="workloads")
-    parser.add_argument("--out-dir", default=ROOT)
     args = parser.parse_args(argv)
     benchmark = load_benchmark()
     if args.compare:
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     if not args.targets:
         parser.error("give a LABEL to record or --compare A B")
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    return record_main(args.targets, args.seeds, args.seconds, workloads, args.out_dir)
+    return record_main(args.targets, args.seeds, args.seconds, workloads)
 
 
 if __name__ == "__main__":
