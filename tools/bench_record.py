@@ -2,11 +2,11 @@
 
 Usage:
     python3 tools/bench_record.py LABEL[=CHECKOUT] [LABEL=CHECKOUT ...]
-        [--seeds 1 2 3 4 5] [--seconds 20] [--workload NAME ...]
     python3 tools/bench_record.py --compare BENCH_a.json BENCH_b.json
 
 Recording runs ``perfbench/run.py --trace 0`` of each checkout (default:
-this one) as a subprocess, once per workload and seed, and reads the JSON
+this one) as a subprocess, once per workload of BENCHMARK.json and seed
+in SEEDS, for the ``run_seconds`` BENCHMARK.json fixes, and reads the JSON
 last line of each run and the pass count from its ``<n> jobs x <p>
 passes`` line.  With two or more checkouts the runs are interleaved: for
 each workload and seed every checkout runs in turn, and the one that runs
@@ -37,6 +37,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Ten seeds, so that two checkouts give ten interleaved pairs of runs.
+SEEDS = tuple(range(1, 11))
 PASSES = re.compile(r"^workload \S+ seed \d+: (\d+) jobs x (\d+) passes$", re.MULTILINE)
 
 
@@ -100,7 +102,7 @@ def host() -> dict:
     return {"cpu_model": model, "vcpus": os.cpu_count(), "python": platform.python_version()}
 
 
-def record(label: str, checkout: str, runs: dict, seeds: list[int], seconds: float) -> dict:
+def record(label: str, checkout: str, runs: dict, seconds: float) -> dict:
     workloads = {}
     for workload, done in runs.items():
         names = done[0]["metrics"]
@@ -113,17 +115,19 @@ def record(label: str, checkout: str, runs: dict, seeds: list[int], seconds: flo
             "raw": done,
         }
     return {"label": label, "git_sha": git_sha(checkout), "host": host(),
-            "seeds": seeds, "seconds": seconds, "workloads": workloads}
+            "seeds": list(SEEDS), "seconds": seconds, "workloads": workloads}
 
 
-def record_main(targets: list[str], seeds: list[int], seconds: float, workloads: list[str]) -> int:
+def record_main(targets: list[str], benchmark: dict) -> int:
+    seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     checkouts = []
     for target in targets:
         label, _, checkout = target.partition("=")
         checkouts.append((label, os.path.abspath(checkout or ROOT)))
     runs = {label: {w: [] for w in workloads} for label, _ in checkouts}
     for workload in workloads:
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             turn = i % len(checkouts)
             for label, checkout in checkouts[turn:] + checkouts[:turn]:
                 done = run_once(checkout, workload, seed, seconds)
@@ -133,7 +137,7 @@ def record_main(targets: list[str], seeds: list[int], seconds: float, workloads:
     for label, checkout in checkouts:
         path = os.path.join(ROOT, f"BENCH_{label}.json")
         with open(path, "w") as f:
-            json.dump(record(label, checkout, runs[label], seeds, seconds), f, indent=1)
+            json.dump(record(label, checkout, runs[label], seconds), f, indent=1)
             f.write("\n")
         print(f"wrote {path}")
     return 0
@@ -177,9 +181,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="*", metavar="LABEL[=CHECKOUT]")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workload", action="append", dest="workloads")
     args = parser.parse_args(argv)
     benchmark = load_benchmark()
     if args.compare:
@@ -192,8 +193,7 @@ def main(argv=None) -> int:
         return 1 if flagged else 0
     if not args.targets:
         parser.error("give a LABEL to record or --compare A B")
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    return record_main(args.targets, args.seeds, args.seconds, workloads)
+    return record_main(args.targets, benchmark)
 
 
 if __name__ == "__main__":
