@@ -102,34 +102,6 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta alpha")):
         n = self.n
         return CycleClass(self, 0, 0, (0,) * n, 0, (0,) * n, 0)
 
-    def one(self) -> "CycleClass":
-        return self.zero()._replace(c0=1)
-
-    def h(self) -> "CycleClass":
-        return self.zero()._replace(h=1)
-
-    def e(self, k: int) -> "CycleClass":
-        self._check_level(k)
-        vec = [0] * self.n
-        vec[k - 1] = 1
-        return self.zero()._replace(e=tuple(vec))
-
-    def h2(self) -> "CycleClass":
-        return self.zero()._replace(h2=1)
-
-    def r(self, k: int) -> "CycleClass":
-        self._check_level(k)
-        vec = [0] * self.n
-        vec[k - 1] = 1
-        return self.zero()._replace(r=tuple(vec))
-
-    def point(self) -> "CycleClass":
-        return self.zero()._replace(pt=1)
-
-    def _check_level(self, k: int) -> None:
-        if not 1 <= k <= self.n:
-            raise DomainError(f"level {k} outside 1..{self.n}")
-
 
 def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
     return BlowupContext(d, g, tuple(beta))
@@ -143,7 +115,8 @@ def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
 
 
 class CycleClass(NamedTuple):
-    """Graded class with integer coefficients; immutable."""
+    """Graded class with integer coefficients; immutable.  ``mul`` is its
+    product; ``+`` and ``*`` are the plain tuple operations of every record."""
 
     ctx: BlowupContext
     c0: int
@@ -158,52 +131,6 @@ class CycleClass(NamedTuple):
             raise ContextMismatchError(
                 "cycle classes belong to different blowup contexts"
             )
-
-    def __add__(self, other: "CycleClass") -> "CycleClass":
-        self._require_same_ctx(other)
-        return CycleClass(
-            self.ctx,
-            self.c0 + other.c0,
-            self.h + other.h,
-            tuple(a + b for a, b in zip(self.e, other.e)),
-            self.h2 + other.h2,
-            tuple(a + b for a, b in zip(self.r, other.r)),
-            self.pt + other.pt,
-        )
-
-    def __neg__(self) -> "CycleClass":
-        return CycleClass(
-            self.ctx,
-            -self.c0,
-            -self.h,
-            tuple(-a for a in self.e),
-            -self.h2,
-            tuple(-a for a in self.r),
-            -self.pt,
-        )
-
-    def __sub__(self, other: "CycleClass") -> "CycleClass":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "CycleClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return CycleClass(
-            self.ctx,
-            scalar * self.c0,
-            scalar * self.h,
-            tuple(scalar * a for a in self.e),
-            scalar * self.h2,
-            tuple(scalar * a for a in self.r),
-            scalar * self.pt,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
-        if isinstance(other, CycleClass):
-            return mul(self, other)
-        return NotImplemented
 
 
 def mul(x: CycleClass, y: CycleClass) -> CycleClass:

@@ -11,7 +11,7 @@ Every standard graph is produced by a unique operation sequence, which
 ``decompose`` recovers from the edge set alone.  The multiplicity map mu
 starts at 1 on the root and extends by mu(m+1) = mu(m) for "+" and
 mu(m+1) = mu(m) + mu(l) for subdivision.  ``replay`` builds every graph
-from its sequence; ``apply_op`` replays a history plus one operation.
+from its sequence, also to grow a graph: replay its history plus one op.
 
 ``strict_transform_class`` solves the triangular system relating total
 and strict ruling transforms and returns the class of the strict
@@ -38,7 +38,7 @@ class LabeledGraph(NamedTuple):
 
     ``mu[v - base]`` is the multiplicity of vertex v.  ``history`` replays
     from the single vertex ``base`` to exactly this graph.  Build
-    instances with replay / apply_op / from_parts.
+    instances with replay / from_parts.
     """
 
     base: int
@@ -51,11 +51,6 @@ class LabeledGraph(NamedTuple):
         if not self.base <= v <= self.top:
             raise DomainError(f"vertex {v} outside [{self.base}, {self.top}]")
         return self.mu[v - self.base]
-
-
-def apply_op(graph: LabeledGraph, op: Op) -> LabeledGraph:
-    """Apply one standard operation, returning the grown graph."""
-    return replay(graph.base, graph.history + (op,))
 
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
@@ -95,13 +90,16 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     """Validate an externally supplied graph and rebuild its history/mu."""
     if top < base:
         raise DomainError("empty vertex interval")
-    edge_set = frozenset(tuple(sorted(e)) for e in edges)
+    try:
+        edge_set = frozenset((min(a, b), max(a, b)) for a, b in edges)
+    except (TypeError, ValueError):
+        raise DomainError("bad edge: needs two integer vertices") from None
     # each operation adds one vertex and, net, one edge: top - base edges in all
     if len(edge_set) != top - base:
         raise DomainError(f"not a standard labeled graph: needs {echo(top - base)} edges")
     for a, b in edge_set:
-        if a == b or not (base <= a <= top and base <= b <= top):
-            raise DomainError(f"bad edge ({a}, {b})")
+        if not type(a) is type(b) is int or a == b or not (base <= a <= top and base <= b <= top):
+            raise DomainError(f"bad edge ({echo(a)}, {echo(b)})")
     # peel the top vertex off until base is left: each peel undoes one
     # operation, and every remaining edge at the top vertex points down
     adjacent: dict[int, set[int]] = {v: set() for v in range(base, top + 1)}

@@ -13,7 +13,7 @@ behind bungobungo_solve, the unpruned configuration search, and the
 term-by-term folds (pairwise add_types, one Fraction added at a time)
 behind config_invariants, weighted_type_sum and config_miyaoka.  The
 helpers are the Euclidean profile, graph neighbours, order and spitup
-decomposition, the canonical class and the K-formula bound.
+decomposition and the K-formula bound.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from stci.chow import CycleClass, multiplicity, q_value, surface_class
+from stci.chow import CycleClass, multiplicity, q_value
 from stci.errors import DomainError
 from stci.graphs import PLUS, LabeledGraph, truncate
 from stci.rdp import (
@@ -198,11 +198,6 @@ def spitup_decomposition(graph):
         cur = truncate(cur)
         out.append(cur)
     return out
-
-
-def canonical_class(k, ctx):
-    """-4H + E_1 + ... + E_k."""
-    return -surface_class(4, k, ctx)
 
 
 def kformula_bound(s, d, g, l):

@@ -140,7 +140,7 @@ def _random_graph(rng, base, max_ops):
     for _ in range(rng.randint(0, max_ops)):
         m = g.top
         choices = ["+"] + sorted(l for l in neighbors(g, m) if l < m)
-        g = graphs.apply_op(g, rng.choice(choices))
+        g = graphs.replay(g.base, g.history + (rng.choice(choices),))
     return g
 
 

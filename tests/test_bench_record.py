@@ -62,12 +62,25 @@ def test_parse_run_and_summary():
     assert bench_record.summary([7.0]) == {"median": 7.0, "iqr": 0.0, "runs": 1}
 
 
+def _with_failures(tmp_path, name, **search):
+    """BENCH_after.json with the search workload's counts replaced, as a file."""
+    bench = json.loads((FIXTURES / "BENCH_after.json").read_text())
+    bench["workloads"]["search"].update(search)
+    path = tmp_path / name
+    path.write_text(json.dumps(bench))
+    return str(path)
+
+
 def test_compare_flags_new_failures(tmp_path, capsys):
-    failing = json.loads((FIXTURES / "BENCH_after.json").read_text())
-    failing["workloads"]["search"].update(correct=False, failed=3)
-    (tmp_path / "BENCH_failing.json").write_text(json.dumps(failing))
-    code = bench_record.main(
-        ["--compare", str(FIXTURES / "BENCH_after.json"), str(tmp_path / "BENCH_failing.json")]
-    )
+    failing = _with_failures(tmp_path, "BENCH_failing.json", correct=False, failed=3)
+    code = bench_record.main(["--compare", str(FIXTURES / "BENCH_after.json"), failing])
     assert code == 1
     assert "search     FAILURES: A 0 of 30000, B 3 of 30000" in capsys.readouterr().out
+    # the share of failed jobs counts, not their number: a faster B attempts more
+    a = _with_failures(tmp_path, "BENCH_a.json", failed=3)
+    more_jobs = _with_failures(tmp_path, "BENCH_b.json", failed=4, attempted=60000)
+    assert bench_record.main(["--compare", a, more_jobs]) == 0
+    assert "FAILURES" not in capsys.readouterr().out
+    fewer_jobs = _with_failures(tmp_path, "BENCH_c.json", failed=3, attempted=10000)
+    assert bench_record.main(["--compare", a, fewer_jobs]) == 1
+    assert "search     FAILURES: A 3 of 30000, B 3 of 10000" in capsys.readouterr().out

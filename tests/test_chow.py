@@ -2,13 +2,37 @@ import random
 
 import pytest
 
-from oracles import canonical_class, mul_term_by_term
+from oracles import mul_term_by_term
 from stci import chow
 from stci.errors import ContextMismatchError, DomainError
 
 
 def quartic_ctx(p=(8, 8, 8, 0)):
     return chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, p))
+
+
+def cls(ctx, c0=0, h=0, e=(), h2=0, r=(), pt=0):
+    """The class with these coefficients; e and r are zero-padded to n levels."""
+    pad = (0,) * ctx.n
+    return chow.CycleClass(ctx, c0, h, tuple(e) + pad[len(e):], h2, tuple(r) + pad[len(r):], pt)
+
+
+def level(k, coeff=1):
+    """coeff at level k (from 1) and 0 below it, as the e or r of ``cls``."""
+    return (0,) * (k - 1) + (coeff,)
+
+
+def add(x, y):
+    """Componentwise sum of two classes of one context."""
+    return chow.CycleClass(
+        x.ctx,
+        x.c0 + y.c0,
+        x.h + y.h,
+        tuple(a + b for a, b in zip(x.e, y.e)),
+        x.h2 + y.h2,
+        tuple(a + b for a, b in zip(x.r, y.r)),
+        x.pt + y.pt,
+    )
 
 
 def test_make_context_examples():
@@ -36,47 +60,45 @@ def test_beta_from_p_examples():
 
 def test_basis_products():
     ctx = quartic_ctx()
-    h, pt = ctx.h(), ctx.point()
-    assert h * h * h == pt
-    assert h * ctx.r(2) == ctx.zero()
-    assert ctx.h2() * ctx.e(1) == ctx.zero()
-    assert ctx.e(1) * ctx.r(1) == -pt
-    assert ctx.e(1) * ctx.r(2) == ctx.zero()
-    assert h * ctx.e(3) == 4 * ctx.r(3)
+    zero, h = ctx.zero(), cls(ctx, h=1)
+    e1, e2, e3 = (cls(ctx, e=level(k)) for k in (1, 2, 3))
+    assert chow.mul(chow.mul(h, h), h) == cls(ctx, pt=1)
+    assert chow.mul(h, cls(ctx, r=level(2))) == zero
+    assert chow.mul(cls(ctx, h2=1), e1) == zero
+    assert chow.mul(e1, cls(ctx, r=level(1))) == cls(ctx, pt=-1)
+    assert chow.mul(e1, cls(ctx, r=level(2))) == zero
+    assert chow.mul(h, e3) == cls(ctx, r=level(3, 4))
     # E_i E_j = -beta_i R_j for i < j; here beta = (-6, -6, -6, 2)
-    assert ctx.e(1) * ctx.e(2) == 6 * ctx.r(2)
-    assert ctx.e(2) * ctx.e(1) == 6 * ctx.r(2)
+    assert chow.mul(e1, e2) == cls(ctx, r=level(2, 6))
+    assert chow.mul(e2, e1) == cls(ctx, r=level(2, 6))
 
 
 def test_square_rule():
     ctx = chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, (8, 8, 8)))
-    e1 = ctx.e(1)
-    assert e1 * e1 == -4 * ctx.h2() + 14 * ctx.r(1)
-    e3 = ctx.e(3)
-    expected = -4 * ctx.h2() + 2 * ctx.r(3) - (-6) * ctx.r(1) - (-6) * ctx.r(2)
-    assert e3 * e3 == expected
+    e1 = cls(ctx, e=level(1))
+    assert chow.mul(e1, e1) == cls(ctx, h2=-4, r=(14,))
+    # E_3^2 = -d H^2 - alpha_2 R_3 - beta_1 R_1 - beta_2 R_2, beta = (-6, -6, -6)
+    e3 = cls(ctx, e=level(3))
+    assert chow.mul(e3, e3) == cls(ctx, h2=-4, r=(6, 6, 2))
 
 
 def test_degree_grading():
     ctx = quartic_ctx()
-    zero = ctx.zero()
-    assert ctx.h2() * ctx.h2() == zero
-    assert ctx.r(1) * ctx.r(2) == zero
-    assert ctx.point() * ctx.h() == zero
-    assert ctx.point() * ctx.point() == zero
-    assert (ctx.h() * ctx.h()) * ctx.h2() == zero
-    one = ctx.one()
-    assert one * ctx.point() == ctx.point()
-    assert (3 * one) * ctx.h() == 3 * ctx.h()
+    zero, h, h2, pt = ctx.zero(), cls(ctx, h=1), cls(ctx, h2=1), cls(ctx, pt=1)
+    assert chow.mul(h2, h2) == zero
+    assert chow.mul(cls(ctx, r=level(1)), cls(ctx, r=level(2))) == zero
+    assert chow.mul(pt, h) == zero
+    assert chow.mul(pt, pt) == zero
+    assert chow.mul(chow.mul(h, h), h2) == zero
+    assert chow.mul(cls(ctx, c0=1), pt) == pt
+    assert chow.mul(cls(ctx, c0=3), h) == cls(ctx, h=3)
 
 
 def test_context_mismatch_rejected():
     a = quartic_ctx()
     b = chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, (9, 8, 2, 0)))
     with pytest.raises(ContextMismatchError):
-        chow.mul(a.h(), b.h())
-    with pytest.raises(ContextMismatchError):
-        a.h() + b.h()
+        chow.mul(cls(a, h=1), cls(b, h=1))
 
 
 def _random_class(rng, ctx):
@@ -134,18 +156,18 @@ def test_mul_commutative_associative():
         n = rng.randint(1, 6)
         ctx = chow.make_context(d, g, tuple(rng.randint(-9, 9) for _ in range(n)))
         x, y, z = (_random_class(rng, ctx) for _ in range(3))
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        assert chow.mul(x, y) == chow.mul(y, x)
+        assert chow.mul(chow.mul(x, y), z) == chow.mul(x, chow.mul(y, z))
+        assert chow.mul(x, add(y, z)) == add(chow.mul(x, y), chow.mul(x, z))
 
 
 def test_surface_class():
     ctx = quartic_ctx()
-    assert chow.surface_class(4, 0, ctx) == 4 * ctx.h()
-    assert chow.surface_class(4, 2, ctx) == 4 * ctx.h() - ctx.e(1) - ctx.e(2)
-    assert canonical_class(2, ctx) == -4 * ctx.h() + ctx.e(1) + ctx.e(2)
-    with pytest.raises(DomainError):
-        chow.surface_class(4, 5, ctx)
+    assert chow.surface_class(4, 0, ctx) == cls(ctx, h=4)
+    assert chow.surface_class(4, 2, ctx) == cls(ctx, h=4, e=(-1, -1))
+    for k in (-1, 5):
+        with pytest.raises(DomainError, match=f"^level {k} outside 0..4$"):
+            chow.surface_class(4, k, ctx)
 
 
 def test_st_expansion_theorem_one_case():
@@ -209,13 +231,3 @@ def test_expansion_matches_closed_form_random():
         assert expansion.a == closed, (s, t, d, g, p)
         assert expansion.h2_coeff == 0
         seen += 1
-
-
-
-def test_levels_outside_one_to_n_are_refused():
-    ctx = chow.make_context(4, 0, (1, 2))
-    assert ctx.e(1).e == (1, 0) and ctx.r(2).r == (0, 1)
-    for build in (ctx.e, ctx.r):
-        for k in (0, ctx.n + 1):
-            with pytest.raises(DomainError, match=f"^level {k} outside 1..2$"):
-                build(k)

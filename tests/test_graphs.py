@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from oracles import (
     strict_transform_closed_form,
 )
 from stci import graphs
-from stci.errors import DomainError
+from stci.errors import ECHO_CAP, DomainError
 
 
 def staircase(k, p):
@@ -21,17 +22,22 @@ def staircase(k, p):
     return graphs.replay(k, ("+",) + (k,) * (p - 1))
 
 
+def grow(g, op):
+    """The graph g grown by one operation: its history replayed plus op."""
+    return graphs.replay(g.base, g.history + (op,))
+
+
 def random_graph(rng, base, max_ops):
     g = graphs.replay(base, ())
     for _ in range(rng.randint(0, max_ops)):
         m = g.top
         choices = ["+"] + sorted(l for l in neighbors(g, m) if l < m)
-        g = graphs.apply_op(g, rng.choice(choices))
+        g = grow(g, rng.choice(choices))
     return g
 
 
 def test_plus_on_single_vertex():
-    g = graphs.apply_op(graphs.replay(3, ()), "+")
+    g = grow(graphs.replay(3, ()), "+")
     assert (g.base, g.top) == (3, 4)
     assert g.edges == frozenset({(3, 4)})
     assert g.mu == (1, 1)
@@ -52,11 +58,11 @@ def test_staircase_multiplicities():
 def test_subdivision_requires_edge():
     g = graphs.replay(1, ("+", "+"))  # vertex 1 is not adjacent to the top
     with pytest.raises(DomainError):
-        graphs.apply_op(g, 1)
+        grow(g, 1)
     with pytest.raises(DomainError):
-        graphs.apply_op(graphs.replay(1, ()), 1)
+        grow(graphs.replay(1, ()), 1)
     with pytest.raises(DomainError):
-        graphs.apply_op(g, "L")
+        grow(g, "L")
 
 
 def _random_op(rng, base, ops, noise):
@@ -94,7 +100,7 @@ def test_replay_matches_step_by_step_builder():
         if not isinstance(want, str):
             built += 1
             op = _random_op(rng, base, ops, 0.5)
-            grown = _outcome(graphs.apply_op, want, op)
+            grown = _outcome(grow, want, op)
             assert grown == _outcome(replay_step_by_step, base, ops + [op]), (base, ops, op)
     assert 1000 < built < 3000  # both outcomes are common
 
@@ -135,6 +141,18 @@ def test_from_parts_counts_edges_before_building():
         graphs.from_parts(1, 4, [(3, 4), (1, 4), (1, 3)])
     with pytest.raises(DomainError, match="bad top neighborhood"):
         graphs.from_parts(1, 4, [(1, 2), (2, 3), (1, 3)])
+
+
+def test_from_parts_refuses_malformed_edges():
+    # an edge is two integers, and a bool is not a vertex
+    for edges in ([(1, 2, 3), (2, 3)], [(1,), (2, 3)], [5, (2, 3)], [(1, "x"), (2, 3)]):
+        with pytest.raises(DomainError, match="^bad edge: needs two integer vertices$"):
+            graphs.from_parts(1, 3, edges)
+    for edge, message in ((("a", "b"), "bad edge ('a', 'b')"), ((True, 2), "bad edge (True, 2)")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            graphs.from_parts(1, 3, [edge, (2, 3)])
+    with pytest.raises(DomainError, match=r"^bad edge \(<100 characters>, <99 characters>\)$"):
+        graphs.from_parts(1, 3, [("y" * 99, "x" * 100), (2, 3)])
 
 
 def test_from_parts_replays_once(monkeypatch):
@@ -263,7 +281,7 @@ def test_from_parts_accepts_exactly_standard_graphs():
             accepted.add(graph.edges)
         assert accepted == standard
         grown = {
-            graphs.apply_op(g, op)
+            grow(g, op)
             for g in grown
             for op in ["+"] + sorted(neighbors(g, g.top))
         }
@@ -280,6 +298,8 @@ def test_refusals_name_the_bad_vertex_edge_or_history():
     for edge in ((0, 0), (0, 2), (-1, 0)):
         with pytest.raises(DomainError, match=rf"^bad edge \({min(edge)}, {max(edge)}\)$"):
             graphs.from_parts(0, 1, [edge])
+    with pytest.raises(DomainError, match=rf"^bad edge \(0, <{ECHO_CAP + 41} digits>\)$"):
+        graphs.from_parts(0, 1, [(0, 10 ** (ECHO_CAP + 40))])
     with pytest.raises(DomainError, match="^cannot truncate a single-vertex graph$"):
         graphs.truncate(graphs.replay(5, []))
     # replay never starts a history with a subdivision; a record built

@@ -24,7 +24,7 @@ def one_of_each():
         rdp.pair_a(3, 2),
         rdp.scalar_invariants(rdp.E6),
         ctx,
-        ctx.h(),
+        ctx.zero()._replace(h=1),
         chow.st_expansion(4, 4, ctx),
         graphs.replay(1, ("+", 1)),
         graphs.snort_check((1, 2)),

@@ -20,7 +20,8 @@ Comparing prints, per workload and metric, both medians with their IQRs
 and the ratio B/A, and flags a metric whose median is worse than A's by
 more than its bound in BENCHMARK.json; the pass counts are printed next
 to ``peak_rss_mb``, because ``run.py`` keeps one time array per pass.
-The exit code is 1 when a metric is flagged or B fails more jobs than A.
+The exit code is 1 when a metric is flagged, when B is not correct, or
+when B fails a larger share of its attempted jobs than A.
 Neither mode changes ``perfbench/`` or ``BENCHMARK.json``; both only read
 them.
 """
@@ -170,7 +171,8 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
                 flagged += 1
                 line += f"  PAST BOUND {spec['bound']:.0%}"
             lines.append(line)
-        if not wb["correct"] or wb["failed"] > wa["failed"]:
+        # failed/attempted, compared without division: a faster tree attempts more jobs
+        if not wb["correct"] or wb["failed"] * wa["attempted"] > wa["failed"] * wb["attempted"]:
             flagged += 1
             lines.append(f"{workload:10s} FAILURES: A {wa['failed']} of {wa['attempted']}, "
                          f"B {wb['failed']} of {wb['attempted']}, B correct {wb['correct']}")
