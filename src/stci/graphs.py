@@ -11,7 +11,8 @@ Every standard graph is produced by a unique operation sequence, which
 ``decompose`` recovers from the edge set alone.  The multiplicity map mu
 starts at 1 on the root and extends by mu(m+1) = mu(m) for "+" and
 mu(m+1) = mu(m) + mu(l) for subdivision.  ``replay`` builds every graph
-from its sequence, also to grow a graph: replay its history plus one op.
+from its sequence; a graph grows by one operation as the replay of its
+history plus that operation.
 
 ``strict_transform_class`` solves the triangular system relating total
 and strict ruling transforms and returns the class of the strict
@@ -87,7 +88,10 @@ def decompose(graph: LabeledGraph) -> tuple[Op, ...]:
 
 
 def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGraph:
-    """Validate an externally supplied graph and rebuild its history/mu."""
+    """Validate an externally supplied graph and rebuild its history/mu.
+
+    Each edge is two distinct int vertices in [base, top]; a bool is not one.
+    """
     if top < base:
         raise DomainError("empty vertex interval")
     try:
@@ -98,7 +102,7 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     if len(edge_set) != top - base:
         raise DomainError(f"not a standard labeled graph: needs {echo(top - base)} edges")
     for a, b in edge_set:
-        if not type(a) is type(b) is int or a == b or not (base <= a <= top and base <= b <= top):
+        if not (type(a) is type(b) is int and base <= a < b <= top):
             raise DomainError(f"bad edge ({echo(a)}, {echo(b)})")
     # peel the top vertex off until base is left: each peel undoes one
     # operation, and every remaining edge at the top vertex points down
