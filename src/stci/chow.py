@@ -20,6 +20,11 @@ and products of total degree above 3 vanish.  The strict transforms of the
 exceptional surfaces and rulings are deliberately NOT basis elements here;
 they are combinations of the classes above (see stci.graphs for rulings).
 
+These rules are the derivation, not code: the library needs one product
+of the ring, (sH - sum E)(tH - sum E), and ``st_expansion`` evaluates it
+in closed form.  The general product, summed term by term over every pair
+of levels, lives in tests/oracles.py as the check on that closed form.
+
 The surface data (s, t, d, g) shared by stci.theorems and stci.degrees is
 validated here once (``check_surface``, ``multiplicity``), and the
 quantities a and q = n*a/s that the degree bounds and the ruling
@@ -34,7 +39,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ContextMismatchError, DomainError, echo
+from .errors import DomainError, echo
 
 
 def check_curve(d: int, g: int) -> None:
@@ -98,10 +103,6 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta alpha")):
     def n(self) -> int:
         return len(self.beta)
 
-    def zero(self) -> "CycleClass":
-        n = self.n
-        return CycleClass(self, 0, 0, (0,) * n, 0, (0,) * n, 0)
-
 
 def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
     return BlowupContext(d, g, tuple(beta))
@@ -114,65 +115,6 @@ def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
     return tuple(base - pk for pk in p)
 
 
-class CycleClass(NamedTuple):
-    """Graded class with integer coefficients; immutable.  ``mul`` is its
-    product; ``+`` and ``*`` are the plain tuple operations of every record."""
-
-    ctx: BlowupContext
-    c0: int
-    h: int
-    e: tuple[int, ...]
-    h2: int
-    r: tuple[int, ...]
-    pt: int
-
-    def _require_same_ctx(self, other: "CycleClass") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(
-                "cycle classes belong to different blowup contexts"
-            )
-
-
-def mul(x: CycleClass, y: CycleClass) -> CycleClass:
-    """Graded product; degree > 3 components vanish.
-
-    One forward and one backward pass over the levels.  For i != j,
-    E_i.E_j adds -beta_min x_i y_j to R_max, so R_j collects the running
-    sums sum_{i<j} beta_i x_i and sum_{i<j} beta_i y_i.  Each E_k^2 adds
-    -beta_m to every R_m with m < k: a suffix sum of x_k y_k, whose total
-    gives the -d H^2 term.
-    """
-    x._require_same_ctx(y)
-    ctx = x.ctx
-    d = ctx.d
-    xc, yc, xh, yh = x.c0, y.c0, x.h, y.h
-    e = tuple(xc * ye + yc * xe for xe, ye in zip(x.e, y.e))
-    r = []
-    # H.H^2 = pt and E_k.R_k = -pt; the other degree 1 x degree 2 products vanish
-    pt = xc * y.pt + yc * x.pt + xh * y.h2 + yh * x.h2
-    sx = sy = 0
-    for b, a, xe, ye, xr, yr in zip(ctx.beta, ctx.alpha, x.e, y.e, x.r, y.r):
-        deg11 = d * (xh * ye + xe * yh) - ye * sx - xe * sy - a * xe * ye
-        r.append(xc * yr + yc * xr + deg11)
-        pt -= xe * yr + ye * xr
-        sx += b * xe
-        sy += b * ye
-    diag = 0
-    for m in range(ctx.n - 1, -1, -1):
-        r[m] -= ctx.beta[m] * diag
-        diag += x.e[m] * y.e[m]
-    h2 = xc * y.h2 + yc * x.h2 + xh * yh - d * diag
-    return CycleClass(ctx, xc * yc, xc * yh + yc * xh, e, h2, tuple(r), pt)
-
-
-def surface_class(deg: int, k: int, ctx: BlowupContext) -> CycleClass:
-    """deg*H minus the first k exceptional classes."""
-    if not 0 <= k <= ctx.n:
-        raise DomainError(f"level {k} outside 0..{ctx.n}")
-    e = tuple(-1 if i < k else 0 for i in range(ctx.n))
-    return ctx.zero()._replace(h=deg, e=e)
-
-
 class StExpansion(NamedTuple):
     h2_coeff: int
     a: tuple[int, ...]
@@ -182,10 +124,15 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     """Expand (sH - sum E)(tH - sum E) and read off the H^2/R coefficients.
 
     The H^2 coefficient is s*t - n*d, which vanishes exactly when the
-    context has n = s*t/d levels.
+    context has n = s*t/d levels.  By the rules above, R_k (1-based)
+    collects -d(s+t) from H.E_k, -2 sum_{i<k} beta_i = 2(alpha_{k-1} -
+    alpha_0) from the pairs E_i.E_k, -alpha_{k-1} from E_k^2, and -beta_k
+    from each of the n - k squares E_j^2 with j > k.
     """
-    product = mul(surface_class(s, ctx.n, ctx), surface_class(t, ctx.n, ctx))
-    return StExpansion(product.h2, product.r)
+    base = -ctx.d * (s + t) - 2 * ctx.alpha[0]
+    later = range(ctx.n - 1, -1, -1)  # n - k for k = 1..n
+    a = tuple(base + ak - nk * bk for ak, bk, nk in zip(ctx.alpha, ctx.beta, later))
+    return StExpansion(s * t - ctx.n * ctx.d, a)
 
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
@@ -205,6 +152,6 @@ def a_closed_form(
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= m <= n:
-        raise DomainError(f"index m={m} outside 1..{n}")
+        raise DomainError(f"index m={echo(m)} outside 1..{n}")
     padded = pad_p(p, n)
     return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)

@@ -72,7 +72,7 @@ def render(doc: Document, fmt: str) -> str:
         writer.writerow(doc.columns)
         writer.writerows(doc.rows)
         return buf.getvalue()
-    raise DomainError(f"unknown format {fmt!r}")
+    raise DomainError(f"unknown format {echo(fmt)}")
 
 
 # ---------------------------------------------------------------------------

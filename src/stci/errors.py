@@ -16,10 +16,6 @@ class ParseError(DomainError):
     """A textual descriptor could not be parsed."""
 
 
-class ContextMismatchError(DomainError):
-    """Cycle classes from different blowup contexts were mixed."""
-
-
 def echo(value: object) -> str:
     """An input as an error message quotes it: ``repr``, or ``str`` for an
     int, unless text has more than ECHO_CAP characters or an int more than

@@ -50,7 +50,7 @@ class LabeledGraph(NamedTuple):
 
     def mu_of(self, v: int) -> int:
         if not self.base <= v <= self.top:
-            raise DomainError(f"vertex {v} outside [{self.base}, {self.top}]")
+            raise DomainError(f"vertex {echo(v)} outside [{echo(self.base)}, {echo(self.top)}]")
         return self.mu[v - self.base]
 
 
@@ -64,12 +64,13 @@ def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
         new = m + 1
         if op == PLUS:
             mu.append(mu[-1])
-        elif not isinstance(op, int):
-            raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
+        elif type(op) is not int:
+            raise DomainError(f"operation must be '+' or a vertex label, got {echo(op)}")
         else:
             key = (min(op, m), max(op, m))
             if op == m or key not in edges:
-                raise DomainError(f"subdivision at {op} requires edge ({op}, {m})")
+                at = echo(op)
+                raise DomainError(f"subdivision at {at} requires edge ({at}, {echo(m)})")
             edges.remove(key)
             edges.add((op, new))
             mu.append(mu[-1] + mu[op - base])

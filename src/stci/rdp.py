@@ -153,10 +153,11 @@ class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
         try:
             least, fields = _SPECIES[species]
         except KeyError:
-            raise DomainError(f"unknown species {species!r}") from None
+            raise DomainError(f"unknown species {echo(species)}") from None
         if fields == 2:
             if n < least or not 1 <= k <= (n + 1) // 2:
-                raise DomainError(f"A({n},{k}) is not canonical: need 1 <= k <= (n+1)/2")
+                raise DomainError(f"A({echo(n)},{echo(k)}) is not canonical: "
+                                  "need 1 <= k <= (n+1)/2")
         elif fields == 1:
             if n < least or k != 0:
                 raise DomainError(f"{species} requires n >= {least}, got n={echo(n)}")

@@ -2,16 +2,18 @@
 helpers only tests read.
 
 Each route recomputes a library result by an independent method, so a
-test can compare the two: the Euclidean closed form of phi, the
-ring product summed term by term over every pair of levels, the
-step-by-step graph builder behind replay, the closed form of the
-strict-transform class, the quadratic dyadic and triangular cone sums,
-the double sum behind thm2_margins, the binomial form of the
+test can compare the two: the Euclidean closed form of phi, the general
+ring product on CycleClass records, summed term by term over every pair
+of levels (the one encoding of the multiplication rules in the stci.chow
+docstring; chow.st_expansion evaluates one product of it in closed
+form), the step-by-step graph builder behind replay, the closed form of
+the strict-transform class, the quadratic dyadic and triangular cone
+sums, the double sum behind thm2_margins, the binomial form of the
 degree-pair divisibility condition, the (s, t) grid scan behind
-enumerate_pairs, the Fraction scan of all nonincreasing sequences
-behind bungobungo_solve, the unpruned configuration search, and the
+enumerate_pairs, the Fraction scan of all nonincreasing sequences behind
+bungobungo_solve, the unpruned configuration search, and the
 term-by-term folds (pairwise add_types, one Fraction added at a time)
-behind config_invariants, weighted_type_sum and config_miyaoka.  The
+behind config_invariants, weighted_type_sum and config_miyaoka. The
 helpers are the Euclidean profile, graph neighbours, order and spitup
 decomposition and the K-formula bound.
 """
@@ -20,8 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from stci.chow import CycleClass, multiplicity, q_value
+from stci.chow import BlowupContext, multiplicity, q_value
 from stci.errors import DomainError
 from stci.graphs import PLUS, LabeledGraph, truncate
 from stci.rdp import (
@@ -87,13 +90,26 @@ def phi_closed_form(n, k):
     return tuple(out)
 
 
+class CycleClass(NamedTuple):
+    """A class of the graded basis {1; H, E_1..E_n; H^2, R_1..R_n; pt}
+    of one blowup context, with integer coefficients."""
+
+    ctx: BlowupContext
+    c0: int
+    h: int
+    e: tuple[int, ...]
+    h2: int
+    r: tuple[int, ...]
+    pt: int
+
+
 def mul_term_by_term(x: CycleClass, y: CycleClass) -> CycleClass:
     """Graded product; degree > 3 components vanish.
 
     Sums E_i.E_j over every pair of levels and each E_k^2 over the levels
     below k, so a product of n-level classes costs O(n^2).
     """
-    x._require_same_ctx(y)
+    assert x.ctx == y.ctx, "classes of two different blowup contexts"
     ctx = x.ctx
     n, d = ctx.n, ctx.d
     beta, alpha = ctx.beta, ctx.alpha
@@ -156,7 +172,7 @@ def replay_step_by_step(base, ops):
             edges.add((m, new))
             mu = graph.mu + (graph.mu_of(m),)
         else:
-            if not isinstance(op, int):
+            if type(op) is not int:  # a bool is not a vertex label
                 raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
             l = op
             key = (min(l, m), max(l, m))

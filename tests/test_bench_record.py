@@ -28,9 +28,11 @@ def test_compare_flags_only_metrics_past_their_bound(capsys):
     assert code == 1
     flagged = {metric for (_, metric), rest in rows.items() if "PAST BOUND" in rest}
     assert flagged == {"peak_rss_mb"}
-    assert rows["search", "peak_rss_mb"].endswith("1.125  passes 100 -> 140  PAST BOUND 10%")
-    assert rows["search", "jobs_per_s"].split() == ["3500", "(70)", "5000", "(1e+02)", "1.429"]
-    assert rows["search", "setup_s"].endswith("1.143")
+    assert rows["search", "peak_rss_mb"].endswith(
+        "1.125  wins 0/3  passes 100 -> 140  PAST BOUND 10%")
+    assert rows["search", "jobs_per_s"].split() == [
+        "3500", "(70)", "5000", "(1e+02)", "1.429", "wins", "3/3"]
+    assert rows["search", "setup_s"].endswith("1.143  wins 0/3")
 
 
 def test_compare_direction_follows_better(capsys):
@@ -46,6 +48,39 @@ def test_compare_with_itself_passes(capsys):
     code, rows = compare(capsys, "BENCH_after.json", "BENCH_after.json")
     assert code == 0
     assert all(rest.split()[4] == "1.000" for rest in rows.values())
+    # every pair ties, and a tie counts for neither
+    assert all(rest.split()[5:7] == ["wins", "0/3"] for rest in rows.values())
+
+
+def test_fixture_summaries_are_those_of_their_raw_runs():
+    for name in ("BENCH_before.json", "BENCH_after.json"):
+        workload = json.loads((FIXTURES / name).read_text())["workloads"]["search"]
+        raw = workload["raw"]
+        assert [r["seed"] for r in raw] == [1, 2, 3]
+        assert workload["passes"] == bench_record.summary([r["passes"] for r in raw])
+        for metric, summary in workload["metrics"].items():
+            assert summary == bench_record.summary([r["metrics"][metric] for r in raw])
+
+
+def test_compare_counts_wins_over_seed_matched_pairs(tmp_path, capsys):
+    mixed = json.loads((FIXTURES / "BENCH_before.json").read_text())
+    raw = mixed["workloads"]["search"]["raw"]
+    # seed 1 faster, seed 2 a tie, seed 3 slower; listed out of seed order
+    for run, jobs_per_s, p50 in zip(raw, (3431.0, 3500.0, 3569.0), (0.244, 0.25, 0.256)):
+        run["metrics"].update(jobs_per_s=jobs_per_s, job_ms_p50=p50)
+    raw.reverse()
+    path = tmp_path / "BENCH_mixed.json"
+    path.write_text(json.dumps(mixed))
+    code, rows = compare(capsys, "BENCH_before.json", path)
+    assert code == 0
+    assert rows["search", "jobs_per_s"].endswith("wins 1/3")
+    assert rows["search", "job_ms_p50"].endswith("wins 1/3")
+    assert rows["search", "setup_s"].endswith("wins 0/3")
+    # only seeds both files ran are paired: drop seed 3
+    del raw[0]
+    path.write_text(json.dumps(mixed))
+    _, rows = compare(capsys, "BENCH_before.json", path)
+    assert rows["search", "jobs_per_s"].endswith("wins 1/2")
 
 
 def test_parse_run_and_summary():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from oracles import mul_term_by_term
+from oracles import CycleClass
+from oracles import mul_term_by_term as mul
 from stci import chow
-from stci.errors import ContextMismatchError, DomainError
+from stci.errors import DomainError
 
 
 def quartic_ctx(p=(8, 8, 8, 0)):
@@ -14,7 +15,7 @@ def quartic_ctx(p=(8, 8, 8, 0)):
 def cls(ctx, c0=0, h=0, e=(), h2=0, r=(), pt=0):
     """The class with these coefficients; e and r are zero-padded to n levels."""
     pad = (0,) * ctx.n
-    return chow.CycleClass(ctx, c0, h, tuple(e) + pad[len(e):], h2, tuple(r) + pad[len(r):], pt)
+    return CycleClass(ctx, c0, h, tuple(e) + pad[len(e):], h2, tuple(r) + pad[len(r):], pt)
 
 
 def level(k, coeff=1):
@@ -24,7 +25,7 @@ def level(k, coeff=1):
 
 def add(x, y):
     """Componentwise sum of two classes of one context."""
-    return chow.CycleClass(
+    return CycleClass(
         x.ctx,
         x.c0 + y.c0,
         x.h + y.h,
@@ -60,50 +61,43 @@ def test_beta_from_p_examples():
 
 def test_basis_products():
     ctx = quartic_ctx()
-    zero, h = ctx.zero(), cls(ctx, h=1)
+    zero, h = cls(ctx), cls(ctx, h=1)
     e1, e2, e3 = (cls(ctx, e=level(k)) for k in (1, 2, 3))
-    assert chow.mul(chow.mul(h, h), h) == cls(ctx, pt=1)
-    assert chow.mul(h, cls(ctx, r=level(2))) == zero
-    assert chow.mul(cls(ctx, h2=1), e1) == zero
-    assert chow.mul(e1, cls(ctx, r=level(1))) == cls(ctx, pt=-1)
-    assert chow.mul(e1, cls(ctx, r=level(2))) == zero
-    assert chow.mul(h, e3) == cls(ctx, r=level(3, 4))
+    assert mul(mul(h, h), h) == cls(ctx, pt=1)
+    assert mul(h, cls(ctx, r=level(2))) == zero
+    assert mul(cls(ctx, h2=1), e1) == zero
+    assert mul(e1, cls(ctx, r=level(1))) == cls(ctx, pt=-1)
+    assert mul(e1, cls(ctx, r=level(2))) == zero
+    assert mul(h, e3) == cls(ctx, r=level(3, 4))
     # E_i E_j = -beta_i R_j for i < j; here beta = (-6, -6, -6, 2)
-    assert chow.mul(e1, e2) == cls(ctx, r=level(2, 6))
-    assert chow.mul(e2, e1) == cls(ctx, r=level(2, 6))
+    assert mul(e1, e2) == cls(ctx, r=level(2, 6))
+    assert mul(e2, e1) == cls(ctx, r=level(2, 6))
 
 
 def test_square_rule():
     ctx = chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, (8, 8, 8)))
     e1 = cls(ctx, e=level(1))
-    assert chow.mul(e1, e1) == cls(ctx, h2=-4, r=(14,))
+    assert mul(e1, e1) == cls(ctx, h2=-4, r=(14,))
     # E_3^2 = -d H^2 - alpha_2 R_3 - beta_1 R_1 - beta_2 R_2, beta = (-6, -6, -6)
     e3 = cls(ctx, e=level(3))
-    assert chow.mul(e3, e3) == cls(ctx, h2=-4, r=(6, 6, 2))
+    assert mul(e3, e3) == cls(ctx, h2=-4, r=(6, 6, 2))
 
 
 def test_degree_grading():
     ctx = quartic_ctx()
-    zero, h, h2, pt = ctx.zero(), cls(ctx, h=1), cls(ctx, h2=1), cls(ctx, pt=1)
-    assert chow.mul(h2, h2) == zero
-    assert chow.mul(cls(ctx, r=level(1)), cls(ctx, r=level(2))) == zero
-    assert chow.mul(pt, h) == zero
-    assert chow.mul(pt, pt) == zero
-    assert chow.mul(chow.mul(h, h), h2) == zero
-    assert chow.mul(cls(ctx, c0=1), pt) == pt
-    assert chow.mul(cls(ctx, c0=3), h) == cls(ctx, h=3)
-
-
-def test_context_mismatch_rejected():
-    a = quartic_ctx()
-    b = chow.make_context(4, 0, chow.beta_from_p(4, 4, 0, (9, 8, 2, 0)))
-    with pytest.raises(ContextMismatchError):
-        chow.mul(cls(a, h=1), cls(b, h=1))
+    zero, h, h2, pt = cls(ctx), cls(ctx, h=1), cls(ctx, h2=1), cls(ctx, pt=1)
+    assert mul(h2, h2) == zero
+    assert mul(cls(ctx, r=level(1)), cls(ctx, r=level(2))) == zero
+    assert mul(pt, h) == zero
+    assert mul(pt, pt) == zero
+    assert mul(mul(h, h), h2) == zero
+    assert mul(cls(ctx, c0=1), pt) == pt
+    assert mul(cls(ctx, c0=3), h) == cls(ctx, h=3)
 
 
 def _random_class(rng, ctx):
     n = ctx.n
-    return chow.CycleClass(
+    return CycleClass(
         ctx,
         rng.randint(-4, 4),
         rng.randint(-4, 4),
@@ -114,23 +108,20 @@ def _random_class(rng, ctx):
     )
 
 
-def _dense_class(rng, ctx):
-    """A random class with a nonzero coefficient in each of its six groups."""
-    while True:
-        x = _random_class(rng, ctx)
-        if all((x.c0, x.h, any(x.e), x.h2, any(x.r), x.pt)):
-            return x
+def surface(deg, k, ctx):
+    """deg*H minus the first k exceptional classes."""
+    return cls(ctx, h=deg, e=(-1,) * k)
 
 
-def test_mul_matches_term_by_term_oracle():
+def test_st_expansion_matches_oracle_product():
+    # any context: n = 0, n != st/d (nearly every draw), s or t <= 0, beta < 0
     rng = random.Random(8)
-    for _ in range(3000):
-        d = rng.randint(1, 6)
-        g = rng.randint(0, 4)
-        n = rng.randint(1, 12)
-        ctx = chow.make_context(d, g, tuple(rng.randint(-20, 20) for _ in range(n)))
-        x, y = _dense_class(rng, ctx), _dense_class(rng, ctx)
-        assert chow.mul(x, y) == mul_term_by_term(x, y), (ctx, x, y)
+    for n in [0, 0, 1] + [rng.randint(0, 30) for _ in range(1200)]:
+        d, g = rng.randint(1, 8), rng.randint(0, 5)
+        s, t = rng.randint(-10, 40), rng.randint(-10, 40)
+        ctx = chow.make_context(d, g, tuple(rng.randint(-50, 50) for _ in range(n)))
+        product = mul(surface(s, n, ctx), surface(t, n, ctx))
+        assert chow.st_expansion(s, t, ctx) == (product.h2, product.r), (s, t, ctx)
 
 
 def test_surface_product_at_n256_matches_oracle_and_closed_form():
@@ -140,12 +131,12 @@ def test_surface_product_at_n256_matches_oracle_and_closed_form():
     assert n == 256
     p = tuple(rng.randint(0, 200) for _ in range(n))
     ctx = chow.make_context(d, g, chow.beta_from_p(s, d, g, p))
-    x, y = chow.surface_class(s, n, ctx), chow.surface_class(t, n, ctx)
-    product = chow.mul(x, y)
-    assert product == mul_term_by_term(x, y)
-    assert product.h2 == 0
+    expansion = chow.st_expansion(s, t, ctx)
+    product = mul(surface(s, n, ctx), surface(t, n, ctx))
+    assert expansion == (product.h2, product.r)
+    assert expansion.h2_coeff == 0
     closed = tuple(chow.a_closed_form(s, t, d, g, p, m) for m in range(1, n + 1))
-    assert product.r == closed
+    assert expansion.a == closed
 
 
 def test_mul_commutative_associative():
@@ -156,18 +147,15 @@ def test_mul_commutative_associative():
         n = rng.randint(1, 6)
         ctx = chow.make_context(d, g, tuple(rng.randint(-9, 9) for _ in range(n)))
         x, y, z = (_random_class(rng, ctx) for _ in range(3))
-        assert chow.mul(x, y) == chow.mul(y, x)
-        assert chow.mul(chow.mul(x, y), z) == chow.mul(x, chow.mul(y, z))
-        assert chow.mul(x, add(y, z)) == add(chow.mul(x, y), chow.mul(x, z))
+        assert mul(x, y) == mul(y, x)
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
 def test_surface_class():
     ctx = quartic_ctx()
-    assert chow.surface_class(4, 0, ctx) == cls(ctx, h=4)
-    assert chow.surface_class(4, 2, ctx) == cls(ctx, h=4, e=(-1, -1))
-    for k in (-1, 5):
-        with pytest.raises(DomainError, match=f"^level {k} outside 0..4$"):
-            chow.surface_class(4, k, ctx)
+    assert surface(4, 0, ctx) == cls(ctx, h=4)
+    assert surface(4, 2, ctx) == cls(ctx, h=4, e=(-1, -1))
 
 
 def test_st_expansion_theorem_one_case():

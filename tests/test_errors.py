@@ -1,5 +1,6 @@
 import pytest
 
+from stci import chow, graphs, rdp
 from stci.errors import ECHO_CAP, DomainError, at_most
 
 
@@ -19,3 +20,21 @@ def test_at_most_names_a_long_value_by_its_digit_count():
     with pytest.raises(DomainError) as info:
         at_most(10**4999, 256, "n = st/d", "the work grows with it")
     assert str(info.value) == "n = st/d must be <= 256, got <5000 digits>: the work grows with it"
+
+
+def test_refusals_quote_a_huge_input_by_its_length():
+    # each input would otherwise be quoted in full, or converted to text
+    # past Python's 4,300-digit limit and escape as a bare ValueError
+    huge = 10**5000
+    calls = [
+        lambda: chow.a_closed_form(4, 4, 4, 0, (), huge),
+        lambda: graphs.replay(1, ["+", huge]),
+        lambda: graphs.replay(1, ["+"]).mu_of(huge),
+        lambda: rdp.RdpPair("A", 3, huge),
+        lambda: graphs.replay(1, ["x" * 5000]),
+        lambda: rdp.RdpPair("x" * 5000, 3, 1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert len(str(info.value)) <= 200, str(info.value)[:300]

@@ -63,6 +63,9 @@ def test_subdivision_requires_edge():
         grow(graphs.replay(1, ()), 1)
     with pytest.raises(DomainError):
         grow(g, "L")
+    # a bool is not a vertex label, though True == 1
+    with pytest.raises(DomainError, match="^operation must be '\\+' or a vertex label, got True$"):
+        graphs.replay(1, ("+", True))
 
 
 def _random_op(rng, base, ops, noise):

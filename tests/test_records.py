@@ -24,7 +24,6 @@ def one_of_each():
         rdp.pair_a(3, 2),
         rdp.scalar_invariants(rdp.E6),
         ctx,
-        ctx.zero()._replace(h=1),
         chow.st_expansion(4, 4, ctx),
         graphs.replay(1, ("+", 1)),
         graphs.snort_check((1, 2)),
@@ -77,8 +76,8 @@ def test_validating_records_copy_through_new():
 
 
 def test_library_never_replaces_or_makes_a_validating_record():
-    # every _replace in the library is on a fresh CycleClass (a context's
-    # zero()) or Document (record()); _make is never called
+    # every _replace in the library is on a fresh Document (record());
+    # _make is never called
     receivers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -87,6 +86,5 @@ def test_library_never_replaces_or_makes_a_validating_record():
                 call = node.value
                 assert isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
                 receivers.append(getattr(call.func, "id", getattr(call.func, "attr", None)))
-    assert set(receivers) == {"zero", "record"}
-    assert type(chow.make_context(1, 0, ()).zero()) is chow.CycleClass
+    assert set(receivers) == {"record"}
     assert type(cli.record({})) is cli.Document

@@ -16,10 +16,12 @@ the checkout's git SHA and, per workload, the median, IQR and run count
 of every end-to-end metric and of the pass count, with the raw runs
 beside them.
 
-Comparing prints, per workload and metric, both medians with their IQRs
-and the ratio B/A, and flags a metric whose median is worse than A's by
-more than its bound in BENCHMARK.json; the pass counts are printed next
-to ``peak_rss_mb``, because ``run.py`` keeps one time array per pass.
+Comparing prints, per workload and metric, both medians with their IQRs,
+the ratio B/A and how many seed-matched pairs of raw runs B wins (``wins
+9/10``; a tie counts for neither), and flags a metric whose median is
+worse than A's by more than its bound in BENCHMARK.json; the pass counts
+are printed next to ``peak_rss_mb``, because ``run.py`` keeps one time
+array per pass.
 The exit code is 1 when a metric is flagged, when B is not correct, or
 when B fails a larger share of its attempted jobs than A.
 Neither mode changes ``perfbench/`` or ``BENCHMARK.json``; both only read
@@ -148,6 +150,15 @@ def cell(metric: dict) -> str:
     return f"{metric['median']:.4g} ({metric['iqr']:.2g})"
 
 
+def wins(name: str, better: str, wa: dict, wb: dict) -> str:
+    """How many of the seed-matched raw runs B does better on than A, out
+    of the matched pairs; a tie counts for neither."""
+    runs_a = {r["seed"]: r["metrics"][name] for r in wa["raw"]}
+    pairs = [(runs_a[r["seed"]], r["metrics"][name]) for r in wb["raw"] if r["seed"] in runs_a]
+    won = sum(vb > va if better == "higher" else vb < va for va, vb in pairs)
+    return f"wins {won}/{len(pairs)}"
+
+
 def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
     """Report lines for B against A, and how many metrics B worsened past their bound."""
     lines = [f"A = {a['label']} ({a['git_sha']}), B = {b['label']} ({b['git_sha']})",
@@ -164,7 +175,8 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
             ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = mb["median"] / ma["median"]
             change = ratio - 1 if spec["better"] == "lower" else 1 - ratio
-            line = f"{workload:10s} {name:12s} {cell(ma):>22s} {cell(mb):>22s} {ratio:7.3f}"
+            line = (f"{workload:10s} {name:12s} {cell(ma):>22s} {cell(mb):>22s} {ratio:7.3f}"
+                    f"  {wins(name, spec['better'], wa, wb)}")
             if name == "peak_rss_mb":
                 line += f"  passes {wa['passes']['median']:g} -> {wb['passes']['median']:g}"
             if change > spec["bound"]:
