@@ -4,8 +4,8 @@ helpers only tests read.
 Each route recomputes a library result by an independent method, so a
 test can compare the two: the Euclidean closed form of phi, the general
 ring product on CycleClass records, summed term by term over every pair
-of levels (the one encoding of the multiplication rules in the stci.chow
-docstring; chow.st_expansion evaluates one product of it in closed
+of levels (the one encoding of the ring rules in the stci.chow
+docstring, of which chow.st_expansion evaluates one product in closed
 form), the step-by-step graph builder behind replay, the closed form of
 the strict-transform class, the quadratic dyadic and triangular cone
 sums, the double sum behind thm2_margins, the binomial form of the
@@ -13,7 +13,7 @@ degree-pair divisibility condition, the (s, t) grid scan behind
 enumerate_pairs, the Fraction scan of all nonincreasing sequences behind
 bungobungo_solve, the unpruned configuration search, and the
 term-by-term folds (pairwise add_types, one Fraction added at a time)
-behind config_invariants, weighted_type_sum and config_miyaoka. The
+behind config_invariants, weighted_type_sum and config_miyaoka.  The
 helpers are the Euclidean profile, graph neighbours, order and spitup
 decomposition and the K-formula bound.
 """
