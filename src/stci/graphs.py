@@ -56,6 +56,8 @@ class LabeledGraph(NamedTuple):
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
     """Grow the single vertex ``base`` by ``ops``, freezing the result once."""
+    if type(base) is not int:
+        raise DomainError(f"base must be an int vertex label, got {echo(base)}")
     edges: set[tuple[int, int]] = set()
     mu = [1]
     history = tuple(ops)

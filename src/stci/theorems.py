@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter, itemgetter, le, sub
+from operator import attrgetter, itemgetter, le, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
@@ -164,19 +164,27 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
     goal = 6 * _BUNGO_SCALE
     out = []
 
+    def reaches(acc: int, k: int, p: int, budget: int) -> bool:
+        q, r = divmod(budget, p)
+        e = k + q
+        tail = p * (_BUNGO_SCALE // k - _BUNGO_SCALE // e) + r * (_BUNGO_SCALE // (e * (e + 1)))
+        return acc + tail >= goal
+
     def descend(n: int, seq: TypeSeq, k: int, cap: int, budget: int, acc: int) -> None:
         if acc >= goal:
             out.append((n, seq))
-        head, weight = _BUNGO_SCALE // k, _BUNGO_SCALE // (k * (k + 1))
+        weight = _BUNGO_SCALE // (k * (k + 1))
         for p in range(min(cap, budget), 0, -1):
-            q, r = divmod(budget, p)
-            e = k + q
-            if acc + p * (head - _BUNGO_SCALE // e) + r * (_BUNGO_SCALE // (e * (e + 1))) < goal:
+            if not reaches(acc, k, p, budget):
                 break
             descend(n, seq + (p,), k + 1, p, budget - p, acc + p * weight)
 
+    # n/4 < 6, so a root is a solution only through its children; most
+    # roots have none, as their first p already falls short
     for n in range(0, 20):
-        descend(n, (), 1, (45 - 2 * n) // 5, 19 - n, n * _BUNGO_SCALE // 4)
+        cap, budget, acc = (45 - 2 * n) // 5, 19 - n, n * _BUNGO_SCALE // 4
+        if budget and reaches(acc, 1, min(cap, budget), budget):
+            descend(n, (), 1, cap, budget, acc)
     return sorted(out)
 
 
@@ -186,14 +194,19 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 1.3/2.0/3.6 ms at 20/25/30, best of
-# 30 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 1.8 ms to type
+# doubles per 5 added (target (10,): 0.8/1.9/3.8 ms at 20/25/30, best of
+# 30 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 1.3 ms to type
 # the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,6,3,2,1), now
-# 18.5 ms for 1,940 configurations, with other five-entry targets within
-# 10% of it.  (14,) has the most configurations, 5,841, in 10.4 ms; above
-# sum 30 the slowest, (14,8,5,3,1), takes 8.0 ms.
+# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.6 ms
+# for 4,442 configurations, with (15,2) as slow and other targets of one to
+# five entries and 3,900-5,900 configurations within 10% of it.  On the
+# same host the former two-stage search (a tiling by types, then a fill of
+# each type's run of pairs) took 14.0 ms there and 15.1 ms at its slowest,
+# (14,6,3,2,1), now 7.2 ms.  The descent makes one call per pick where the
+# fill ran a type's picks together, so targets with long runs of one type
+# cost more: (14,), with the most configurations, 5,841, went from 8.8 to
+# 10.5 ms.  Above sum 30 the slowest, (14,6,4,3,2,1,1), takes 1.4 ms.
 MAX_SIGMA_CAP = 30
 
 
@@ -253,19 +266,20 @@ def config_search(
     The pair universe is typed once per process, at the first search
     (``_typed_pairs``); each call keeps the types whose steps fit the target
     and cuts each type's entries (A-series only under a Miyaoka cap) at its
-    sigma budget.  Pairs of one type are interchangeable in the type sum, so
-    the search runs in two stages.  The type stage tiles target with
-    multisets of distinct types, in difference coordinates (``_steps``):
-    every pair's type is nonincreasing, so the rest of a tiling is too, and
-    a type may be taken only while its steps fit under the remaining steps.
-    A target with a negative step has no tiling at all.  A branch also ends
-    when even the least sigma/sum(type) would overspend the sigma cap, with
-    each type's least sigma as the running floor.  The fill stage then
-    picks, for each type of a tiling, a multiset of pairs of that type in
-    sigma order, and stops once the picks left could not fit the cap.  The
-    filters sum the table's integer terms: delta and contribution are
-    positive, so a pick that would pass the required delta or the floored
-    cap is skipped, and a finished fill is kept only at the required delta.
+    sigma budget.  One descent then picks a nondecreasing sequence of
+    (type, entry) positions, so each multiset is found once.  It works in
+    difference coordinates (``_steps``): every pair's type is nonincreasing,
+    so the rest of the target is too after each pick, and a type may be
+    taken only while its steps fit under the remaining steps.  A target with
+    a negative step has nothing to pick.  The remaining steps are one packed
+    int, so a fit test is a subtraction and a mask.  Types run in table
+    order, and the loop over them ends once some remaining step is one that
+    no type from there on can lower.  Under a type, entries run in sigma
+    order until the pick, plus the least sigma/sum(type) of any type on the
+    type sum left, would overspend the sigma cap.  The filters sum the
+    table's integer terms: delta and contribution are positive, so a pick
+    that would pass the required delta or the floored cap is skipped, and a
+    finished configuration is kept only at the required delta.
     """
     target = normalize_type(target)
     if not target:
@@ -281,7 +295,7 @@ def config_search(
         budget = min(budget, sum(target) + max_deficiency)
 
     # an absent filter's bound is infinite; with neither, ``filtered`` skips
-    # fill's compares with infinity (7% faster: 0.96 vs 1.03 ms, 5 searches)
+    # the compares with infinity
     scale, table = _typed_pairs()
     delta_goal = contribution_cap = math.inf
     if require_delta is not None:
@@ -292,7 +306,16 @@ def config_search(
         contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
     filtered = require_delta is not None or miyaoka_budget_cap is not None
 
-    type_steps, sizes, groups = [], [], []
+    # Difference coordinates packed into one int: a field per step, each
+    # one bit wider than the largest step, with that top bit (the guard) set.
+    # A type's steps fit under the remaining ones exactly when subtracting
+    # its packed steps leaves every guard set; no field borrows from the next.
+    width = max(steps).bit_length() + 1
+    shifts = range(0, width * len(steps), width)
+    unit = sum(1 << shift for shift in shifts)
+    guard = unit << (width - 1)
+    field = (1 << (width - 1)) - 1  # the value bits of the lowest field
+    packs, lowers, sizes, groups = [], [], [], []
     for piece_steps, size, entries, a_entries in table:
         # the last step alone rules out most types of a long target
         last = len(piece_steps) - 1
@@ -302,59 +325,49 @@ def config_search(
             group = a_entries if miyaoka_budget_cap is not None else entries
             group = group[: bisect_right(group, budget, key=_first)]
             if group:
-                type_steps.append(piece_steps)
+                packs.append(sum(map(lshift, piece_steps, shifts)))
+                # the lowest bit of each field that this type lowers
+                lowers.append(sum(map(lshift, map(bool, piece_steps), shifts)))
                 sizes.append(size)
                 groups.append(group)
-    floors = [group[0][0] for group in groups]
-    ratio = min(map(Fraction, floors, sizes), default=Fraction(0))
-    num, den = ratio.numerator, ratio.denominator
+    # closed[t]: the value bits of the fields that no type from t on lowers,
+    # where a remaining step can no longer reach 0
+    closed, lowered = [], 0
+    for fields in reversed(lowers):
+        lowered |= fields
+        closed.append((unit ^ lowered) * field)
+    closed.reverse()
+    # least[r] = ceil(ratio * r): no picks of type sum r cost less sigma
+    ratio = min(map(Fraction, (group[0][0] for group in groups), sizes), default=Fraction(0))
+    least = [-(-ratio.numerator * r // ratio.denominator) for r in range(sum(target) + 1)]
 
     results: list[Config] = []
-    tiling: list[int] = []
     chosen: list[RdpPair] = []
 
-    def fill(runs: list, r: int, left: int, start: int, spent: int, delta: int, total: int) -> None:
-        if not left:
-            r += 1
-            if r == len(runs):
-                if require_delta is None or delta == delta_goal:
-                    results.append(make_config(chosen))
-                return
-            left, start = runs[r][1], 0
-        group, _, later = runs[r]
-        for pos in range(start, len(group)):
-            sigma, d, m, pair = group[pos]
-            if spent + left * sigma + later > budget:
+    def descend(start: int, first: int, rem: int, left: int, slack: int, delta: int, total: int) -> None:
+        for t in range(start, len(groups)):
+            if rem & closed[t]:
                 break
-            if filtered and (delta + d > delta_goal or total + m > contribution_cap):
+            child = rem - packs[t]
+            if child & guard != guard:
                 continue
-            chosen.append(pair)
-            fill(runs, r, left - 1, pos, spent + sigma, delta + d, total + m)
-            chosen.pop()
+            rest = left - sizes[t]
+            room = slack - least[rest]
+            group = groups[t]
+            for pos in range(first if t == start else 0, len(group)):
+                sigma, d, m, pair = group[pos]
+                if sigma > room:
+                    break
+                if filtered and (delta + d > delta_goal or total + m > contribution_cap):
+                    continue
+                chosen.append(pair)
+                if child != guard:
+                    descend(t, pos, child, rest, slack - sigma, delta + d, total + m)
+                elif require_delta is None or delta + d == delta_goal:
+                    results.append(make_config(chosen))
+                chosen.pop()
 
-    def descend(start: int, remaining: list[int], left: int, floor: int) -> None:
-        if not left:
-            runs, later = [], floor
-            for idx, count in Counter(tiling).items():
-                later -= count * floors[idx]
-                runs.append((groups[idx], count, later))
-            fill(runs, 0, runs[0][1], 0, 0, 0, 0)
-            return
-        if floor * den + num * left > budget * den:
-            return
-        for idx in range(start, len(groups)):
-            piece_steps = type_steps[idx]
-            if floor + floors[idx] > budget or not all(map(le, piece_steps, remaining)):
-                continue
-            for i, v in enumerate(piece_steps):
-                remaining[i] -= v
-            tiling.append(idx)
-            descend(idx, remaining, left - sizes[idx], floor + floors[idx])
-            tiling.pop()
-            for i, v in enumerate(piece_steps):
-                remaining[i] += v
-
-    descend(0, list(steps), sum(target), 0)
+    descend(0, 0, sum(map(lshift, steps, shifts)) | guard, sum(target), budget, 0, 0)
     return sorted(results)
 
 

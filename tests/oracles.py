@@ -163,6 +163,8 @@ def strict_transform_closed_form(graph):
 def replay_step_by_step(base, ops):
     """The single vertex grown one operation at a time, each step copying
     the edge set, mu and history into a new graph: quadratic in len(ops)."""
+    if type(base) is not int:
+        raise DomainError(f"base must be an int vertex label, got {base!r}")
     graph = LabeledGraph(base, base, frozenset(), (1,), ())
     for op in ops:
         m = graph.top

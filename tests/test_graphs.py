@@ -68,6 +68,17 @@ def test_subdivision_requires_edge():
         graphs.replay(1, ("+", True))
 
 
+@pytest.mark.parametrize("base", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_replay_refuses_a_base_that_is_not_an_int(base):
+    # True would become the vertex of an edge (True, 2) that decompose refuses,
+    # 1.5 a graph on float vertices, "1" a bare TypeError at "1" + 1
+    message = f"^base must be an int vertex label, got {re.escape(repr(base))}$"
+    with pytest.raises(DomainError, match=message):
+        graphs.replay(base, ["+"])
+    with pytest.raises(DomainError, match=message):
+        replay_step_by_step(base, ["+"])
+
+
 def _random_op(rng, base, ops, noise):
     """With probability ``noise`` any label near the vertex range or a token
     that is not an operation, else '+' or a label valid on the grown graph."""

@@ -266,11 +266,13 @@ def _calls_in_theorems(fn, *args, **kwargs):
 
 def test_search_node_counts():
     # a weaker bound visits more nodes; bungo visited 261 under the
-    # infinite-run bound acc + p * (S // k)
+    # infinite-run bound acc + p * (S // k), and 25 while every root n
+    # was entered before its first p was tested
     solutions, calls = _calls_in_theorems(theorems.bungobungo_solve)
-    assert (len(solutions), calls["descend"]) == (3, 25)
+    assert (len(solutions), calls["descend"]) == (3, 6)
+    # the search took 300 type nodes and 322 fill calls as two stages
     found, calls = _calls_in_theorems(theorems.config_search, (9, 8, 2), max_sigma=25)
-    assert (len(found), calls["descend"], calls["fill"]) == (56, 300, 322)
+    assert (len(found), calls["descend"]) == (56, 178)
 
 
 def test_bungobungo_rejected_candidates():
@@ -410,6 +412,14 @@ def test_config_search_matches_unpruned_quartic_at_cap():
             assert got == config_search_unpruned(target, **kwargs), (target, max_deficiency)
 
 
+def test_config_search_counts_at_cap():
+    # at the cap: the slowest target of the two-stage search, the one with
+    # the most results, and the two-stage search's slowest above sum 30
+    pinned = {(14, 6, 3, 2, 1): 1940, (14,): 5841, (14, 8, 5, 3, 1): 29}
+    for target, count in pinned.items():
+        assert len(theorems.config_search(target, max_sigma=theorems.MAX_SIGMA_CAP)) == count, target
+
+
 def _nonincreasing_targets(total, max_length):
     """Every nonincreasing positive sequence with this sum and length."""
     def extend(prefix, left, cap):
@@ -432,9 +442,26 @@ def test_config_search_matches_unpruned_monotone_targets():
             assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
 
 
+def test_config_search_matches_unpruned_packed_fields():
+    # the search packs the target's steps into fields one bit wider than
+    # the largest step: 15 fills the value bits of a 5-bit field, 16 and 20
+    # set the top value bit of a 6-bit one, and 8 or more entries make as
+    # many fields
+    for target, max_sigma in (((15,), 21), ((16,), 22), ((17, 1), 24), ((20,), 26)):
+        got = theorems.config_search(target, max_sigma=max_sigma)
+        assert len(got) == 89
+        assert got == config_search_unpruned(target, max_sigma=max_sigma), target
+    targets = [t for total in range(8, 15) for t in _nonincreasing_targets(total, total) if len(t) >= 8]
+    assert len(targets) == 75
+    for target in targets:
+        for max_sigma in (12, 16):
+            got = theorems.config_search(target, max_sigma=max_sigma)
+            assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
+
+
 def test_config_search_results_are_sorted_and_distinct():
-    # distinct tilings and fills give distinct multisets, so the results
-    # need one sort and no deduplication
+    # a multiset is one nondecreasing sequence of (type, entry) positions,
+    # so the results need one sort and no deduplication
     cases = [
         (target, {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency})
         for target in ((9, 8, 2), (9, 9), (9, 9, 1))
