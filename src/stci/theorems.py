@@ -276,7 +276,8 @@ def config_search(
     order, and the loop over them ends once some remaining step is one that
     no type from there on can lower.  Under a type, entries run in sigma
     order until the pick, plus the least sigma/sum(type) of any type on the
-    type sum left, would overspend the sigma cap.  The filters sum the
+    type sum left, would overspend the sigma cap; a target whose whole sum
+    that ratio prices past the cap returns at once.  The filters sum the
     table's integer terms: delta and contribution are positive, so a pick
     that would pass the required delta or the floored cap is skipped, and a
     finished configuration is kept only at the required delta.
@@ -295,7 +296,9 @@ def config_search(
         budget = min(budget, sum(target) + max_deficiency)
 
     # an absent filter's bound is infinite; with neither, ``filtered`` skips
-    # the compares with infinity
+    # the int-with-infinity compares, which made five unfiltered searches
+    # (sigma 25 and 19) 0.418 ms against 0.390 ms, median of 8 alternated
+    # processes each best of 40, all 8 slower (2-vCPU AMD EPYC, Python 3.11.7)
     scale, table = _typed_pairs()
     delta_goal = contribution_cap = math.inf
     if require_delta is not None:
@@ -337,8 +340,14 @@ def config_search(
         lowered |= fields
         closed.append((unit ^ lowered) * field)
     closed.reverse()
-    # least[r] = ceil(ratio * r): no picks of type sum r cost less sigma
-    ratio = min(map(Fraction, (group[0][0] for group in groups), sizes), default=Fraction(0))
+    # least[r] = ceil(ratio * r): no picks of type sum r cost less sigma.
+    # The root cut comes first, so the list has at most budget / ratio + 1
+    # entries however large the target is.
+    if not groups:
+        return []
+    ratio = min(map(Fraction, (group[0][0] for group in groups), sizes))
+    if ratio * sum(target) > budget:
+        return []
     least = [-(-ratio.numerator * r // ratio.denominator) for r in range(sum(target) + 1)]
 
     results: list[Config] = []

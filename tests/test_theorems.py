@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -554,6 +555,22 @@ def test_config_search_negative_deficiency():
     # Dn(5) has type (2,1,1,1,1) and sigma 5 < 6: sigma does not bound
     # the type sum from above
     assert theorems.config_search((2, 1, 1, 1, 1), max_sigma=5) == [(rdp.pair_d_last(5),)]
+
+
+def test_config_search_huge_entry_is_cut_at_the_root():
+    # parse_type bounds a type's length, not its entries; a target whose
+    # sum no budget can reach returns [] with no work sized by that sum.
+    # The smaller target comes first: work sized by it shows in the peak
+    # and fails the assert before the larger one is tried.
+    theorems.config_search((9, 9))  # builds the pair table outside the trace
+    for text in ("(1000000)", "(1000000000000)", "(1000000000000,7,1)"):
+        tracemalloc.start()
+        try:
+            found = theorems.config_search(rdp.parse_type(text), max_sigma=theorems.MAX_SIGMA_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found, peak < 100_000) == ([], True), (text, peak)
 
 
 def test_types_are_nonincreasing():
