@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ParseError, at_most, echo
 from .exact import fraction_sum
@@ -210,19 +210,13 @@ def classify(text: str) -> RdpPair:
 
 
 def format_pair(p: RdpPair) -> str:
-    if p.species == "A":
-        return f"A:{p.n}:{p.k}"
-    if p.species in ("D1", "Dn"):
-        return f"{p.species}:{p.n}"
-    return p.species
+    return ":".join(map(str, p[: 1 + _SPECIES[p.species][1]]))
 
 
 def type_of(p: RdpPair) -> TypeSeq:
     """Type sequence of a classified pair."""
     if p.species == "A":
         return phi(p.n, p.k)
-    if p.species == "D1":
-        return (2,)
     if p.species == "Dn":
         if p.n % 2 == 0:
             return (p.n // 2,)
@@ -252,18 +246,6 @@ def scalar_invariants(p: RdpPair) -> Invariants:
     else:
         _, order, delta = _FIXED[p.species]
     return Invariants(type_seq, order, delta, p.n, p.n - sum(type_seq))
-
-
-def blowup_of(p: RdpPair) -> Optional[RdpPair]:
-    """Pair arising after one blowup along the curve; None when smooth."""
-    if p.species == "A":
-        n, k = p.n, p.k
-        return None if 2 * k == n + 1 else pair_a(n - k, k)
-    if p.species == "Dn" and p.n % 2 == 1:
-        return pair_a(p.n - 1, 1)
-    if p.species == "E6":
-        return pair_a(3, 2)
-    return None
 
 
 def miyaoka_contribution(p: RdpPair) -> Fraction:
@@ -329,12 +311,9 @@ def parse_config(text: str) -> Config:
 
 
 def format_config(config: Config) -> str:
-    if not config:
-        return ""
-    counts = Counter(config)
     terms = []
-    for pair in sorted(counts):
-        m = counts[pair]
+    for pair, group in itertools.groupby(sorted(config)):
+        m = len(list(group))
         terms.append(f"{m}*{format_pair(pair)}" if m > 1 else format_pair(pair))
     return " + ".join(terms)
 

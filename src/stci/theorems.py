@@ -16,8 +16,10 @@ from functools import cache
 from operator import attrgetter, itemgetter, le, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chow import a_value, check_curve, check_degrees, check_surface, multiplicity, pad_p, q_value
-from .errors import DomainError, at_most
+from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
+                   multiplicity, pad_p, q_value, st_expansion)
+from .errors import DomainError, at_most, echo
+from .graphs import snort_check
 from .rdp import (
     Config,
     RdpPair,
@@ -70,28 +72,29 @@ def thm1_value(params: StciParams) -> Thm1Result:
 
 
 def thm2_rhs(params: StciParams, k: int) -> int:
-    """Right-hand side 2^(k-1) q of the k-th inequality."""
+    """Right-hand side 2^(k-1) q of the k-th inequality, k = 1..n-1."""
+    n = params.n
+    if not 1 <= k <= n - 1:
+        raise DomainError(f"index k={echo(k)} outside 1..{n - 1}")
     return (1 << (k - 1)) * params.q
 
 
 def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     """Slack of the k-th inequality for k = 1..n-1, in order.
 
-    margin(k) = S_k + (n-k) p_k - rhs(k), where the dyadic sum
-    S_k = sum_{i<k} 2^(k-i-1) (n-i+1) p_i obeys S_1 = 0 and
-    S_{k+1} = 2 S_k + (n-k+1) p_k; p is zero-padded to n-1 entries (more
-    is a DomainError).  rhs(k) is ``thm2_rhs``'s 2^(k-1) q, computed
-    inline from the one q read before the loop.
+    The slacks are the ruling-cone margins (``snort_check``) of the ruling
+    coefficients a_1..a_{n-1} of (sH - sum E)(tH - sum E), which
+    ``st_expansion`` reads off the context of p zero-padded to n entries
+    (more than n-1 is a DomainError).  With a_k = p_1 + ... + p_{k-1} +
+    (n-k) p_k - q, the k-th is sum_{i<k} 2^(k-i-1) (n-i+1) p_i + (n-k) p_k
+    less ``thm2_rhs``'s 2^(k-1) q.
     """
-    n, q = params.n, params.q
+    s, t, d, g = params
+    n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
-    margins = []
-    dyadic = 0
-    for k, pk in enumerate(pad_p(p, n - 1), start=1):
-        margins.append(dyadic + (n - k) * pk - (1 << (k - 1)) * q)
-        dyadic = 2 * dyadic + (n - k + 1) * pk
-    return tuple(margins)
+    ctx = make_context(d, g, beta_from_p(s, d, g, pad_p(p, n - 1) + (0,)))
+    return snort_check(st_expansion(s, t, ctx).a[:-1]).margins
 
 
 class Thm3Result(NamedTuple):
@@ -133,6 +136,7 @@ def resolution_bound(s: int) -> int:
 
 def miyaoka_budget(s: int) -> Fraction:
     """(2/3) s (s-1)^2, the cap on summed singularity contributions."""
+    check_surface(s)
     return Fraction(2 * s * (s - 1) * (s - 1), 3)
 
 

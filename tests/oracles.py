@@ -2,20 +2,21 @@
 helpers only tests read.
 
 Each route recomputes a library result by an independent method, so a
-test can compare the two: the Euclidean closed form of phi, the general
-ring product on CycleClass records, summed term by term over every pair
-of levels (the one encoding of the ring rules in the stci.chow
-docstring, of which chow.st_expansion evaluates one product in closed
-form), the step-by-step graph builder behind replay, the closed form of
-the strict-transform class, the quadratic dyadic and triangular cone
-sums, the double sum behind thm2_margins, the binomial form of the
-degree-pair divisibility condition, the (s, t) grid scan behind
-enumerate_pairs, the Fraction scan of all nonincreasing sequences behind
-bungobungo_solve, the unpruned configuration search, and the
-term-by-term folds (pairwise add_types, one Fraction added at a time)
-behind config_invariants, weighted_type_sum and config_miyaoka.  The
-helpers are the Euclidean profile, graph neighbours, order and spitup
-decomposition and the K-formula bound.
+test can compare the two: the Euclidean closed form of phi, the pair one
+blowup along the curve leaves (type_of's type is p_1 followed by that
+pair's type), the general ring product on CycleClass records, summed
+term by term over every pair of levels (the one encoding of the ring
+rules in the stci.chow docstring, of which chow.st_expansion evaluates
+one product in closed form), the step-by-step graph builder behind
+replay, the closed form of the strict-transform class, the quadratic
+dyadic and triangular cone sums, the double sum behind thm2_margins, the
+binomial form of the degree-pair divisibility condition, the (s, t) grid
+scan behind enumerate_pairs, the Fraction scan of all nonincreasing
+sequences behind bungobungo_solve, the unpruned configuration search,
+and the term-by-term folds (pairwise add_types, one Fraction added at a
+time) behind config_invariants, weighted_type_sum and config_miyaoka.
+The helpers are the Euclidean profile, graph neighbours, order and
+spitup decomposition and the K-formula bound.
 """
 
 import itertools
@@ -35,6 +36,7 @@ from stci.rdp import (
     make_config,
     miyaoka_contribution,
     normalize_type,
+    pair_a,
     scalar_invariants,
     type_of,
     weighted_type_sum,
@@ -88,6 +90,18 @@ def phi_closed_form(n, k):
     for i in range(profile.t_last_nonzero + 1):
         out.extend([profile.remainders[i]] * profile.quotients[i])
     return tuple(out)
+
+
+def blowup_of(p):
+    """Pair arising after one blowup along the curve; None when smooth."""
+    if p.species == "A":
+        n, k = p.n, p.k
+        return None if 2 * k == n + 1 else pair_a(n - k, k)
+    if p.species == "Dn" and p.n % 2 == 1:
+        return pair_a(p.n - 1, 1)
+    if p.species == "E6":
+        return pair_a(3, 2)
+    return None
 
 
 class CycleClass(NamedTuple):

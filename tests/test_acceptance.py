@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from oracles import (
     binomial_divisibility,
+    blowup_of,
     cone_solve,
     divisibility_check,
     dyadic_margins,
@@ -243,7 +244,7 @@ def test_criterion_9_invariant_suite():
                 assert inv.deficiency >= 0, pair
 
             # blowup consistency
-            successor = rdp.blowup_of(pair)
+            successor = blowup_of(pair)
             rest = () if successor is None else rdp.type_of(successor)
             assert t == (t[0],) + rest, pair
     report(9, "full classified universe (n <= 300) invariants hold")

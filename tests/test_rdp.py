@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import add_types, config_invariants_fold, config_miyaoka_fold, weighted_type_sum_fold
+from oracles import (
+    add_types,
+    blowup_of,
+    config_invariants_fold,
+    config_miyaoka_fold,
+    weighted_type_sum_fold,
+)
 from stci import rdp, theorems
 from stci.errors import DomainError, ParseError
 
@@ -117,6 +123,9 @@ def test_classify_rejects_bad_parameters():
 def test_format_pair_roundtrip():
     for text in ("A:10:4", "D1:6", "Dn:7", "E6", "E7"):
         assert rdp.format_pair(rdp.classify(text)) == text
+    # format_pair writes the descriptor fields the species table names
+    for pair in rdp.classified_pairs(60):
+        assert rdp.classify(rdp.format_pair(pair)) == pair, pair
 
 
 def test_direct_construction_must_be_canonical():
@@ -158,20 +167,20 @@ def test_scalar_invariants():
 
 
 def test_blowup_of():
-    assert rdp.blowup_of(rdp.E6) == rdp.RdpPair("A", 3, 2)
-    assert rdp.blowup_of(rdp.classify("A:10:4")) == rdp.RdpPair("A", 6, 3)
-    assert rdp.blowup_of(rdp.pair_d_last(7)) == rdp.RdpPair("A", 6, 1)
-    assert rdp.blowup_of(rdp.pair_d_last(6)) is None
-    assert rdp.blowup_of(rdp.pair_d_first(11)) is None
-    assert rdp.blowup_of(rdp.E7) is None
-    assert rdp.blowup_of(rdp.classify("A:7:4")) is None
-    assert rdp.blowup_of(rdp.classify("A:2:1")) == rdp.RdpPair("A", 1, 1)
+    assert blowup_of(rdp.E6) == rdp.RdpPair("A", 3, 2)
+    assert blowup_of(rdp.classify("A:10:4")) == rdp.RdpPair("A", 6, 3)
+    assert blowup_of(rdp.pair_d_last(7)) == rdp.RdpPair("A", 6, 1)
+    assert blowup_of(rdp.pair_d_last(6)) is None
+    assert blowup_of(rdp.pair_d_first(11)) is None
+    assert blowup_of(rdp.E7) is None
+    assert blowup_of(rdp.classify("A:7:4")) is None
+    assert blowup_of(rdp.classify("A:2:1")) == rdp.RdpPair("A", 1, 1)
 
 
 def test_blowup_type_consistency_small():
     for pair in rdp.classified_pairs(60):
         t = rdp.type_of(pair)
-        successor = rdp.blowup_of(pair)
+        successor = blowup_of(pair)
         rest = () if successor is None else rdp.type_of(successor)
         assert t == (t[0],) + rest, pair
 
@@ -185,7 +194,7 @@ def test_pair_records_agree_over_the_universe():
     for pair in pairs:
         assert rdp.config_invariants((pair,)) == rdp.scalar_invariants(pair), pair
         t = rdp.type_of(pair)
-        successor = rdp.blowup_of(pair)
+        successor = blowup_of(pair)
         rest = () if successor is None else rdp.type_of(successor)
         assert t == (t[0],) + rest, pair
 
@@ -283,6 +292,19 @@ def test_parse_format_config():
         rdp.parse_config("0*A:2:1")
     with pytest.raises(ParseError):
         rdp.parse_config("A:2:1 + + A:3:1")
+
+
+def test_format_config_reads_back_unsorted():
+    # runs of equal pairs become N*pair terms, whatever order they come in
+    rng = random.Random(41)
+    pool = list(rdp.classified_pairs(9))
+    assert {pair.species for pair in pool} == {"A", "D1", "Dn", "E6", "E7"}
+    for _ in range(500):
+        members = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        members += [rdp.E6, rdp.pair_d_last(7)] * rng.randint(0, 2) + members[:2]
+        rng.shuffle(members)
+        text = rdp.format_config(tuple(members))
+        assert rdp.parse_config(text) == rdp.make_config(members), text
 
 
 def test_config_order_independent():

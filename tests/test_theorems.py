@@ -65,12 +65,27 @@ def test_thm2_examples():
 
 
 def test_thm2_margins_with_no_p_are_the_negated_rhs():
-    # with p all zero each margin is -rhs(k): the loop's inline 2^(k-1) q
-    # is thm2_rhs
+    # with p all zero every ruling coefficient is -q, and the k-th cone
+    # margin of that vector is -2^(k-1) q, thm2_rhs negated
     for s, t, d, g in ((4, 4, 4, 0), (2, 2, 1, 0), (2, 3, 3, 0), (5, 6, 3, 1), (16, 16, 1, 0)):
         params = theorems.StciParams(s, t, d, g)
         expected = tuple(-theorems.thm2_rhs(params, k) for k in range(1, params.n))
         assert theorems.thm2_margins(params, ()) == expected, params
+
+
+def test_thm2_rhs_refuses_indices_outside_one_to_n_minus_one():
+    params = theorems.StciParams(4, 4, 4, 0)
+    for k in (0, -3, params.n, 1 << 20):
+        with pytest.raises(DomainError, match=f"^index k={k} outside 1..3$"):
+            theorems.thm2_rhs(params, k)
+    with pytest.raises(DomainError, match="outside 1..0"):
+        theorems.thm2_rhs(theorems.StciParams(1, 1, 1, 0), 1)
+    for s, t, d, g in ((4, 4, 4, 0), (2, 2, 1, 0), (2, 3, 3, 0), (5, 6, 3, 1), (16, 16, 1, 0)):
+        params = theorems.StciParams(s, t, d, g)
+        q = chow.q_value(s, t, d, g)
+        assert [theorems.thm2_rhs(params, k) for k in range(1, params.n)] == [
+            q * 2 ** (k - 1) for k in range(1, params.n)
+        ], params
 
 
 def test_thm2_margins_are_closed_form_cone_margins():
@@ -226,6 +241,12 @@ def test_kformula_bound():
 def test_miyaoka_budget():
     assert theorems.miyaoka_budget(4) == 24
     assert theorems.miyaoka_budget(3) == 8
+    assert theorems.miyaoka_budget(1) == 0
+    # the surface is checked as resolution_bound checks it
+    for s in (0, -2):
+        for bound in (theorems.miyaoka_budget, theorems.resolution_bound):
+            with pytest.raises(DomainError, match=f"^surface degree must be >= 1, got {s}$"):
+                bound(s)
 
 
 def test_bungobungo_solve():
