@@ -160,7 +160,7 @@ def cmd_thm2(args) -> Document:
     params = _params(args)
     p = _parse_int_list(args.p)
     margins = theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
-    rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
+    rhs = theorems._rhs_column(params.q, range(1, params.n))  # thm2_rhs recomputes q per k
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))
     holds = all(m >= 0 for m in margins)

@@ -76,7 +76,12 @@ def thm2_rhs(params: StciParams, k: int) -> int:
     n = params.n
     if not 1 <= k <= n - 1:
         raise DomainError(f"index k={echo(k)} outside 1..{n - 1}")
-    return (1 << (k - 1)) * params.q
+    return _rhs_column(params.q, (k,))[0]
+
+
+def _rhs_column(q: int, ks: Iterable[int]) -> list[int]:
+    """``thm2_rhs`` at each k of ks from one known q, with no index check."""
+    return [(1 << (k - 1)) * q for k in ks]
 
 
 def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
@@ -224,13 +229,18 @@ _first = itemgetter(0)
 
 
 @cache
-def _typed_pairs() -> tuple[int, tuple[tuple[TypeSeq, int, tuple, tuple], ...]]:
+def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
     types descending, as rows (the type's ``_steps``, which determine it,
     its sum, its entries, its A-series entries).  Entries are (sigma, delta,
     Miyaoka term, pair) in sigma order, the terms as integers over
     scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0).  The
-    table depends on no input, so it is built once, at the first search."""
+    table depends on no input, so it is built once, at the first search.
+    With ``max_steps``, only the rows of at most that many steps, in table
+    order: config_search's index, reset with the table by ``cache_clear``."""
+    if max_steps is not None:
+        scale, rows = _typed_pairs()
+        return scale, tuple(row for row in rows if len(row[0]) <= max_steps)
     by_type: dict[TypeSeq, list] = {}
     for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
         type_seq, _, delta, sigma, _ = scalar_invariants(pair)
@@ -267,24 +277,26 @@ def config_search(
     Results are canonically sorted and deterministic.  A ``max_sigma``
     above MAX_SIGMA_CAP is refused before any search.
 
-    The pair universe is typed once per process, at the first search
-    (``_typed_pairs``); each call keeps the types whose steps fit the target
-    and cuts each type's entries (A-series only under a Miyaoka cap) at its
-    sigma budget.  One descent then picks a nondecreasing sequence of
-    (type, entry) positions, so each multiset is found once.  It works in
-    difference coordinates (``_steps``): every pair's type is nonincreasing,
-    so the rest of the target is too after each pick, and a type may be
-    taken only while its steps fit under the remaining steps.  A target with
-    a negative step has nothing to pick.  The remaining steps are one packed
-    int, so a fit test is a subtraction and a mask.  Types run in table
-    order, and the loop over them ends once some remaining step is one that
-    no type from there on can lower.  Under a type, entries run in sigma
-    order until the pick, plus the least sigma/sum(type) of any type on the
-    type sum left, would overspend the sigma cap; a target whose whole sum
-    that ratio prices past the cap returns at once.  The filters sum the
-    table's integer terms: delta and contribution are positive, so a pick
-    that would pass the required delta or the floored cap is skipped, and a
-    finished configuration is kept only at the required delta.
+    The pair universe is typed once per process (``_typed_pairs``) and
+    indexed by length: a call walks only the types of at most as many steps
+    as the target, keeps those whose steps fit it and cuts each type's
+    entries (A-series only under a Miyaoka cap) at its sigma budget.  One
+    descent then picks a nondecreasing sequence of (type, entry) positions,
+    so each multiset is found once.  It works in difference coordinates
+    (``_steps``): every pair's type is nonincreasing, so the rest of the
+    target is too after each pick, and a type may be taken only while its
+    steps fit under the remaining steps.  A target with a negative step has
+    nothing to pick.  The remaining steps are one packed int, so a fit test
+    is a subtraction and a mask.  Types run in table order, and the loop
+    over them ends once some remaining step is one that no type from there
+    on can lower.  Under a type, entries run in sigma order until the pick,
+    plus the type sum left priced at the least sigma/sum(type) of a kept
+    type (num/den, compared by cross-multiplying ints), would overspend the
+    sigma cap; a target whose whole sum that ratio prices past the cap
+    returns at once.  The filters sum the table's integer terms: delta and
+    contribution are positive, so a pick that would pass the required delta
+    or the floored cap is skipped, and a finished configuration is kept only
+    at the required delta.
     """
     target = normalize_type(target)
     if not target:
@@ -303,7 +315,8 @@ def config_search(
     # the int-with-infinity compares, which made five unfiltered searches
     # (sigma 25 and 19) 0.418 ms against 0.390 ms, median of 8 alternated
     # processes each best of 40, all 8 slower (2-vCPU AMD EPYC, Python 3.11.7)
-    scale, table = _typed_pairs()
+    # no type has more entries than sigma, so no row has more steps than this
+    scale, table = _typed_pairs(min(len(steps), MAX_SIGMA_CAP))
     delta_goal = contribution_cap = math.inf
     if require_delta is not None:
         delta_goal, off_grid = divmod(Fraction(require_delta) * scale, 1)
@@ -323,12 +336,10 @@ def config_search(
     guard = unit << (width - 1)
     field = (1 << (width - 1)) - 1  # the value bits of the lowest field
     packs, lowers, sizes, groups = [], [], [], []
+    num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
     for piece_steps, size, entries, a_entries in table:
         # the last step alone rules out most types of a long target
-        last = len(piece_steps) - 1
-        if last >= len(steps) or piece_steps[last] > steps[last]:
-            continue
-        if all(map(le, piece_steps, steps)):
+        if piece_steps[-1] <= steps[len(piece_steps) - 1] and all(map(le, piece_steps, steps)):
             group = a_entries if miyaoka_budget_cap is not None else entries
             group = group[: bisect_right(group, budget, key=_first)]
             if group:
@@ -337,6 +348,8 @@ def config_search(
                 lowers.append(sum(map(lshift, map(bool, piece_steps), shifts)))
                 sizes.append(size)
                 groups.append(group)
+                if group[0][0] * den < num * size:
+                    num, den = group[0][0], size
     # closed[t]: the value bits of the fields that no type from t on lowers,
     # where a remaining step can no longer reach 0
     closed, lowered = [], 0
@@ -344,15 +357,12 @@ def config_search(
         lowered |= fields
         closed.append((unit ^ lowered) * field)
     closed.reverse()
-    # least[r] = ceil(ratio * r): no picks of type sum r cost less sigma.
-    # The root cut comes first, so the list has at most budget / ratio + 1
-    # entries however large the target is.
-    if not groups:
+    # least[r] = ceil(r * num / den): no picks of type sum r cost less sigma.
+    # The root cut comes first and cuts when no type is kept (den = 0), so
+    # the list has at most budget * den / num + 1 entries for any target.
+    if num * sum(target) > budget * den:
         return []
-    ratio = min(map(Fraction, (group[0][0] for group in groups), sizes))
-    if ratio * sum(target) > budget:
-        return []
-    least = [-(-ratio.numerator * r // ratio.denominator) for r in range(sum(target) + 1)]
+    least = [-(-num * r // den) for r in range(sum(target) + 1)]
 
     results: list[Config] = []
     chosen: list[RdpPair] = []

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    CycleClass,
     bungobungo_scan,
     config_passes,
     config_search_unpruned,
+    dyadic_margins,
     kformula_bound,
+    mul_term_by_term,
     thm2_margins_double_sum,
 )
 from stci import chow, graphs, rdp, theorems
@@ -110,7 +113,9 @@ def test_thm2_margins_are_closed_form_cone_margins():
 
 def test_thm2_margins_equal_cone_margins():
     # the k-th inequality slack equals the k-th cone margin of the
-    # ruling-coefficient vector of the surface product
+    # ruling-coefficient vector of the surface product, here the product
+    # (sH - sum E)(tH - sum E) summed term by term and its margins summed
+    # dyadically, neither through the library's closed forms
     rng = random.Random(23)
     for _ in range(100):
         d = rng.randint(1, 5)
@@ -123,8 +128,8 @@ def test_thm2_margins_equal_cone_margins():
         p = tuple(rng.randint(0, 30) for _ in range(n - 1))
         params = theorems.StciParams(s, t, d, g)
         ctx = chow.make_context(d, g, chow.beta_from_p(s, d, g, p + (0,)))
-        a = chow.st_expansion(s, t, ctx).a
-        cone = graphs.snort_check(a).margins
+        surface_s, surface_t = (CycleClass(ctx, 0, k, (-1,) * n, 0, (0,) * n, 0) for k in (s, t))
+        cone = dyadic_margins(mul_term_by_term(surface_s, surface_t).r)
         margins = theorems.thm2_margins(params, p)
         assert margins == cone[: n - 1], (s, t, d, g, p)
 
@@ -542,6 +547,73 @@ def test_config_search_budget_slice_matches_unpruned():
                     assert got == want[target, max_sigma, i], (target, max_sigma, kwargs)
         assert theorems._typed_pairs() == built
     assert sum(map(len, want.values())) == 4982
+
+
+def test_typed_pairs_index_by_length():
+    # config_search walks the rows of at most len(target) steps, in table
+    # order; no type has more entries than sigma, so a length past the cap
+    # keeps every row, and config_search keys the cache at the cap at most
+    scale, rows = theorems._typed_pairs()
+    assert max(len(steps) for steps, _, _, _ in rows) == theorems.MAX_SIGMA_CAP
+    for length in range(1, theorems.MAX_SIGMA_CAP + 2):
+        want = tuple(row for row in rows if len(row[0]) <= length)
+        assert theorems._typed_pairs(length) == (scale, want), length
+    assert theorems._typed_pairs(theorems.MAX_SIGMA_CAP + 1)[1] == rows
+    theorems._typed_pairs.cache_clear()
+    for length in range(1, 46):
+        theorems.config_search((1,) * length, max_sigma=theorems.MAX_SIGMA_CAP)
+    assert theorems._typed_pairs.cache_info().currsize == theorems.MAX_SIGMA_CAP + 1
+
+
+def test_typed_pairs_index_is_rebuilt_after_cache_clear():
+    old_scale, old_rows = theorems._typed_pairs()
+    old_index = theorems._typed_pairs(3)
+    theorems._typed_pairs.cache_clear()
+    index = theorems._typed_pairs(3)
+    # no hits: one miss for the index and one for the table it is cut from
+    assert theorems._typed_pairs.cache_info()[:2] == (0, 2)
+    assert index == old_index and index[0] == old_scale
+    _, rows = theorems._typed_pairs()
+    new_ids, old_ids = set(map(id, rows)), set(map(id, old_rows))
+    assert all(id(row) in new_ids and id(row) not in old_ids for row in index[1])
+
+
+def _least_ratio(target, budget):
+    """The least sigma/sum(type) over the types that fit target with an
+    entry of sigma <= budget, by a Fraction scan of the whole table."""
+    _, rows = theorems._typed_pairs()
+    steps = theorems._steps(tuple(target))
+    ratios = [
+        Fraction(entries[0][0], size)
+        for piece_steps, size, entries, _ in rows
+        if len(piece_steps) <= len(steps) and all(x <= y for x, y in zip(piece_steps, steps))
+        and entries[0][0] <= budget
+    ]
+    return min(ratios)
+
+
+def test_config_search_ratio_cut_at_the_budget_exactly():
+    # the root cut prices the whole target at the least ratio: a budget
+    # equal to that price is searched, and one unit less finds nothing; the
+    # (2,1,1,1,1) ratio is 5/6, from Dn(5), so the cross-multiplication
+    # is not over 1.  Each budget also comes from max_deficiency.
+    for target, budget, count in (((9, 8, 2), 19, 2), ((9, 9), 18, 1), ((2, 1, 1, 1, 1), 5, 1)):
+        assert _least_ratio(target, budget) * sum(target) == budget, target
+        for sigma in (budget, budget - 1):
+            ways = ({"max_sigma": sigma}, {"max_sigma": 30, "max_deficiency": sigma - sum(target)})
+            want = config_search_unpruned(target, max_sigma=sigma)
+            assert len(want) == (count if sigma == budget else 0), (target, sigma)
+            for kwargs in ways:
+                assert theorems.config_search(target, **kwargs) == want, (target, kwargs)
+
+
+def test_config_search_thirty_entries_at_cap_match_unpruned():
+    # the longest targets the index keys on: only A(30,1) has type (1^[30])
+    cap = theorems.MAX_SIGMA_CAP
+    for target in ((1,) * 30, (2,) + (1,) * 29, (2, 2) + (1,) * 28, (3,) + (1,) * 29):
+        want = config_search_unpruned(target, max_sigma=cap)
+        assert theorems.config_search(target, max_sigma=cap) == want, target
+        assert len(want) == (target == (1,) * 30), target
 
 
 def test_config_search_integer_filters_match_unpruned_quartic():
