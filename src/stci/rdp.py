@@ -82,12 +82,15 @@ def parse_type(text: str) -> TypeSeq:
     for token in s.split(","):
         token = token.strip()
         m = _RUN_TOKEN.match(token)
-        if m:
-            runs.append((int(m.group(1)), int(m.group(2))))
-        elif token.isdecimal():
-            runs.append((int(token), 1))
-        else:
-            raise ParseError(f"bad type entry {echo(token)} in {echo(text)}")
+        try:
+            if m:
+                runs.append((int(m.group(1)), int(m.group(2))))
+            elif token.isdecimal():
+                runs.append((int(token), 1))
+            else:
+                raise ValueError(token)
+        except ValueError as exc:  # also an int past the int/str digit limit
+            raise ParseError(f"bad type entry {echo(token)} in {echo(text)}") from exc
     at_most(sum(count for _, count in runs), MAX_INDEX, "type length")
     return normalize_type(p for p, count in runs for _ in range(count))
 

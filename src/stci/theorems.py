@@ -292,8 +292,8 @@ def config_search(
     on can lower.  Under a type, entries run in sigma order until the pick,
     plus the type sum left priced at the least sigma/sum(type) of a kept
     type (num/den, compared by cross-multiplying ints), would overspend the
-    sigma cap; a target whose whole sum that ratio prices past the cap
-    returns at once.  The filters sum the table's integer terms: delta and
+    sigma cap; the sum left is priced inline, in integers, each time a type
+    is tried.  The filters sum the table's integer terms: delta and
     contribution are positive, so a pick that would pass the required delta
     or the floored cap is skipped, and a finished configuration is kept only
     at the required delta.
@@ -357,12 +357,6 @@ def config_search(
         lowered |= fields
         closed.append((unit ^ lowered) * field)
     closed.reverse()
-    # least[r] = ceil(r * num / den): no picks of type sum r cost less sigma.
-    # The root cut comes first and cuts when no type is kept (den = 0), so
-    # the list has at most budget * den / num + 1 entries for any target.
-    if num * sum(target) > budget * den:
-        return []
-    least = [-(-num * r // den) for r in range(sum(target) + 1)]
 
     results: list[Config] = []
     chosen: list[RdpPair] = []
@@ -375,7 +369,7 @@ def config_search(
             if child & guard != guard:
                 continue
             rest = left - sizes[t]
-            room = slack - least[rest]
+            room = slack + num * rest // -den  # slack - ceil(rest * num / den)
             group = groups[t]
             for pos in range(first if t == start else 0, len(group)):
                 sigma, d, m, pair = group[pos]

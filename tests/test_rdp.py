@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,22 @@ def test_parse_type():
         rdp.parse_type("(2,x)")
     with pytest.raises(DomainError):
         rdp.parse_type("(2,0,1)")
+
+
+def test_parse_type_names_an_entry_past_the_digit_limit():
+    # outside the CLI Python's 4,300-digit int/str limit holds; an entry or
+    # run count past it is a bad entry, as classify reports it, and no bare
+    # ValueError escapes
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert rdp.parse_type("(" + "9" * 4300 + ")") == (10**4300 - 1,)
+        for text, entry in (("(" + "9" * 4301 + ")", 4301), ("(1^[" + "9" * 4301 + "])", 4305)):
+            with pytest.raises(ParseError) as info:
+                rdp.parse_type(text)
+            assert str(info.value) == f"bad type entry <{entry} characters> in <{entry + 2} characters>"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=12))

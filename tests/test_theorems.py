@@ -302,6 +302,16 @@ def test_search_node_counts():
     assert (len(found), calls["descend"]) == (56, 178)
 
 
+def test_search_node_count_of_a_priced_out_target():
+    # the least ratio prices each target's whole sum past its budget, so the
+    # one descent call tries every first pick and breaks there; the ratio of
+    # (4,1,1,1,1) is not whole, and a floored price takes that descent to 3
+    cases = (((9, 8, 2), {"max_sigma": 18}), ((1000000000000, 7, 1), {}), ((4, 1, 1, 1, 1), {"max_sigma": 6}))
+    for target, kwargs in cases:
+        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        assert (found, calls.get("descend")) == ([], 1), target
+
+
 def test_bungobungo_rejected_candidates():
     # the two borderline sequences from the elimination argument
     assert rdp.weighted_type_sum((9, 7, 3)) == Fraction(71, 12) < 6
@@ -593,10 +603,11 @@ def _least_ratio(target, budget):
 
 
 def test_config_search_ratio_cut_at_the_budget_exactly():
-    # the root cut prices the whole target at the least ratio: a budget
-    # equal to that price is searched, and one unit less finds nothing; the
-    # (2,1,1,1,1) ratio is 5/6, from Dn(5), so the cross-multiplication
-    # is not over 1.  Each budget also comes from max_deficiency.
+    # the descent prices the type sum left at the least ratio: a budget
+    # equal to the whole target's price is searched, and one unit less finds
+    # nothing; the (2,1,1,1,1) ratio is 5/6, from Dn(5), so the
+    # cross-multiplication is not over 1.  Each budget also comes from
+    # max_deficiency.
     for target, budget, count in (((9, 8, 2), 19, 2), ((9, 9), 18, 1), ((2, 1, 1, 1, 1), 5, 1)):
         assert _least_ratio(target, budget) * sum(target) == budget, target
         for sigma in (budget, budget - 1):
