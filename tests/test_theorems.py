@@ -304,10 +304,13 @@ def test_search_node_counts():
 
 def test_search_node_count_of_a_priced_out_target():
     # the least ratio prices each target's whole sum past its budget, so the
-    # one descent call tries every first pick and breaks there; the ratio of
-    # (4,1,1,1,1) is not whole, and a floored price takes that descent to 3
-    cases = (((9, 8, 2), {"max_sigma": 18}), ((1000000000000, 7, 1), {}), ((4, 1, 1, 1, 1), {"max_sigma": 6}))
-    for target, kwargs in cases:
+    # one descent call tries every first pick and breaks there; the least
+    # ratio of (4,1,1,1,1) is 5/6, and a floored price takes it to 3 calls
+    for target, kwargs in (
+        ((9, 8, 2), {"max_sigma": 18}),
+        ((1000000000000, 7, 1), {}),
+        ((4, 1, 1, 1, 1), {"max_sigma": 6}),
+    ):
         found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
         assert (found, calls.get("descend")) == ([], 1), target
 
