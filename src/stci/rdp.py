@@ -71,6 +71,19 @@ def format_type(t: Iterable[int]) -> str:
 _RUN_TOKEN = re.compile(r"^(\d+)\^\[(\d+)\]$")
 
 
+def _decimal(digits: str, what: str, token: str, text: str) -> int:
+    """digits as an int when they are nothing but decimal digits, the one
+    way every descriptor reads a number: no sign, space or underscore.
+    Else a ParseError naming what the token holding them is and quoting it
+    in text, also for more digits than ``int`` converts."""
+    try:
+        if digits.isdecimal():
+            return int(digits)
+    except ValueError:  # past the int/str digit limit
+        pass
+    raise ParseError(f"bad {what} {echo(token)} in {echo(text)}")
+
+
 def parse_type(text: str) -> TypeSeq:
     """Parse bracket notation; accepts both "(9,9,1)" and "(2,1^[4])"."""
     s = text.strip()
@@ -82,15 +95,8 @@ def parse_type(text: str) -> TypeSeq:
     for token in s.split(","):
         token = token.strip()
         m = _RUN_TOKEN.match(token)
-        try:
-            if m:
-                runs.append((int(m.group(1)), int(m.group(2))))
-            elif token.isdecimal():
-                runs.append((int(token), 1))
-            else:
-                raise ValueError(token)
-        except ValueError as exc:  # also an int past the int/str digit limit
-            raise ParseError(f"bad type entry {echo(token)} in {echo(text)}") from exc
+        value, count = m.groups() if m else (token, "1")
+        runs.append(tuple(_decimal(digits, "type entry", token, text) for digits in (value, count)))
     at_most(sum(count for _, count in runs), MAX_INDEX, "type length")
     return normalize_type(p for p, count in runs for _ in range(count))
 
@@ -193,15 +199,13 @@ E7 = RdpPair("E7", 7)
 def classify(text: str) -> RdpPair:
     """Parse a pair descriptor: "A:n:k", "D1:n", "Dn:n", "E6", "E7".
 
-    An index n above MAX_INDEX is refused.
+    n and k are decimal digits only (``_decimal``); an index n above
+    MAX_INDEX is refused.
     """
     species, *tokens = text.strip().split(":")
-    try:
-        if len(tokens) != _SPECIES[species][1]:
-            raise ValueError(text)
-        ints = [int(token) for token in tokens]
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad pair descriptor {echo(text)}") from exc
+    if species not in _SPECIES or len(tokens) != _SPECIES[species][1]:
+        raise ParseError(f"bad pair descriptor {echo(text)}")
+    ints = [_decimal(token, "pair parameter", token, text) for token in tokens]
     if species == "A":
         pair = pair_a(*ints)
     elif ints:
@@ -298,10 +302,8 @@ def parse_config(text: str) -> Config:
         mult, pair_text = 1, term
         if "*" in term:
             mult_text, _, pair_text = term.partition("*")
-            try:
-                mult = int(mult_text.strip())
-            except ValueError as exc:
-                raise ParseError(f"bad multiplicity in {echo(term)}") from exc
+            mult_text = mult_text.strip()
+            mult = _decimal(mult_text, "multiplicity", mult_text, term)
             if mult < 1:
                 raise ParseError(f"multiplicity must be >= 1 in {echo(term)}")
         if len(out) + mult > MAX_PAIRS:

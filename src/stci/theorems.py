@@ -13,7 +13,8 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter, itemgetter, le, lshift, sub
+from itertools import count
+from operator import attrgetter, itemgetter, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
@@ -194,6 +195,7 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
         cap, budget, acc = (45 - 2 * n) // 5, 19 - n, n * _BUNGO_SCALE // 4
         if budget and reaches(acc, 1, min(cap, budget), budget):
             descend(n, (), 1, cap, budget, acc)
+    descend = None  # the closure refers to itself: free it at return, not at a gc pass
     return sorted(out)
 
 
@@ -216,13 +218,32 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # fill ran a type's picks together, so targets with long runs of one type
 # cost more: (14,), with the most configurations, 5,841, went from 8.8 to
 # 10.5 ms.  Above sum 30 the slowest, (14,6,4,3,2,1,1), takes 1.4 ms.
+# The cap also bounds how far a search can lower a target's steps, which
+# lets config_search pack them at the fixed _WIDTH, clamped to _CLAMP.
 MAX_SIGMA_CAP = 30
+
+# Steps are packed _WIDTH bits a field: _WIDTH - 1 value bits under a guard
+# bit, so a value is at most _CLAMP, which is also the value mask of a
+# field.  A target's steps are packed clamped to _CLAMP.  That changes no
+# test: picks spend at most MAX_SIGMA_CAP sigma, and a type's sum is at most
+# 42/29 of its sigma (the table's least ratio is 29/42), so picks lower a
+# field by at most 43 in all, and a clamped field stays above 63 - 43 = 20,
+# more than the largest table step, 15: it fits every type, is never 0 and
+# is lowered by the same types as the true step.
+_WIDTH = 7
+_CLAMP = (1 << (_WIDTH - 1)) - 1
 
 
 def _steps(seq: TypeSeq) -> TypeSeq:
     """(v_1 - v_2, ..., v_{m-1} - v_m, v_m): v is nonincreasing and
     nonnegative exactly when every step is >= 0."""
     return tuple(map(sub, seq, seq[1:])) + seq[-1:]
+
+
+def _pack(values: Iterable[int]) -> int:
+    """values as one int, value i in the _WIDTH-bit field at bit _WIDTH * i;
+    each value must be at most _CLAMP."""
+    return sum(map(lshift, values, count(0, _WIDTH)))
 
 
 _first = itemgetter(0)
@@ -232,7 +253,9 @@ _first = itemgetter(0)
 def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
     types descending, as rows (the type's ``_steps``, which determine it,
-    its sum, its entries, its A-series entries).  Entries are (sigma, delta,
+    its sum, its entries, its A-series entries, its steps ``_pack``ed, and
+    the packed mask of the lowest bit of each field its steps lower: 1 where
+    a step is nonzero).  Entries are (sigma, delta,
     Miyaoka term, pair) in sigma order, the terms as integers over
     scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0).  The
     table depends on no input, so it is built once, at the first search.
@@ -255,7 +278,8 @@ def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...
     for piece in sorted(by_type, reverse=True):
         entries = tuple((sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece])
         a_entries = tuple(entry for entry in entries if entry[3].species == "A")
-        rows.append((_steps(piece), sum(piece), entries, a_entries))
+        steps = _steps(piece)
+        rows.append((steps, sum(piece), entries, a_entries, _pack(steps), _pack(map(bool, steps))))
     return scale, tuple(rows)
 
 
@@ -286,8 +310,11 @@ def config_search(
     (``_steps``): every pair's type is nonincreasing, so the rest of the
     target is too after each pick, and a type may be taken only while its
     steps fit under the remaining steps.  A target with a negative step has
-    nothing to pick.  The remaining steps are one packed int, so a fit test
-    is a subtraction and a mask.  Types run in table order, and the loop
+    nothing to pick.  The remaining steps are one int packed at a fixed
+    field width (``_pack``; each type's packing is in the table), so a fit
+    test is a subtraction and a mask; the target's steps are clamped to
+    _CLAMP, which no fit, leaf or closed-field test can tell from the true
+    step (see _WIDTH).  Types run in table order, and the loop
     over them ends once some remaining step is one that no type from there
     on can lower.  Under a type, entries run in sigma order until the pick,
     plus the type sum left priced at the least sigma/sum(type) of a kept
@@ -326,26 +353,22 @@ def config_search(
         contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
     filtered = require_delta is not None or miyaoka_budget_cap is not None
 
-    # Difference coordinates packed into one int: a field per step, each
-    # one bit wider than the largest step, with that top bit (the guard) set.
-    # A type's steps fit under the remaining ones exactly when subtracting
-    # its packed steps leaves every guard set; no field borrows from the next.
-    width = max(steps).bit_length() + 1
-    shifts = range(0, width * len(steps), width)
-    unit = sum(1 << shift for shift in shifts)
-    guard = unit << (width - 1)
-    field = (1 << (width - 1)) - 1  # the value bits of the lowest field
+    # Difference coordinates packed into one int, a field per step with its
+    # guard bit set.  A type's steps fit under the remaining ones exactly
+    # when subtracting its packed steps leaves every guard set; no field
+    # borrows from the next.
+    unit = _pack([1] * len(steps))
+    guard = unit << (_WIDTH - 1)
+    root = _pack([min(step, _CLAMP) for step in steps]) | guard
     packs, lowers, sizes, groups = [], [], [], []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
-    for piece_steps, size, entries, a_entries in table:
-        # the last step alone rules out most types of a long target
-        if piece_steps[-1] <= steps[len(piece_steps) - 1] and all(map(le, piece_steps, steps)):
+    for _, size, entries, a_entries, pack, lower in table:
+        if (root - pack) & guard == guard:
             group = a_entries if miyaoka_budget_cap is not None else entries
             group = group[: bisect_right(group, budget, key=_first)]
             if group:
-                packs.append(sum(map(lshift, piece_steps, shifts)))
-                # the lowest bit of each field that this type lowers
-                lowers.append(sum(map(lshift, map(bool, piece_steps), shifts)))
+                packs.append(pack)
+                lowers.append(lower)
                 sizes.append(size)
                 groups.append(group)
                 if group[0][0] * den < num * size:
@@ -355,7 +378,7 @@ def config_search(
     closed, lowered = [], 0
     for fields in reversed(lowers):
         lowered |= fields
-        closed.append((unit ^ lowered) * field)
+        closed.append((unit ^ lowered) * _CLAMP)
     closed.reverse()
 
     results: list[Config] = []
@@ -384,7 +407,8 @@ def config_search(
                     results.append(make_config(chosen))
                 chosen.pop()
 
-    descend(0, 0, sum(map(lshift, steps, shifts)) | guard, sum(target), budget, 0, 0)
+    descend(0, 0, root, sum(target), budget, 0, 0)
+    descend = None  # the closure refers to itself: free it at return, not at a gc pass
     return sorted(results)
 
 

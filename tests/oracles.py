@@ -11,10 +11,11 @@ one product in closed form), the step-by-step graph builder behind
 replay, the closed form of the strict-transform class, the quadratic
 dyadic and triangular cone sums, the double sum behind thm2_margins, the
 binomial form of the degree-pair divisibility condition, the (s, t) grid
-scan behind enumerate_pairs, the Fraction scan of all nonincreasing
-sequences behind bungobungo_solve, the unpruned configuration search,
-and the term-by-term folds (pairwise add_types, one Fraction added at a
-time) behind config_invariants, weighted_type_sum and config_miyaoka.
+scan and the per-s divisor walk behind enumerate_pairs, the Fraction
+scan of all nonincreasing sequences behind bungobungo_solve, the
+unpruned configuration search, and the term-by-term folds (pairwise
+add_types, one Fraction added at a time) behind config_invariants,
+weighted_type_sum and config_miyaoka.
 The helpers are the Euclidean profile, graph neighbours, order and
 spitup decomposition and the K-formula bound.
 """
@@ -307,6 +308,30 @@ def degree_pairs_grid(d, g, symmetric=True, s_max=None, t_max=None):
             flags = ("s-orientation", "t-orientation") if t_holds else ("s-orientation",)
             rows.append((s, t, n, Fraction(q_s, n - 1), Fraction(q_t, n - 1), flags))
     return rows
+
+
+def degree_pairs_per_s(d, g, s_max=None, t_max=None):
+    """(s, t, n, p_s, p_t) of every admissible pair, by walking for each
+    3 <= s <= s_max every e = -a (mod s) up to the t >= s bound and
+    keeping the divisors e of a = s(d(s-4) + 2 - 2g) + d^2."""
+    s_max = 2 * d * d - 1 if s_max is None else min(s_max, 2 * d * d - 1)
+    t_max = 2 * d ** 4 - 1 if t_max is None else t_max
+    rows = []
+    for s in range(3, s_max + 1):
+        a = s * (d * (s - 4) + 2 - 2 * g) + d * d
+        if a <= 0:
+            continue
+        e_max = a if s * s <= d else min(a, d * a // (s * s - d))
+        for e in range(-a % s or s, e_max + 1, s):
+            if a % e:
+                continue
+            n = 1 + a // e
+            t, rem = divmod(d * n, s)
+            if rem or not s <= t <= t_max:
+                continue
+            p_s = (a + e) // s
+            rows.append((s, t, n, p_s, p_s + d * (t - s)))
+    return sorted(rows)
 
 
 def _nonincreasing_seqs(cap, budget):

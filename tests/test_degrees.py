@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import binomial_divisibility, degree_pairs_grid, divisibility_check
+from oracles import binomial_divisibility, degree_pairs_grid, degree_pairs_per_s, divisibility_check
 from stci import degrees
 from stci.errors import DomainError
 
@@ -95,6 +95,25 @@ def test_enumerate_matches_grid_scan():
                     got = _rows(degrees.enumerate_pairs(d, g, symmetric, s_max, t_max))
                     want = degree_pairs_grid(d, g, symmetric, s_max, t_max)
                     assert got == want, (d, g, symmetric, s_max, t_max)
+
+
+def test_enumerate_matches_per_s_divisor_walk():
+    # above d^2 only e = s - d^2 is tried, and only when it divides K; the
+    # grid scan stops at d = 7, so the per-s walk covers the larger d, the
+    # windows either side of d^2, every genus up to the plane-curve bound
+    # (d-1)(d-2)/2 at a few d, and t_max below its default
+    def rows(*args):
+        return [tuple(r[:5]) for r in degrees.enumerate_pairs(d, g, True, *args)]
+
+    for d in range(1, 61):
+        for g in (0, 1):
+            for s_max in (None, d * d - 1, d * d, d * d + 1):
+                assert rows(s_max) == degree_pairs_per_s(d, g, s_max), (d, g, s_max)
+    for d in (4, 9, 13):
+        for g in range((d - 1) * (d - 2) // 2 + 1):
+            for s_max, t_max in ((None, None), (d * d, None), (None, d ** 3)):
+                want = degree_pairs_per_s(d, g, s_max, t_max)
+                assert rows(s_max, t_max) == want, (d, g, s_max, t_max)
 
 
 def test_enumerate_t_max_cuts_admissible_pairs():

@@ -137,6 +137,27 @@ def test_classify_rejects_bad_parameters():
         rdp.classify("E6:1")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (rdp.classify, "A:1_0:3", "bad pair parameter '1_0' in 'A:1_0:3'"),
+        (rdp.classify, "A:+5:2", "bad pair parameter '+5' in 'A:+5:2'"),
+        (rdp.classify, "A: 5 :2", "bad pair parameter ' 5 ' in 'A: 5 :2'"),
+        (rdp.classify, "A:-5:2", "bad pair parameter '-5' in 'A:-5:2'"),
+        (rdp.parse_config, "1_0*A:2:1", "bad multiplicity '1_0' in '1_0*A:2:1'"),
+        (rdp.parse_config, "-2*A:2:1", "bad multiplicity '-2' in '-2*A:2:1'"),
+        (rdp.parse_type, "(1_0)", "bad type entry '1_0' in '(1_0)'"),
+        (rdp.parse_type, "(+5,2)", "bad type entry '+5' in '(+5,2)'"),
+    ],
+)
+def test_descriptors_read_numbers_as_decimal_digits_only(parse, text, message):
+    # int() also reads signs, inner spaces and underscores; every parser
+    # reads a number as parse_type does and quotes the token it refuses
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_format_pair_roundtrip():
     for text in ("A:10:4", "D1:6", "Dn:7", "E6", "E7"):
         assert rdp.format_pair(rdp.classify(text)) == text

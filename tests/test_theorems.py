@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -543,9 +544,12 @@ def test_config_search_budget_slice_matches_unpruned():
                 want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
     built = theorems._typed_pairs.__wrapped__()
     scale, rows = built
-    assert (len(rows), sum(len(entries) for _, _, entries, _ in rows)) == (253, 295)
-    for _, _, entries, a_entries in rows:
+    assert (len(rows), sum(len(row[2]) for row in rows)) == (253, 295)
+    width = theorems._WIDTH
+    for steps, _, entries, a_entries, pack, lowers in rows:
         assert a_entries == tuple(e for e in entries if e[3].species == "A")
+        assert pack == sum(step << (width * i) for i, step in enumerate(steps))
+        assert lowers == sum(1 << (width * i) for i, step in enumerate(steps) if step)
         for sigma, delta, contribution, pair in entries:
             assert sigma == pair.n
             assert Fraction(delta, scale) == rdp.scalar_invariants(pair).delta
@@ -567,7 +571,7 @@ def test_typed_pairs_index_by_length():
     # order; no type has more entries than sigma, so a length past the cap
     # keeps every row, and config_search keys the cache at the cap at most
     scale, rows = theorems._typed_pairs()
-    assert max(len(steps) for steps, _, _, _ in rows) == theorems.MAX_SIGMA_CAP
+    assert max(len(row[0]) for row in rows) == theorems.MAX_SIGMA_CAP
     for length in range(1, theorems.MAX_SIGMA_CAP + 2):
         want = tuple(row for row in rows if len(row[0]) <= length)
         assert theorems._typed_pairs(length) == (scale, want), length
@@ -598,7 +602,7 @@ def _least_ratio(target, budget):
     steps = theorems._steps(tuple(target))
     ratios = [
         Fraction(entries[0][0], size)
-        for piece_steps, size, entries, _ in rows
+        for piece_steps, size, entries, *_ in rows
         if len(piece_steps) <= len(steps) and all(x <= y for x, y in zip(piece_steps, steps))
         and entries[0][0] <= budget
     ]
@@ -642,6 +646,48 @@ def test_config_search_integer_filters_match_unpruned_quartic():
             got = theorems.config_search(target, max_sigma=25, **kwargs)
             want = config_search_unpruned(target, max_sigma=25, **kwargs)
             assert got == want, (target, kwargs)
+
+
+def test_packed_steps_clamp_is_never_reached():
+    # picks spend at most MAX_SIGMA_CAP sigma and lower a field by at most
+    # their type sums, each at most sum/sigma of its sigma; one more type
+    # step is subtracted in a fit test, and the field must stay above 0
+    _, rows = theorems._typed_pairs()
+    least = min(Fraction(entries[0][0], size) for _, size, entries, *_ in rows)
+    largest_step = max(max(row[0]) for row in rows)
+    assert (least, largest_step) == (Fraction(29, 42), 15)
+    assert theorems._CLAMP == (1 << (theorems._WIDTH - 1)) - 1
+    assert theorems.MAX_SIGMA_CAP / least + largest_step < theorems._CLAMP
+
+
+def test_config_search_steps_past_the_clamp_match_unpruned():
+    # a step of 43, the most that picks can lower a field, and steps at,
+    # just past and far past the clamp, each packed clamped: no type sum
+    # under the cap reaches 43 in one field, so the oracle finds nothing,
+    # and a clamped field must not read as one that picks can empty
+    cap = theorems.MAX_SIGMA_CAP
+    for big in (43, 63, 64, 127, 10**12):
+        for target, kwargs in (
+            ((big,), {"max_sigma": cap}),
+            ((big + 1, 1), {"max_sigma": cap}),
+            ((big,), {"max_sigma": 25, "require_delta": Fraction(6)}),
+        ):
+            want = config_search_unpruned(target, **kwargs)
+            assert theorems.config_search(target, **kwargs) == want == [], (target, kwargs)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # each descent is a closure that refers to itself; both searches drop it
+    # at return, so refcounting frees their working sets
+    theorems._typed_pairs()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(theorems.config_search((9, 8, 2), max_sigma=25)) == 56
+        assert len(theorems.bungobungo_solve()) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
