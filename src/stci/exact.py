@@ -30,10 +30,7 @@ def fraction_sum(terms: Iterable[Fraction | int]) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render an exact scalar as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -9,12 +9,11 @@ n = s*t/d, validated and combined into q by stci.chow.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from operator import attrgetter, itemgetter, lshift, sub
+from operator import attrgetter, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
@@ -211,13 +210,9 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
 # sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.6 ms
 # for 4,442 configurations, with (15,2) as slow and other targets of one to
-# five entries and 3,900-5,900 configurations within 10% of it.  On the
-# same host the former two-stage search (a tiling by types, then a fill of
-# each type's run of pairs) took 14.0 ms there and 15.1 ms at its slowest,
-# (14,6,3,2,1), now 7.2 ms.  The descent makes one call per pick where the
-# fill ran a type's picks together, so targets with long runs of one type
-# cost more: (14,), with the most configurations, 5,841, went from 8.8 to
-# 10.5 ms.  Above sum 30 the slowest, (14,6,4,3,2,1,1), takes 1.4 ms.
+# five entries and 3,900-5,900 configurations within 10% of it; (14,), with
+# the most configurations, 5,841, takes 10.5 ms.  Above sum 30 the slowest,
+# (14,6,4,3,2,1,1), takes 1.4 ms.
 # The cap also bounds how far a search can lower a target's steps, which
 # lets config_search pack them at the fixed _WIDTH, clamped to _CLAMP.
 MAX_SIGMA_CAP = 30
@@ -244,9 +239,6 @@ def _pack(values: Iterable[int]) -> int:
     """values as one int, value i in the _WIDTH-bit field at bit _WIDTH * i;
     each value must be at most _CLAMP."""
     return sum(map(lshift, values, count(0, _WIDTH)))
-
-
-_first = itemgetter(0)
 
 
 @cache
@@ -303,8 +295,9 @@ def config_search(
 
     The pair universe is typed once per process (``_typed_pairs``) and
     indexed by length: a call walks only the types of at most as many steps
-    as the target, keeps those whose steps fit it and cuts each type's
-    entries (A-series only under a Miyaoka cap) at its sigma budget.  One
+    as the target and keeps those whose steps fit it and whose cheapest entry
+    (A-series only under a Miyaoka cap) is within its sigma budget; no entry
+    is cut, as the descent's sigma cut stops each type at the budget.  One
     descent then picks a nondecreasing sequence of (type, entry) positions,
     so each multiset is found once.  It works in difference coordinates
     (``_steps``): every pair's type is nonincreasing, so the rest of the
@@ -360,40 +353,38 @@ def config_search(
     unit = _pack([1] * len(steps))
     guard = unit << (_WIDTH - 1)
     root = _pack([min(step, _CLAMP) for step in steps]) | guard
-    packs, lowers, sizes, groups = [], [], [], []
+    # (closed mask, pack, size, group) of each type that fits and has an entry
+    # within budget, first holding the type's lowers mask; the descent's sigma
+    # cut stops each group at the budget
+    rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
     for _, size, entries, a_entries, pack, lower in table:
-        if (root - pack) & guard == guard:
-            group = a_entries if miyaoka_budget_cap is not None else entries
-            group = group[: bisect_right(group, budget, key=_first)]
-            if group:
-                packs.append(pack)
-                lowers.append(lower)
-                sizes.append(size)
-                groups.append(group)
-                if group[0][0] * den < num * size:
-                    num, den = group[0][0], size
-    # closed[t]: the value bits of the fields that no type from t on lowers,
-    # where a remaining step can no longer reach 0
-    closed, lowered = [], 0
-    for fields in reversed(lowers):
-        lowered |= fields
-        closed.append((unit ^ lowered) * _CLAMP)
-    closed.reverse()
+        group = entries if miyaoka_budget_cap is None else a_entries
+        if (root - pack) & guard == guard and group and group[0][0] <= budget:
+            rows.append((lower, pack, size, group))
+            if group[0][0] * den < num * size:
+                num, den = group[0][0], size
+    # a row's closed mask: the value bits of the fields that no type from that
+    # row on lowers, where a remaining step can no longer reach 0
+    lowered = 0
+    for t in reversed(range(len(rows))):
+        lower, pack, size, group = rows[t]
+        lowered |= lower
+        rows[t] = ((unit ^ lowered) * _CLAMP, pack, size, group)
 
     results: list[Config] = []
     chosen: list[RdpPair] = []
 
     def descend(start: int, first: int, rem: int, left: int, slack: int, delta: int, total: int) -> None:
-        for t in range(start, len(groups)):
-            if rem & closed[t]:
+        for t in range(start, len(rows)):
+            closed, pack, size, group = rows[t]
+            if rem & closed:
                 break
-            child = rem - packs[t]
+            child = rem - pack
             if child & guard != guard:
                 continue
-            rest = left - sizes[t]
+            rest = left - size
             room = slack + num * rest // -den  # slack - ceil(rest * num / den)
-            group = groups[t]
             for pos in range(first if t == start else 0, len(group)):
                 sigma, d, m, pair = group[pos]
                 if sigma > room:

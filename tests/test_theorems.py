@@ -298,9 +298,16 @@ def test_search_node_counts():
     # was entered before its first p was tested
     solutions, calls = _calls_in_theorems(theorems.bungobungo_solve)
     assert (len(solutions), calls["descend"]) == (3, 6)
-    # the search took 300 type nodes and 322 fill calls as two stages
-    found, calls = _calls_in_theorems(theorems.config_search, (9, 8, 2), max_sigma=25)
-    assert (len(found), calls["descend"]) == (56, 178)
+    # the search took 300 type nodes and 322 fill calls as two stages; in
+    # the last two cases max_deficiency sets the budget, with a Miyaoka cap
+    # in the last
+    for target, kwargs, counts in (
+        ((9, 8, 2), {"max_sigma": 25}, (56, 178)),
+        ((9, 8, 2), {"max_sigma": 30, "max_deficiency": 2}, (12, 70)),
+        ((9, 9, 1), {"max_sigma": 30, "max_deficiency": 3, "miyaoka_budget_cap": Fraction(30)}, (7, 39)),
+    ):
+        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        assert (len(found), calls["descend"]) == counts, (target, kwargs)
 
 
 def test_search_node_count_of_a_priced_out_target():
@@ -387,70 +394,44 @@ def test_config_search_max_sigma():
     assert names == ["2*A:1:1", "A:3:2", "D1:4", "D1:5", "D1:6"]
 
 
-QUARTIC_FILTERS = (
-    {},
-    {"max_deficiency": 0},
-    {"max_deficiency": 1},
-    {"require_delta": Fraction(6)},
-    {"miyaoka_budget_cap": Fraction(24)},
-    {"miyaoka_budget_cap": Fraction(25)},
-)
-
-
-def test_config_search_matches_unpruned_quartic():
+def test_config_search_filters_match_unpruned():
+    # one table of (target, max_sigma, filters) cases; the oracle filters
+    # only its leaves, so one unfiltered descent per case gives every
+    # filter's expected result, and each case also requires the delta of its
+    # first and of its last configuration
+    quartic = (
+        {},
+        {"max_deficiency": 0},
+        {"max_deficiency": 1},
+        {"require_delta": Fraction(6)},
+        {"miyaoka_budget_cap": Fraction(24)},
+        {"miyaoka_budget_cap": Fraction(25)},
+    )
+    # Miyaoka caps whose denominators are not those of the contributions,
+    # one a hair below the sum 25 that a (9,8,2) configuration reaches, and
+    # a required delta no configuration can reach
+    caps = (Fraction(49, 2), Fraction(70, 3), Fraction(100, 7), 25 - Fraction(1, 10**6))
+    odd = tuple({"miyaoka_budget_cap": cap} for cap in caps) + ({"require_delta": Fraction(1, 997)},)
+    at_cap = tuple({"max_deficiency": m} for m in (None, 0, 1, 2, 3))
+    cases = []
     for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
-        for max_sigma in (19, 25):
-            for kwargs in QUARTIC_FILTERS:
-                got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
-                want = config_search_unpruned(target, max_sigma=max_sigma, **kwargs)
-                assert got == want, (target, max_sigma, kwargs)
-
-
-def test_config_search_matches_unpruned_small():
+        cases += [(target, 19, quartic), (target, 25, quartic + odd), (target, theorems.MAX_SIGMA_CAP, at_cap)]
     # every target with sum <= 7 and length <= 6, non-monotone ones included
-    checked = 0
+    small = ({},) + tuple({"max_deficiency": m} for m in (-1, 0, 2))
+    small += tuple({"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24))
     for length in range(1, 7):
         for target in itertools.product(range(1, 8), repeat=length):
-            if sum(target) > 7:
-                continue
-            for max_sigma in (5, 8, 12):
-                got = theorems.config_search(target, max_sigma=max_sigma)
-                assert got == config_search_unpruned(target, max_sigma=max_sigma), (
-                    target,
-                    max_sigma,
-                )
-                checked += 1
-    assert checked == 378
-
-
-def test_config_search_filters_match_unpruned_small():
-    # the deficiency cap prunes the search and the leaf sums per-pair
-    # deltas, so every filter is checked against the unpruned oracle
+            if sum(target) <= 7:
+                cases += [(target, max_sigma, small) for max_sigma in (5, 8, 12)]
     checked = 0
-    for length in range(1, 7):
-        for target in itertools.product(range(1, 8), repeat=length):
-            if sum(target) > 7:
-                continue
-            for max_sigma in (5, 8, 12):
-                found = config_search_unpruned(target, max_sigma=max_sigma)
-                deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]}
-                filters = [{"max_deficiency": m} for m in (-1, 0, 2)]
-                filters += [{"require_delta": delta} for delta in sorted(deltas)]
-                filters += [{"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24)]
-                for kwargs in filters:
-                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
-                    want = config_search_unpruned(target, max_sigma=max_sigma, **kwargs)
-                    assert got == want, (target, max_sigma, kwargs)
-                checked += 1
-    assert checked == 378
-
-
-def test_config_search_matches_unpruned_quartic_at_cap():
-    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
-        for max_deficiency in (None, 0, 1, 2, 3):
-            kwargs = {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency}
-            got = theorems.config_search(target, **kwargs)
-            assert got == config_search_unpruned(target, **kwargs), (target, max_deficiency)
+    for target, max_sigma, filters in cases:
+        found = config_search_unpruned(target, max_sigma=max_sigma)
+        deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]}
+        for kwargs in filters + tuple({"require_delta": delta} for delta in sorted(deltas)):
+            got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+            assert got == [c for c in found if config_passes(c, **kwargs)], (target, max_sigma, kwargs)
+            checked += 1
+    assert (len(cases), checked) == (9 + 378, 2472)
 
 
 def test_config_search_counts_at_cap():
@@ -519,8 +500,8 @@ def test_config_search_results_are_sorted_and_distinct():
     assert (len(cases), results) == (254, 6771)
 
 
-def test_config_search_budget_slice_matches_unpruned():
-    # every call cuts one shared table at its own budget: sweep max_sigma
+def test_config_search_budget_sweep_matches_unpruned():
+    # every call searches one shared table under its own budget: sweep max_sigma
     # down from the cap and then up from 1, each time from a cleared table,
     # so either end may build it, and check every result and the table
     targets = ((9, 8, 2), (9, 9), (9, 9, 1), (1,), (2,), (2, 1, 1, 1, 1), (3, 2, 1), (5, 3))
@@ -632,20 +613,6 @@ def test_config_search_thirty_entries_at_cap_match_unpruned():
         want = config_search_unpruned(target, max_sigma=cap)
         assert theorems.config_search(target, max_sigma=cap) == want, target
         assert len(want) == (target == (1,) * 30), target
-
-
-def test_config_search_integer_filters_match_unpruned_quartic():
-    # Miyaoka caps whose denominators are not those of the contributions,
-    # one a hair below the sum 25 that a (9,8,2) configuration reaches,
-    # and a required delta no configuration can reach
-    caps = (Fraction(49, 2), Fraction(70, 3), Fraction(100, 7), 25 - Fraction(1, 10**6))
-    filters = [{"miyaoka_budget_cap": cap} for cap in caps]
-    filters.append({"require_delta": Fraction(1, 997)})
-    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
-        for kwargs in filters:
-            got = theorems.config_search(target, max_sigma=25, **kwargs)
-            want = config_search_unpruned(target, max_sigma=25, **kwargs)
-            assert got == want, (target, kwargs)
 
 
 def test_packed_steps_clamp_is_never_reached():
