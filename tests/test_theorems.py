@@ -415,7 +415,8 @@ def test_config_search_filters_match_unpruned():
     at_cap = tuple({"max_deficiency": m} for m in (None, 0, 1, 2, 3))
     cases = []
     for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
-        cases += [(target, 19, quartic), (target, 25, quartic + odd), (target, theorems.MAX_SIGMA_CAP, at_cap)]
+        cases += [(target, 19, quartic), (target, 25, quartic + odd)]
+        cases.append((target, theorems.MAX_SIGMA_CAP, at_cap))
     # every target with sum <= 7 and length <= 6, non-monotone ones included
     small = ({},) + tuple({"max_deficiency": m} for m in (-1, 0, 2))
     small += tuple({"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24))
@@ -501,9 +502,10 @@ def test_config_search_results_are_sorted_and_distinct():
 
 
 def test_config_search_budget_sweep_matches_unpruned():
-    # every call searches one shared table under its own budget: sweep max_sigma
-    # down from the cap and then up from 1, each time from a cleared table,
-    # so either end may build it, and check every result and the table
+    # every call searches one shared table under its own budget: sweep
+    # max_sigma down from the cap and then up from 1, each time from a
+    # cleared table, so either end may build it, and check every result and
+    # the table
     targets = ((9, 8, 2), (9, 9), (9, 9, 1), (1,), (2,), (2, 1, 1, 1, 1), (3, 2, 1), (5, 3))
     filters = (
         {},
