@@ -394,45 +394,77 @@ def test_config_search_max_sigma():
     assert names == ["2*A:1:1", "A:3:2", "D1:4", "D1:5", "D1:6"]
 
 
-def test_config_search_filters_match_unpruned():
-    # one table of (target, max_sigma, filters) cases; the oracle filters
-    # only its leaves, so one unfiltered descent per case gives every
-    # filter's expected result, and each case also requires the delta of its
-    # first and of its last configuration
-    quartic = (
-        {},
-        {"max_deficiency": 0},
-        {"max_deficiency": 1},
-        {"require_delta": Fraction(6)},
-        {"miyaoka_budget_cap": Fraction(24)},
-        {"miyaoka_budget_cap": Fraction(25)},
-    )
-    # Miyaoka caps whose denominators are not those of the contributions,
-    # one a hair below the sum 25 that a (9,8,2) configuration reaches, and
-    # a required delta no configuration can reach
-    caps = (Fraction(49, 2), Fraction(70, 3), Fraction(100, 7), 25 - Fraction(1, 10**6))
-    odd = tuple({"miyaoka_budget_cap": cap} for cap in caps) + ({"require_delta": Fraction(1, 997)},)
-    at_cap = tuple({"max_deficiency": m} for m in (None, 0, 1, 2, 3))
-    cases = []
-    for target in ((9, 8, 2), (9, 9), (9, 9, 1)):
-        cases += [(target, 19, quartic), (target, 25, quartic + odd)]
-        cases.append((target, theorems.MAX_SIGMA_CAP, at_cap))
-    # every target with sum <= 7 and length <= 6, non-monotone ones included
-    small = ({},) + tuple({"max_deficiency": m} for m in (-1, 0, 2))
-    small += tuple({"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24))
-    for length in range(1, 7):
-        for target in itertools.product(range(1, 8), repeat=length):
-            if sum(target) <= 7:
-                cases += [(target, max_sigma, small) for max_sigma in (5, 8, 12)]
+# each equivalence test below is a table of (target, max_sigma, filters)
+# cases for _check_against_oracle; the oracle filters only its leaves, so one
+# unfiltered descent per case gives every filter's expected result
+QUARTIC = ((9, 8, 2), (9, 9), (9, 9, 1))
+QUARTIC_FILTERS = (
+    {},
+    {"max_deficiency": 0},
+    {"max_deficiency": 1},
+    {"require_delta": Fraction(6)},
+    {"miyaoka_budget_cap": Fraction(24)},
+    {"miyaoka_budget_cap": Fraction(25)},
+)
+# every target with sum <= 7 and length <= 6, non-monotone ones included
+SMALL = [
+    target
+    for length in range(1, 7)
+    for target in itertools.product(range(1, 8), repeat=length)
+    if sum(target) <= 7
+]
+SMALL_FILTERS = tuple({"max_deficiency": m} for m in (-1, 0, 2))
+SMALL_FILTERS += tuple({"miyaoka_budget_cap": Fraction(cap)} for cap in (5, 24))
+
+
+def _check_against_oracle(cases, end_deltas):
+    """Check each case's filters against the oracle; return the searches made.
+
+    With end_deltas, each case also requires the delta of its first and of
+    its last unfiltered configuration.
+    """
     checked = 0
     for target, max_sigma, filters in cases:
         found = config_search_unpruned(target, max_sigma=max_sigma)
-        deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]}
+        deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]} if end_deltas else ()
         for kwargs in filters + tuple({"require_delta": delta} for delta in sorted(deltas)):
             got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
             assert got == [c for c in found if config_passes(c, **kwargs)], (target, max_sigma, kwargs)
             checked += 1
-    assert (len(cases), checked) == (9 + 378, 2472)
+    return checked
+
+
+def test_config_search_matches_unpruned_quartic():
+    cases = [(target, max_sigma, QUARTIC_FILTERS) for target in QUARTIC for max_sigma in (19, 25)]
+    assert _check_against_oracle(cases, end_deltas=True) == 36 + 8
+
+
+def test_config_search_integer_filters_match_unpruned_quartic():
+    # Miyaoka caps whose denominators are not those of the contributions,
+    # one a hair below the sum 25 that a (9,8,2) configuration reaches, and
+    # a required delta no configuration can reach
+    caps = (Fraction(49, 2), Fraction(70, 3), Fraction(100, 7), 25 - Fraction(1, 10**6))
+    filters = tuple({"miyaoka_budget_cap": cap} for cap in caps) + ({"require_delta": Fraction(1, 997)},)
+    cases = [(target, 25, filters) for target in QUARTIC]
+    assert _check_against_oracle(cases, end_deltas=False) == 15
+
+
+def test_config_search_matches_unpruned_quartic_at_cap():
+    filters = tuple({"max_deficiency": m} for m in (None, 0, 1, 2, 3))
+    cases = [(target, theorems.MAX_SIGMA_CAP, filters) for target in QUARTIC]
+    assert _check_against_oracle(cases, end_deltas=True) == 15 + 4
+
+
+def test_config_search_matches_unpruned_small():
+    cases = [(target, max_sigma, ({},)) for target in SMALL for max_sigma in (5, 8, 12)]
+    assert (len(cases), _check_against_oracle(cases, end_deltas=False)) == (378, 378)
+
+
+def test_config_search_filters_match_unpruned_small():
+    # the deficiency cap prunes the search and the leaf sums per-pair
+    # deltas, so every filter is checked against the unpruned oracle
+    cases = [(target, max_sigma, SMALL_FILTERS) for target in SMALL for max_sigma in (5, 8, 12)]
+    assert _check_against_oracle(cases, end_deltas=True) == 2472 - 44 - 15 - 19 - 378
 
 
 def test_config_search_counts_at_cap():
