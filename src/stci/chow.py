@@ -39,20 +39,21 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, echo
+from .errors import DomainError, echo, integer
 
 
 def check_curve(d: int, g: int) -> None:
-    """Raise DomainError unless the curve has degree d >= 1 and genus g >= 0."""
-    if d < 1:
+    """Raise DomainError unless the curve has int degree d >= 1 and int
+    genus g >= 0."""
+    if integer(d, "curve degree") < 1:
         raise DomainError(f"curve degree must be >= 1, got {echo(d)}")
-    if g < 0:
+    if integer(g, "genus") < 0:
         raise DomainError(f"genus must be >= 0, got {echo(g)}")
 
 
 def check_surface(s: int) -> None:
-    """Raise DomainError unless the surface degree s is >= 1."""
-    if s < 1:
+    """Raise DomainError unless the surface degree s is an int >= 1."""
+    if integer(s, "surface degree") < 1:
         raise DomainError(f"surface degree must be >= 1, got {echo(s)}")
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import chow, degrees, rdp, theorems
 from .errors import DomainError, ParseError, at_most, echo
-from .exact import format_rational, parse_rational
+from .exact import parse_rational
 
 FORMATS = ("human", "json", "csv")
 
@@ -83,8 +83,7 @@ _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
 def _invariant_values(inv: rdp.Invariants) -> list:
-    delta = format_rational(inv.delta)
-    return [rdp.format_type(inv.type_seq), inv.order, delta, inv.sigma, inv.deficiency]
+    return [rdp.format_type(inv.type_seq), inv.order, str(inv.delta), inv.sigma, inv.deficiency]
 
 
 def cmd_rdp_info(args) -> Document:
@@ -152,8 +151,7 @@ def cmd_chow_expand(args) -> Document:
 def cmd_thm1(args) -> Document:
     params = theorems.StciParams(args.s, args.t, args.d, args.g)
     result = theorems.thm1_value(params)
-    fields = {"value": format_rational(result.value), "integral": result.integral}
-    return record(fields, _inputs(params))
+    return record({"value": str(result.value), "integral": result.integral}, _inputs(params))
 
 
 def cmd_thm2(args) -> Document:
@@ -176,9 +174,8 @@ def cmd_thm2(args) -> Document:
 def cmd_thm3(args) -> Document:
     t = rdp.parse_type(args.type)
     result = theorems.thm3_check(args.s, args.d, args.g, t, args.truncate_at)
-    lhs, rhs = format_rational(result.lhs), format_rational(result.rhs)
     inputs = {"s": args.s, "d": args.d, "g": args.g, "type": rdp.format_type(t)}
-    return record({"lhs": lhs, "rhs": rhs, "holds": result.holds}, inputs)
+    return record({"lhs": str(result.lhs), "rhs": str(result.rhs), "holds": result.holds}, inputs)
 
 
 def cmd_thmA(args) -> Document:
@@ -335,7 +332,12 @@ def _set_int_digits(limit: int) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, execute, print, and return the exit code."""
+    """Parse argv, execute, print, and return the exit code.
+
+    While it runs it lifts the process-wide int<->str digit limit, so it is
+    not safe to call from two threads at once: one can restore the limit
+    while the other still prints a longer result.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

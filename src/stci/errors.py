@@ -1,5 +1,6 @@
-"""Shared exception types, how their messages quote an input, and the
-one refusal of an input past a cost cap."""
+"""Shared exception types, how their messages quote an input, the one
+refusal of a parameter that is not an int, and the one refusal of an input
+past a cost cap."""
 
 # The most characters of text, or digits of an integer, that an error
 # message quotes; longer input is named by its length, so that a refusal
@@ -25,6 +26,14 @@ def echo(value: object) -> str:
     if isinstance(value, str) and len(value) > ECHO_CAP:
         return f"<{len(value)} characters>"
     return str(value) if isinstance(value, int) else repr(value)
+
+
+def integer(value: object, name: str) -> int:
+    """value, if it is an int and not a bool; else a DomainError naming it.
+    Exact arithmetic takes no float, and a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int, got {echo(value)}")
+    return value
 
 
 def at_most(value: int, cap: int, name: str, why: str = "") -> int:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import ParseError, echo
 
-# The forms format_rational prints, optionally signed: "p" and "p/q".
+# The forms str(Fraction) prints, optionally signed: "p" and "p/q".
 _RATIONAL_FORM = re.compile(r"\s*[-+]?\d+(/\d+)?\s*")
 
 
@@ -26,11 +26,6 @@ def fraction_sum(terms: Iterable[Fraction | int]) -> Fraction:
     terms = list(terms)
     scale = math.lcm(*[term.denominator for term in terms])
     return Fraction(sum([term.numerator * (scale // term.denominator) for term in terms]), scale)
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Render an exact scalar as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -69,11 +69,10 @@ def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
         elif type(op) is not int:
             raise DomainError(f"operation must be '+' or a vertex label, got {echo(op)}")
         else:
-            key = (min(op, m), max(op, m))
-            if op == m or key not in edges:
+            if (op, m) not in edges:  # stored low-high: no op >= m is ever found
                 at = echo(op)
                 raise DomainError(f"subdivision at {at} requires edge ({at}, {echo(m)})")
-            edges.remove(key)
+            edges.remove((op, m))
             edges.add((op, new))
             mu.append(mu[-1] + mu[op - base])
         edges.add((m, new))

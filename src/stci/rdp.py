@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, ParseError, at_most, echo
+from .errors import DomainError, ParseError, at_most, echo, integer
 from .exact import fraction_sum
 
 TypeSeq = tuple[int, ...]
@@ -118,7 +118,7 @@ def phi(n: int, k: int) -> TypeSeq:
     closed form read off the Euclidean profile of (n-k+1, k): each
     remainder repeated by its quotient, up to the last nonzero remainder.
     """
-    if not 1 <= k <= n:
+    if not 1 <= integer(k, "phi k") <= integer(n, "phi n"):
         raise DomainError(f"phi requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
     out: list[int] = []
     while True:
@@ -163,6 +163,7 @@ class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
             least, fields = _SPECIES[species]
         except KeyError:
             raise DomainError(f"unknown species {echo(species)}") from None
+        n, k = integer(n, "pair index"), integer(k, "pair parameter k")
         if fields == 2:
             if n < least or not 1 <= k <= (n + 1) // 2:
                 raise DomainError(f"A({echo(n)},{echo(k)}) is not canonical: "

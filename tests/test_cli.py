@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from stci import chow, degrees, rdp, theorems
 from stci.cli import record, render, run
 from stci.errors import DomainError
-from stci.exact import format_rational, parse_rational
+from stci.exact import parse_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -241,14 +241,18 @@ def test_bound_and_bungo(capsys):
 
 
 def test_search_config(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "search-config", "--type", "(9,9)", "--max-def", "1", "--format", "json",
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert [entry["config"] for entry in data] == ["9*A:2:1", "7*A:2:1 + A:5:2"]
-    assert all(entry["order"] == 3 for entry in data)
+    # the quartic acceptance configurations of (9,9,1) and (9,8,2), and a
+    # target the least ratio prices past its budget: its one descent call
+    # breaks at every first pick
+    for command, expected in {
+        'search-config --type "(9,9,1)" --max-def 0':
+            "8*A:2:1 + A:3:1  order=12 delta=73/12 sigma=19 deficiency=0\n",
+        'search-config --type "(9,8,2)" --max-def 0':
+            "A:1:1 + 6*A:2:1 + 2*A:3:1  order=12 delta=6 sigma=19 deficiency=0\n"
+            "6*A:2:1 + A:3:1 + A:4:2  order=60 delta=119/20 sigma=19 deficiency=0\n",
+        'search-config --type "(1000000000000,7,1)"': "no configurations\n",
+    }.items():
+        assert run_cli(capsys, *shlex.split(command)) == (0, expected, ""), command
 
     code, out, _ = run_cli(
         capsys,
@@ -460,7 +464,7 @@ def test_results_past_the_int_str_limit(capsys):
         value = theorems.thm1_value(theorems.StciParams(int(t), int(t), 1, 0))
         expected = [
             f"{theorems.resolution_bound(int(s))}\n",
-            f"value: {format_rational(value.value)}\nintegral: {'yes' if value.integral else 'no'}\n",
+            f"value: {value.value}\nintegral: {'yes' if value.integral else 'no'}\n",
         ]
     finally:
         sys.set_int_max_str_digits(limit)
@@ -513,16 +517,27 @@ def test_cost_guard_caps(capsys):
     ):
         assert run_cli(capsys, *argv)[0] == 0, argv
     for argv in (
-        ["phi", "301", "1"],
         ["rdp", "info", "D1:301"],
         ["rdp", "config", "1000*A:2:1 + A:300:1"],
         ["thm3", "--s", "4", "--d", "4", "--type", "(1^[300],1)"],
         ["chow", "expand", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
         ["thm2", "--s", "16", "--t", "17", "--d", "1", "--p", "1"],
         ["thm2", "--s", "4", "--t", "4", "--d", "4", "--p", "9" * 4301],
-        ["enumerate", "--d", str(degrees.MAX_CURVE_DEGREE + 1)],
     ):
         assert _refused(capsys, *argv), argv
+    # one argv past each cost cap, with its exact refusal
+    work = ": the work grows with it"
+    for command, message in {
+        "phi 301 1": "phi n must be <= 300, got 301" + work,
+        "thm2 --s 300 --t 300 --d 1 --p 1": "n = st/d must be <= 256, got 90000" + work,
+        "search-config --type (9,9) --max-sigma 31":
+            "max_sigma must be <= 30, got 31: the search grows exponentially in it",
+        "enumerate --d 601":
+            "curve degree must be <= 600, got 601: the enumeration grows as d^2 log d",
+        "thm3 --s 4 --d 4 --type (1^[301])": "type length must be <= 300, got 301",
+        "rdp info A:301:1": "pair index must be <= 300, got 301",
+    }.items():
+        assert run_cli(capsys, *command.split()) == (1, "", f"error: {message}\n"), command
 
 
 def test_rationals_outside_p_and_p_over_q_are_refused(capsys):

@@ -123,10 +123,12 @@ def test_enumerate_t_max_cuts_admissible_pairs():
 
 
 def test_enumerate_t_cap_never_binds():
-    # t < 2d^4 is a theorem: lifting the window changes nothing
-    for d in (10, 20):
+    # t < 2d^4 is a theorem: lifting the window changes nothing; past
+    # d^2 = 1,600 and at the curve degree cap most s lie above d^2
+    for d, count in {4: 15, 10: 64, 20: 126, 40: 169, degrees.MAX_CURVE_DEGREE: 863}.items():
         records = degrees.enumerate_pairs(d, 0)
-        assert records and all(r.t < 2 * d ** 4 for r in records)
+        assert len(records) == count, d
+        assert all(r.t < 2 * d ** 4 for r in records)
         assert degrees.enumerate_pairs(d, 0, t_max=10 ** 30) == records
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from stci import chow, graphs, rdp
+from stci import chow, degrees, graphs, rdp, theorems
 from stci.errors import ECHO_CAP, DomainError, at_most
 
 
@@ -38,3 +38,29 @@ def test_refusals_quote_a_huge_input_by_its_length():
         with pytest.raises(DomainError) as info:
             call()
         assert len(str(info.value)) <= 200, str(info.value)[:300]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theorems.resolution_bound(4.5), "surface degree must be an int, got 4.5"),
+        (lambda: theorems.resolution_bound(True), "surface degree must be an int, got True"),
+        (lambda: theorems.thmA_verdict(4.0, 4, 1, 1), "surface degree must be an int, got 4.0"),
+        (lambda: theorems.miyaoka_budget(4.0), "surface degree must be an int, got 4.0"),
+        (lambda: degrees.enumerate_pairs(4.0, 0), "curve degree must be an int, got 4.0"),
+        (lambda: chow.check_curve(4, False), "genus must be an int, got False"),
+        (lambda: rdp.phi(10.0, 4), "phi n must be an int, got 10.0"),
+        (lambda: rdp.phi(10, True), "phi k must be an int, got True"),
+        (lambda: rdp.pair_d_last(7.0), "pair index must be an int, got 7.0"),
+        (lambda: rdp.pair_a(7.0, 5), "pair index must be an int, got 7.0"),
+        (lambda: rdp.RdpPair("E6", 6, False), "pair parameter k must be an int, got False"),
+    ],
+    ids=["bound-float", "bound-bool", "thmA", "miyaoka", "enumerate", "genus", "phi-n", "phi-k",
+         "pair_d_last", "pair_a", "RdpPair"],
+)
+def test_floats_and_bools_are_not_int_parameters(call, message):
+    # each once returned a float or a bool result, or failed later with a
+    # bare TypeError: 4.5 gave resolution bound 29.0, True gave 0
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,7 +1,7 @@
-"""Every public module-level name of the library has a reader outside the
-tests: a reference from the library or the benchmark code.  A mention in
-the README is not a reader.  A name only tests call belongs in
-tests/oracles.py."""
+"""Every public module-level name of the library, and every public method
+or property of its classes, has a reader outside the tests: a reference
+from the library or the benchmark code.  A mention in the README is not a
+reader.  A name only tests call belongs in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -14,10 +14,14 @@ def _trees(directory):
 
 
 def _defined(tree):
-    """Public functions, classes and constants bound at module level."""
+    """Public functions, classes and constants bound at module level, and
+    the methods and properties defined in those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+            if isinstance(node, ast.ClassDef):
+                functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+                yield from (member.name for member in node.body if isinstance(member, functions))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from (t.id for t in targets if isinstance(t, ast.Name))

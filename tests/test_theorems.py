@@ -468,11 +468,33 @@ def test_config_search_filters_match_unpruned_small():
 
 
 def test_config_search_counts_at_cap():
+    # each search first builds its own pair table, as a cold process does:
+    # the table is the library's only state that persists between calls
+    cap, quartic = theorems.MAX_SIGMA_CAP, ((9, 8, 2), (9, 9), (9, 9, 1))
     # at the cap: the slowest target of the two-stage search, the one with
-    # the most results, and the two-stage search's slowest above sum 30
-    pinned = {(14, 6, 3, 2, 1): 1940, (14,): 5841, (14, 8, 5, 3, 1): 29}
-    for target, count in pinned.items():
-        assert len(theorems.config_search(target, max_sigma=theorems.MAX_SIGMA_CAP)) == count, target
+    # the most results, the two-stage search's slowest above sum 30, and a
+    # 30-entry target; under the Miyaoka cap 24 only A-series rows are kept,
+    # and (9,8,2)'s contribution sum 25 passes 24
+    pinned = [
+        ((14, 6, 3, 2, 1), {"max_sigma": cap}, 1940),
+        ((14,), {"max_sigma": cap}, 5841),
+        ((14, 8, 5, 3, 1), {"max_sigma": cap}, 29),
+        ((1,) * 30, {"max_sigma": cap}, 1),
+        ((9, 8, 2), {"miyaoka_budget_cap": 24}, 0),
+    ]
+    # the quartic targets at max_sigma 25 (as in perfbench/pinned.json), at a
+    # budget set by the deficiency cap, at delta 6, and then under the
+    # Miyaoka cap 25 too
+    for kwargs, counts in (
+        ({"max_sigma": 25}, (56, 51, 36)),
+        ({"max_sigma": cap, "max_deficiency": 2}, (12, 5, 5)),
+        ({"max_sigma": 25, "require_delta": 6}, (37, 51, 0)),
+        ({"max_sigma": 25, "require_delta": 6, "miyaoka_budget_cap": 25}, (1, 4, 0)),
+    ):
+        pinned += [(target, kwargs, count) for target, count in zip(quartic, counts)]
+    for target, kwargs, count in pinned:
+        theorems._typed_pairs.cache_clear()
+        assert len(theorems.config_search(target, **kwargs)) == count, (target, kwargs)
 
 
 def _nonincreasing_targets(total, max_length):
