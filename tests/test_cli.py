@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stci import chow, degrees, rdp, theorems
+from stci import chow, rdp, theorems
 from stci.cli import record, render, run
 from stci.errors import DomainError
 from stci.exact import parse_rational

@@ -59,8 +59,9 @@ def test_refusals_quote_a_huge_input_by_its_length():
          "pair_d_last", "pair_a", "RdpPair"],
 )
 def test_floats_and_bools_are_not_int_parameters(call, message):
-    # each once returned a float or a bool result, or failed later with a
-    # bare TypeError: 4.5 gave resolution bound 29.0, True gave 0
+    # past the check a float or a bool reaches exact arithmetic:
+    # resolution_bound(4.5) would be 29.0, resolution_bound(True) 0, and
+    # pair_d_last(7.0) a pair that type_of cannot type
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
