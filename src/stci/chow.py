@@ -152,7 +152,7 @@ def a_closed_form(
     ``q_value``, and p zero-padded to length n.
     """
     n = multiplicity(s, t, d, g)
-    if not 1 <= m <= n:
+    if not 1 <= integer(m, "index m") <= n:
         raise DomainError(f"index m={echo(m)} outside 1..{n}")
     padded = pad_p(p, n)
     return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)

@@ -11,15 +11,13 @@ Exact rationals appear in JSON and CSV as "p/q" strings, never as floats.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import chow, degrees, rdp, theorems
 from .errors import DomainError, ParseError, at_most, echo
-from .exact import parse_rational
+
+if TYPE_CHECKING:  # each handler imports the layers it calls, when it runs
+    from . import rdp
 
 FORMATS = ("human", "json", "csv")
 
@@ -65,8 +63,13 @@ def render(doc: Document, fmt: str) -> str:
     if fmt == "human":
         return doc.human + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(doc.json) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(doc.columns)
@@ -83,20 +86,28 @@ _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
 def _invariant_values(inv: rdp.Invariants) -> list:
+    from . import rdp
+
     return [rdp.format_type(inv.type_seq), inv.order, str(inv.delta), inv.sigma, inv.deficiency]
 
 
 def cmd_rdp_info(args) -> Document:
+    from . import rdp
+
     inv = rdp.scalar_invariants(rdp.classify(args.pair))
     return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
 
 
 def cmd_rdp_config(args) -> Document:
+    from . import rdp
+
     inv = rdp.config_invariants(rdp.parse_config(args.expr))
     return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
 
 
 def cmd_phi(args) -> Document:
+    from . import rdp
+
     seq = rdp.phi(at_most(args.n, rdp.MAX_INDEX, "phi n", "the work grows with it"), args.k)
     text = rdp.format_type(seq)
     fields = {"n": args.n, "k": args.k, "phi": text}
@@ -123,39 +134,45 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {echo(text)}") from exc
 
 
-def _params(args) -> theorems.StciParams:
-    params = theorems.StciParams(args.s, args.t, args.d, args.g)
-    at_most(params.n, MAX_N, "n = st/d", "the work grows with it")
-    return params
+def _max_n(n: int) -> int:
+    return at_most(n, MAX_N, "n = st/d", "the work grows with it")
 
 
-def _inputs(params: theorems.StciParams) -> dict:
-    return {"s": params.s, "t": params.t, "d": params.d, "g": params.g, "n": params.n}
+def _inputs(args, n: int) -> dict:
+    return {"s": args.s, "t": args.t, "d": args.d, "g": args.g, "n": n}
 
 
 def cmd_chow_expand(args) -> Document:
+    from . import chow
+
     p = _parse_int_list(args.p)
-    params = _params(args)
-    p = chow.pad_p(p, params.n)
+    n = _max_n(chow.multiplicity(args.s, args.t, args.d, args.g))
+    p = chow.pad_p(p, n)
     ctx = chow.make_context(args.d, args.g, chow.beta_from_p(args.s, args.d, args.g, p))
     expansion = chow.st_expansion(args.s, args.t, ctx)
     a = expansion.a
     return Document(
         f"h2: {expansion.h2_coeff}\na: ({','.join(map(str, a))})",
-        _inputs(params) | {"p": list(p), "h2": expansion.h2_coeff, "a": list(a)},
+        _inputs(args, n) | {"p": list(p), "h2": expansion.h2_coeff, "a": list(a)},
         ("m", "a_m"),
         list(enumerate(a, 1)),
     )
 
 
 def cmd_thm1(args) -> Document:
+    from . import theorems
+
     params = theorems.StciParams(args.s, args.t, args.d, args.g)
     result = theorems.thm1_value(params)
-    return record({"value": str(result.value), "integral": result.integral}, _inputs(params))
+    fields = {"value": str(result.value), "integral": result.integral}
+    return record(fields, _inputs(args, params.n))
 
 
 def cmd_thm2(args) -> Document:
-    params = _params(args)
+    from . import theorems
+
+    params = theorems.StciParams(args.s, args.t, args.d, args.g)
+    _max_n(params.n)
     p = _parse_int_list(args.p)
     margins = theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
     rhs = theorems._rhs_column(params.q, range(1, params.n))  # thm2_rhs recomputes q per k
@@ -165,13 +182,15 @@ def cmd_thm2(args) -> Document:
     lines = ["k={}: lhs {} vs rhs {}  (margin {})".format(*row) for row in rows]
     return Document(
         "\n".join(lines + [f"holds: {_yes_no(holds)}"]),
-        _inputs(params) | {"p": list(p), "margins": list(margins), **sides, "holds": holds},
+        _inputs(args, params.n) | {"p": list(p), "margins": list(margins), **sides, "holds": holds},
         ("k", *sides, "margin"),
         rows,
     )
 
 
 def cmd_thm3(args) -> Document:
+    from . import rdp, theorems
+
     t = rdp.parse_type(args.type)
     result = theorems.thm3_check(args.s, args.d, args.g, t, args.truncate_at)
     inputs = {"s": args.s, "d": args.d, "g": args.g, "type": rdp.format_type(t)}
@@ -179,21 +198,30 @@ def cmd_thm3(args) -> Document:
 
 
 def cmd_thmA(args) -> Document:
+    from . import theorems
+
     verdict = theorems.thmA_verdict(args.s, args.t, args.d, args.g)
     return record(verdict._asdict(), {"s": args.s, "t": args.t, "d": args.d, "g": args.g})
 
 
 def cmd_bound(args) -> Document:
+    from . import theorems
+
     bound = theorems.resolution_bound(args.s)
     return record({"s": args.s, "bound": bound})._replace(human=str(bound))
 
 
 def cmd_bungo(args) -> Document:
+    from . import rdp, theorems
+
     rows = [(n, rdp.format_type(seq)) for n, seq in theorems.bungobungo_solve()]
     return table(("n", "type"), rows, "n={} type={}", "")
 
 
 def cmd_search_config(args) -> Document:
+    from . import rdp, theorems
+    from .exact import parse_rational
+
     target = rdp.parse_type(args.type)
     require_delta = parse_rational(args.require_delta) if args.require_delta else None
     budget = parse_rational(args.miyaoka_budget) if args.miyaoka_budget else None
@@ -216,6 +244,8 @@ def cmd_search_config(args) -> Document:
 
 
 def cmd_enumerate(args) -> Document:
+    from . import degrees
+
     records = degrees.enumerate_pairs(args.d, args.g, s_max=args.s_max, t_max=args.t_max)
     rows = [(r.s, r.t, r.n, str(r.p_s), str(r.p_t)) for r in records]
     line = "({},{})  n={}  p_s={}  p_t={}"
@@ -294,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--max-sigma", type=int, default=None, dest="max_sigma",
-        help=f"total sigma cap (default 19, at most {theorems.MAX_SIGMA_CAP})",
+        help="total sigma cap (default 19, at most 30)",
     )
     search.add_argument(
         "--require-delta", default=None, dest="require_delta",

@@ -14,7 +14,7 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 from .chow import a_value, check_curve
-from .errors import at_most
+from .errors import at_most, integer
 
 # The largest curve degree enumerate_pairs accepts.  The s loop walks the
 # divisors for d^2 - 2 values of s, about d^2 log d steps in all, and takes
@@ -65,9 +65,8 @@ def enumerate_pairs(
     """
     check_curve(d, g)
     at_most(d, MAX_CURVE_DEGREE, "curve degree", "the enumeration grows as d^2 log d")
-    s_max = 2 * d * d - 1 if s_max is None else min(s_max, 2 * d * d - 1)
-    if t_max is None:
-        t_max = 2 * d ** 4 - 1
+    s_max = 2 * d * d - 1 if s_max is None else min(integer(s_max, "s_max"), 2 * d * d - 1)
+    t_max = 2 * d ** 4 - 1 if t_max is None else integer(t_max, "t_max")
 
     dd = d * d
     k = dd * (d * (dd - 4) + 3 - 2 * g)

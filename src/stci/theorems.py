@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
                    multiplicity, pad_p, q_value, st_expansion)
-from .errors import DomainError, at_most, echo
+from .errors import DomainError, at_most, echo, integer
 from .graphs import snort_check
 from .rdp import (
     Config,
@@ -74,7 +74,7 @@ def thm1_value(params: StciParams) -> Thm1Result:
 def thm2_rhs(params: StciParams, k: int) -> int:
     """Right-hand side 2^(k-1) q of the k-th inequality, k = 1..n-1."""
     n = params.n
-    if not 1 <= k <= n - 1:
+    if not 1 <= integer(k, "index k") <= n - 1:
         raise DomainError(f"index k={echo(k)} outside 1..{n - 1}")
     return _rhs_column(params.q, (k,))[0]
 
@@ -124,7 +124,7 @@ def thm3_check(
     check_curve(d, g)
     t = normalize_type(type_seq)
     if truncate_at is not None:
-        if truncate_at < 0:
+        if integer(truncate_at, "truncation index") < 0:
             raise DomainError("truncation index must be >= 0")
         t = t[:truncate_at]
     lhs = weighted_type_sum(t)

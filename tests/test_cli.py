@@ -413,29 +413,79 @@ def test_readme_quick_tour():
     assert checked == 11
 
 
-def test_import_stci_loads_its_layers_only():
+def test_import_stci_loads_layers_on_first_access():
+    # a layer loads when first read, so a cold command compiles only what
+    # it calls; -S keeps site's own imports out of the count
     probe = (
-        "import sys, stci; "
-        "print(sorted(name for name in vars(stci) if not name.startswith('_'))); "
-        "print(sorted({'stci.cli', 'argparse'} & set(sys.modules)))"
+        "import sys, stci\n"
+        "print(sorted(name for name in dir(stci) if not name.startswith('_')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('stci.') or m == 'argparse'))\n"
+        "print(stci.rdp is sys.modules['stci.rdp'])\n"
+        "try:\n"
+        "    stci.nonesuch\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     layers = ["chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"]
-    assert out == f"{layers}\n[]\n"
+    assert out == f"{layers}\n[]\nTrue\nmodule 'stci' has no attribute 'nonesuch'\n"
 
 
 def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
     # a cold process pays for every module it imports; -S keeps site's own
-    # imports out of the count
-    probe = "import sys, stci.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # imports out of the count.  The layers are named, because stci.cli
+    # alone loads only stci.errors until a handler runs.
+    probe = (
+        "import sys, stci.cli, stci.chow, stci.degrees, stci.errors, stci.exact, stci.graphs, "
+        "stci.rdp, stci.theorems; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+# A cold command loads the layers its handler calls and the output modules
+# its format needs, and nothing else: argv -> (exit code, stci modules
+# beyond stci itself, which of fractions/json/csv).
+COLD_LOADS = {
+    "phi 10 4": (0, "cli errors exact rdp", "fractions"),
+    "enumerate --d 6": (0, "chow cli degrees errors", ""),
+    "chow expand --s 4 --t 4 --d 4 --p 9,8,2 --format json": (0, "chow cli errors", "json"),
+    "phi 3": (2, "cli errors", ""),
+    "bound 4": (0, "chow cli errors exact graphs rdp theorems", "fractions"),
+}
+
+
+@pytest.mark.parametrize("argv", list(COLD_LOADS))
+def test_cold_command_loads_only_what_it_calls(argv):
+    probe = (
+        "import sys\n"
+        "from stci.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "layers = sorted(m[5:] for m in sys.modules if m.startswith('stci.'))\n"
+        "output = sorted({'fractions', 'json', 'csv'} & set(sys.modules))\n"
+        "print(code, ' '.join(layers), ' '.join(output), sep='|')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *shlex.split(argv)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    code, layers, output = COLD_LOADS[argv]
+    assert out.splitlines()[-1] == f"{code}|{layers}|{output}"
+
+
+def test_search_config_help_states_the_sigma_default_and_cap(capsys, monkeypatch):
+    # the help text is a literal, so that building the parser loads no layer
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run_cli(capsys, "search-config", "--help")
+    bounds = f"(default {theorems.resolution_bound(4)}, at most {theorems.MAX_SIGMA_CAP})"
+    assert code == 0 and f"total sigma cap {bounds}" in out
 
 
 def test_cold_bound_builds_no_pair_table():

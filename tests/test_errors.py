@@ -65,3 +65,24 @@ def test_floats_and_bools_are_not_int_parameters(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+# Scalar parameters that once ended in a bare TypeError (thm2_rhs(P, 1.0),
+# a_closed_form(..., 1.0)) or ran on (t_max=40.5 gave 9 records, and True
+# counted as 1): name -> a call with that parameter set to the value.
+_P4 = theorems.StciParams(4, 4, 4, 0)
+SCALAR_PARAMETERS = {
+    "index k": lambda v: theorems.thm2_rhs(_P4, v),
+    "truncation index": lambda v: theorems.thm3_check(4, 4, 0, (9, 8, 2), v),
+    "s_max": lambda v: degrees.enumerate_pairs(4, 0, s_max=v),
+    "t_max": lambda v: degrees.enumerate_pairs(4, 0, t_max=v),
+    "index m": lambda v: chow.a_closed_form(4, 4, 4, 0, (9, 8, 2), v),
+}
+
+
+@pytest.mark.parametrize("value", [4.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", list(SCALAR_PARAMETERS))
+def test_scalar_parameters_refuse_floats_and_bools(name, value):
+    with pytest.raises(DomainError) as info:
+        SCALAR_PARAMETERS[name](value)
+    assert str(info.value) == f"{name} must be an int, got {value}"
