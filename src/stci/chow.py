@@ -35,7 +35,7 @@ coefficients of the surface product rest on are defined here once
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,7 +94,8 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta alpha")):
 
     def __new__(cls, d: int, g: int, beta: tuple[int, ...]) -> "BlowupContext":
         check_curve(d, g)
-        alpha = tuple(accumulate(beta, sub, initial=2 - 2 * g - 4 * d))
+        entries = map(integer, beta, repeat("beta entry"))
+        alpha = tuple(accumulate(entries, sub, initial=2 - 2 * g - 4 * d))
         return super().__new__(cls, d, g, beta, alpha)
 
     def __getnewargs__(self) -> tuple:
@@ -112,8 +113,9 @@ def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
 def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
     """beta_k = d*s + (2 - 4d - 2g) - p_k, componentwise."""
     check_surface(s)
+    check_curve(d, g)
     base = d * s + (2 - 4 * d - 2 * g)
-    return tuple(base - pk for pk in p)
+    return tuple(base - integer(pk, "p entry") for pk in p)
 
 
 class StExpansion(NamedTuple):
@@ -130,7 +132,7 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     alpha_0) from the pairs E_i.E_k, -alpha_{k-1} from E_k^2, and -beta_k
     from each of the n - k squares E_j^2 with j > k.
     """
-    base = -ctx.d * (s + t) - 2 * ctx.alpha[0]
+    base = -ctx.d * (integer(s, "surface degree") + integer(t, "surface degree")) - 2 * ctx.alpha[0]
     later = range(ctx.n - 1, -1, -1)  # n - k for k = 1..n
     a = tuple(base + ak - nk * bk for ak, bk, nk in zip(ctx.alpha, ctx.beta, later))
     return StExpansion(s * t - ctx.n * ctx.d, a)
@@ -138,7 +140,7 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
     """p zero-padded to n entries; more than n entries is a DomainError."""
-    if len(p) > n:
+    if len(p) > integer(n, "pad length"):
         raise DomainError(f"p must have at most {n} entries, got {len(p)}")
     return tuple(p) + (0,) * (n - len(p))
 

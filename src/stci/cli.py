@@ -41,7 +41,7 @@ class Document(NamedTuple):
 
 
 def _yes_no(value):
-    return ("yes" if value else "no") if isinstance(value, bool) else value
+    return "yes" if value is True else "no" if value is False else value
 
 
 def record(fields: dict, inputs: Optional[dict] = None) -> Document:

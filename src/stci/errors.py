@@ -1,6 +1,6 @@
 """Shared exception types, how their messages quote an input, the one
-refusal of a parameter that is not an int, and the one refusal of an input
-past a cost cap."""
+refusal of a parameter that is not an int or not a rational, and the one
+refusal of an input past a cost cap."""
 
 # The most characters of text, or digits of an integer, that an error
 # message quotes; longer input is named by its length, so that a refusal
@@ -18,21 +18,30 @@ class ParseError(DomainError):
 
 
 def echo(value: object) -> str:
-    """An input as an error message quotes it: ``repr``, or ``str`` for an
-    int, unless text has more than ECHO_CAP characters or an int more than
-    ECHO_CAP digits; then only that count."""
-    if isinstance(value, int) and not -_ECHO_INT < value < _ECHO_INT:
-        return f"<{_digits(abs(value))} digits>"
+    """An input as an error message quotes it: ``str`` for an int (as
+    ``integer`` tests it), else ``repr``, unless text has more than ECHO_CAP
+    characters or an int more than ECHO_CAP digits; then only that count."""
+    if type(value) is int:
+        return str(value) if -_ECHO_INT < value < _ECHO_INT else f"<{_digits(abs(value))} digits>"
     if isinstance(value, str) and len(value) > ECHO_CAP:
         return f"<{len(value)} characters>"
-    return str(value) if isinstance(value, int) else repr(value)
+    return repr(value)
 
 
 def integer(value: object, name: str) -> int:
-    """value, if it is an int and not a bool; else a DomainError naming it.
-    Exact arithmetic takes no float, and a bool is not a count."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """value, if its type is int; else a DomainError naming it.  A float or a
+    bool has no place in exact arithmetic, nor an IntEnum member in records."""
+    if type(value) is not int:
         raise DomainError(f"{name} must be an int, got {echo(value)}")
+    return value
+
+
+def rational(value: object, name: str) -> "int | Fraction":
+    """value, if its type is int or Fraction; else a DomainError naming it.
+    A float or a text would be converted inexactly or without a size cap."""
+    import fractions  # loaded by its callers, not at stci.cli's start; 5x cheaper than a from-import
+    if type(value) not in (int, fractions.Fraction):
+        raise DomainError(f"{name} must be an int or a Fraction, got {echo(value)}")
     return value
 
 

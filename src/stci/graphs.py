@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .errors import DomainError, echo
+from .errors import DomainError, echo, integer
 
 Op = Union[str, int]  # "+" or the subdivision vertex label
 
@@ -49,29 +49,25 @@ class LabeledGraph(NamedTuple):
     history: tuple[Op, ...]
 
     def mu_of(self, v: int) -> int:
-        if not self.base <= v <= self.top:
+        if not self.base <= integer(v, "vertex") <= self.top:
             raise DomainError(f"vertex {echo(v)} outside [{echo(self.base)}, {echo(self.top)}]")
         return self.mu[v - self.base]
 
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
     """Grow the single vertex ``base`` by ``ops``, freezing the result once."""
-    if type(base) is not int:
-        raise DomainError(f"base must be an int vertex label, got {echo(base)}")
+    m = integer(base, "base")
     edges: set[tuple[int, int]] = set()
     mu = [1]
     history = tuple(ops)
-    m = base
     for op in history:
         new = m + 1
         if op == PLUS:
             mu.append(mu[-1])
-        elif type(op) is not int:
-            raise DomainError(f"operation must be '+' or a vertex label, got {echo(op)}")
+        elif (integer(op, "an operation other than '+'"), m) not in edges:
+            at = echo(op)  # edges are stored low-high: no op >= m is ever found
+            raise DomainError(f"subdivision at {at} requires edge ({at}, {echo(m)})")
         else:
-            if (op, m) not in edges:  # stored low-high: no op >= m is ever found
-                at = echo(op)
-                raise DomainError(f"subdivision at {at} requires edge ({at}, {echo(m)})")
             edges.remove((op, m))
             edges.add((op, new))
             mu.append(mu[-1] + mu[op - base])
@@ -92,9 +88,9 @@ def decompose(graph: LabeledGraph) -> tuple[Op, ...]:
 def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGraph:
     """Validate an externally supplied graph and rebuild its history/mu.
 
-    Each edge is two distinct int vertices in [base, top]; a bool is not one.
+    Each edge is two distinct int vertices in [base, top].
     """
-    if top < base:
+    if integer(top, "top") < integer(base, "base"):
         raise DomainError("empty vertex interval")
     try:
         edge_set = frozenset((min(a, b), max(a, b)) for a, b in edges)
@@ -104,7 +100,8 @@ def from_parts(base: int, top: int, edges: Iterable[Iterable[int]]) -> LabeledGr
     if len(edge_set) != top - base:
         raise DomainError(f"not a standard labeled graph: needs {echo(top - base)} edges")
     for a, b in edge_set:
-        if not (type(a) is type(b) is int and base <= a < b <= top):
+        a, b = integer(a, "edge end"), integer(b, "edge end")
+        if not base <= a < b <= top:
             raise DomainError(f"bad edge ({echo(a)}, {echo(b)})")
     # peel the top vertex off until base is left: each peel undoes one
     # operation, and every remaining edge at the top vertex points down

@@ -47,11 +47,11 @@ MAX_PAIRS = 1000
 
 def normalize_type(entries: Iterable[int]) -> TypeSeq:
     """Drop trailing zeros and validate that what remains is positive."""
-    seq = list(entries)
+    seq = [integer(p, "type entry") for p in entries]
     while seq and seq[-1] == 0:
         seq.pop()
     for p in seq:
-        if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
+        if p <= 0:
             raise DomainError(f"type entries must be positive integers, got {echo(p)}")
     return tuple(seq)
 
@@ -178,7 +178,7 @@ class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
 
 def pair_a(n: int, k: int) -> RdpPair:
     """A-series pair; k > (n+1)/2 is folded to n-k+1 by the type symmetry."""
-    if n < 1 or not 1 <= k <= n:
+    if integer(n, "pair index") < 1 or not 1 <= integer(k, "pair parameter k") <= n:
         raise DomainError(f"A-pair requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
     if 2 * k > n + 1:
         k = n - k + 1
@@ -268,12 +268,12 @@ def miyaoka_contribution(p: RdpPair) -> Fraction:
 
 
 def classified_pairs(max_param: int) -> Iterator[RdpPair]:
-    """All canonical pairs with Dynkin index at most max_param."""
-    for species, (least, fields) in _SPECIES.items():
-        top = max_param if fields else min(least, max_param)
-        for n in range(least, top + 1):
-            for k in range(1, (n + 1) // 2 + 1) if fields == 2 else (0,):
-                yield RdpPair(species, n, k)
+    """All canonical pairs with Dynkin index at most max_param, checked at the call."""
+    top = integer(max_param, "max_param")
+    return (RdpPair(species, n, k)
+            for species, (least, fields) in _SPECIES.items()
+            for n in range(least, (top if fields else min(least, top)) + 1)
+            for k in (range(1, (n + 1) // 2 + 1) if fields == 2 else (0,)))
 
 
 # ---------------------------------------------------------------------------

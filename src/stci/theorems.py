@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
                    multiplicity, pad_p, q_value, st_expansion)
-from .errors import DomainError, at_most, echo, integer
+from .errors import DomainError, at_most, echo, integer, rational
 from .graphs import snort_check
 from .rdp import (
     Config,
@@ -213,18 +213,20 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # five entries and 3,900-5,900 configurations within 10% of it; (14,), with
 # the most configurations, 5,841, takes 10.5 ms.  Above sum 30 the slowest,
 # (14,6,4,3,2,1,1), takes 1.4 ms.
-# The cap also bounds how far a search can lower a target's steps, which
-# lets config_search pack them at the fixed _WIDTH, clamped to _CLAMP.
 MAX_SIGMA_CAP = 30
 
-# Steps are packed _WIDTH bits a field: _WIDTH - 1 value bits under a guard
-# bit, so a value is at most _CLAMP, which is also the value mask of a
-# field.  A target's steps are packed clamped to _CLAMP.  That changes no
-# test: picks spend at most MAX_SIGMA_CAP sigma, and a type's sum is at most
-# 42/29 of its sigma (the table's least ratio is 29/42), so picks lower a
-# field by at most 43 in all, and a clamped field stays above 63 - 43 = 20,
-# more than the largest table step, 15: it fits every type, is never 0 and
-# is lowered by the same types as the true step.
+# A search packs the target's remaining steps into one int, _WIDTH bits a
+# field: _WIDTH - 1 value bits under a guard bit, so a value is at most
+# _CLAMP, which is also the value mask of a field.  A type's steps fit under
+# the remaining ones exactly when subtracting its packed steps leaves every
+# guard set (no field borrows from the next), so a fit test is a
+# subtraction and a mask.  A target's steps are packed clamped to _CLAMP.
+# That changes no fit, leaf or closed-field test: picks spend at most
+# MAX_SIGMA_CAP sigma, and a type's sum is at most 42/29 of its sigma (the
+# table's least ratio is 29/42), so picks lower a field by at most 43 in
+# all, and a clamped field stays above 63 - 43 = 20, more than the largest
+# table step, 15: it fits every type, is never 0 and is lowered by the same
+# types as the true step.
 _WIDTH = 7
 _CLAMP = (1 << (_WIDTH - 1)) - 1
 
@@ -236,8 +238,7 @@ def _steps(seq: TypeSeq) -> TypeSeq:
 
 
 def _pack(values: Iterable[int]) -> int:
-    """values as one int, value i in the _WIDTH-bit field at bit _WIDTH * i;
-    each value must be at most _CLAMP."""
+    """values as one int, value i in the _WIDTH-bit field at bit _WIDTH * i."""
     return sum(map(lshift, values, count(0, _WIDTH)))
 
 
@@ -247,9 +248,9 @@ def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...
     types descending, as rows (the type's ``_steps``, which determine it,
     its sum, its entries, its A-series entries, its steps ``_pack``ed, and
     the packed mask of the lowest bit of each field its steps lower: 1 where
-    a step is nonzero).  Entries are (sigma, delta,
-    Miyaoka term, pair) in sigma order, the terms as integers over
-    scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0).  The
+    a step is nonzero).  Entries are (sigma, delta, Miyaoka term, pair) in
+    sigma order, the terms as integers over scale = lcm(2..31) < 2^47 (a D/E
+    pair has no Miyaoka term: 0), so the search's filters sum integers.  The
     table depends on no input, so it is built once, at the first search.
     With ``max_steps``, only the rows of at most that many steps, in table
     order: config_search's index, reset with the table by ``cache_clear``."""
@@ -282,80 +283,63 @@ def config_search(
     max_sigma: Optional[int] = None,
     miyaoka_budget_cap: Optional[Fraction] = None,
 ) -> list[Config]:
-    """All configurations of classified pairs whose type equals target.
+    """All configurations of classified pairs whose type equals target,
+    canonically sorted and deterministic.
 
-    ``max_sigma`` bounds the total sigma of a configuration (default: the
-    quartic resolution bound, 19) and thereby makes the search finite.
-    Every configuration found has type sum sum(target), so its deficiency
-    is sigma - sum(target) and ``max_deficiency`` caps sigma too.  When
-    ``miyaoka_budget_cap`` is given, a configuration passes only if all
-    its members have A-series contributions summing to at most the cap.
-    Results are canonically sorted and deterministic.  A ``max_sigma``
-    above MAX_SIGMA_CAP is refused before any search.
+    ``max_sigma`` caps a configuration's total sigma (default: the quartic
+    resolution bound, 19), which makes the search finite.  Every
+    configuration found has type sum sum(target), so its deficiency is
+    sigma - sum(target) and ``max_deficiency`` caps sigma too.  With
+    ``require_delta`` only configurations of exactly that delta pass; with
+    ``miyaoka_budget_cap`` only those whose members are all A-series, with
+    contributions summing to at most the cap.  A target that is not
+    nonincreasing has no configuration.
 
-    The pair universe is typed once per process (``_typed_pairs``) and
-    indexed by length: a call walks only the types of at most as many steps
-    as the target and keeps those whose steps fit it and whose cheapest entry
-    (A-series only under a Miyaoka cap) is within its sigma budget; no entry
-    is cut, as the descent's sigma cut stops each type at the budget.  One
-    descent then picks a nondecreasing sequence of (type, entry) positions,
-    so each multiset is found once.  It works in difference coordinates
-    (``_steps``): every pair's type is nonincreasing, so the rest of the
-    target is too after each pick, and a type may be taken only while its
-    steps fit under the remaining steps.  A target with a negative step has
-    nothing to pick.  The remaining steps are one int packed at a fixed
-    field width (``_pack``; each type's packing is in the table), so a fit
-    test is a subtraction and a mask; the target's steps are clamped to
-    _CLAMP, which no fit, leaf or closed-field test can tell from the true
-    step (see _WIDTH).  Types run in table order, and the loop
-    over them ends once some remaining step is one that no type from there
-    on can lower.  Under a type, entries run in sigma order until the pick,
-    plus the type sum left priced at the least sigma/sum(type) of a kept
-    type (num/den, compared by cross-multiplying ints), would overspend the
-    sigma cap; the sum left is priced inline, in integers, each time a type
-    is tried.  The filters sum the table's integer terms: delta and
-    contribution are positive, so a pick that would pass the required delta
-    or the floored cap is skipped, and a finished configuration is kept only
-    at the required delta.
+    Refused with a DomainError before any search: an empty target or one
+    that ``normalize_type`` refuses, a max_sigma or max_deficiency that is
+    not an int, a max_sigma above MAX_SIGMA_CAP, and a require_delta or
+    miyaoka_budget_cap that is not an int or a Fraction.
+
+    Cost: the pair table is typed once per process (``_typed_pairs``), and
+    the search about doubles per 5 added to max_sigma (see MAX_SIGMA_CAP).
     """
     target = normalize_type(target)
     if not target:
         raise DomainError("target type must be nonempty")
-    if max_sigma is None:
-        max_sigma = resolution_bound(4)
+    max_sigma = resolution_bound(4) if max_sigma is None else integer(max_sigma, "max_sigma")
     at_most(max_sigma, MAX_SIGMA_CAP, "max_sigma", "the search grows exponentially in it")
+    budget = max_sigma
+    if max_deficiency is not None:
+        budget = min(budget, sum(target) + integer(max_deficiency, "max_deficiency"))
+    for value, name in ((require_delta, "require_delta"), (miyaoka_budget_cap, "miyaoka_budget_cap")):
+        if value is not None:
+            rational(value, name)
+    # each pick leaves the rest of the target nonincreasing, as every pair's
+    # type is, so a target with a negative step has nothing to pick
     steps = _steps(target)
     if min(steps) < 0:
         return []
-    budget = max_sigma
-    if max_deficiency is not None:
-        budget = min(budget, sum(target) + max_deficiency)
 
-    # an absent filter's bound is infinite; with neither, ``filtered`` skips
-    # the int-with-infinity compares, which made five unfiltered searches
-    # (sigma 25 and 19) 0.418 ms against 0.390 ms, median of 8 alternated
-    # processes each best of 40, all 8 slower (2-vCPU AMD EPYC, Python 3.11.7)
     # no type has more entries than sigma, so no row has more steps than this
     scale, table = _typed_pairs(min(len(steps), MAX_SIGMA_CAP))
-    delta_goal = contribution_cap = math.inf
+    delta_goal = contribution_cap = math.inf  # an absent filter's bound
     if require_delta is not None:
-        delta_goal, off_grid = divmod(Fraction(require_delta) * scale, 1)
+        delta_goal, off_grid = divmod(require_delta * scale, 1)
         if off_grid:  # no sum of the table's deltas
             return []
     if miyaoka_budget_cap is not None:
-        contribution_cap = math.floor(Fraction(miyaoka_budget_cap) * scale)
+        contribution_cap = math.floor(miyaoka_budget_cap * scale)
+    # with neither filter, ``filtered`` skips the int-with-infinity compares
     filtered = require_delta is not None or miyaoka_budget_cap is not None
 
-    # Difference coordinates packed into one int, a field per step with its
-    # guard bit set.  A type's steps fit under the remaining ones exactly
-    # when subtracting its packed steps leaves every guard set; no field
-    # borrows from the next.
+    # the remaining steps packed at _WIDTH, a field per step with its guard set
     unit = _pack([1] * len(steps))
     guard = unit << (_WIDTH - 1)
     root = _pack([min(step, _CLAMP) for step in steps]) | guard
     # (closed mask, pack, size, group) of each type that fits and has an entry
-    # within budget, first holding the type's lowers mask; the descent's sigma
-    # cut stops each group at the budget
+    # within budget (A-series only under a Miyaoka cap), first holding the
+    # type's lowers mask; no entry is cut, as the descent's sigma cut stops
+    # each group at the budget
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
     for _, size, entries, a_entries, pack, lower in table:
@@ -375,6 +359,9 @@ def config_search(
     results: list[Config] = []
     chosen: list[RdpPair] = []
 
+    # picks (type, entry) positions in nondecreasing order, so each multiset
+    # is found once; types run in table order, and end at the first row
+    # whose closed mask meets a remaining step
     def descend(start: int, first: int, rem: int, left: int, slack: int, delta: int, total: int) -> None:
         for t in range(start, len(rows)):
             closed, pack, size, group = rows[t]
@@ -383,12 +370,16 @@ def config_search(
             child = rem - pack
             if child & guard != guard:
                 continue
+            # the sigma cut: entries run in sigma order until the pick, plus
+            # the type sum left priced at num/den, would overspend the slack
             rest = left - size
             room = slack + num * rest // -den  # slack - ceil(rest * num / den)
             for pos in range(first if t == start else 0, len(group)):
                 sigma, d, m, pair = group[pos]
                 if sigma > room:
                     break
+                # delta and contribution are positive: a pick past the required
+                # delta or the floored cap is skipped
                 if filtered and (delta + d > delta_goal or total + m > contribution_cap):
                     continue
                 chosen.append(pair)

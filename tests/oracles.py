@@ -179,7 +179,7 @@ def replay_step_by_step(base, ops):
     """The single vertex grown one operation at a time, each step copying
     the edge set, mu and history into a new graph: quadratic in len(ops)."""
     if type(base) is not int:
-        raise DomainError(f"base must be an int vertex label, got {base!r}")
+        raise DomainError(f"base must be an int, got {base!r}")
     graph = LabeledGraph(base, base, frozenset(), (1,), ())
     for op in ops:
         m = graph.top
@@ -190,7 +190,7 @@ def replay_step_by_step(base, ops):
             mu = graph.mu + (graph.mu_of(m),)
         else:
             if type(op) is not int:  # a bool is not a vertex label
-                raise DomainError(f"operation must be '+' or a vertex label, got {op!r}")
+                raise DomainError(f"an operation other than '+' must be an int, got {op!r}")
             l = op
             key = (min(l, m), max(l, m))
             if l == m or key not in graph.edges:

@@ -64,7 +64,7 @@ def test_subdivision_requires_edge():
     with pytest.raises(DomainError):
         grow(g, "L")
     # a bool is not a vertex label, though True == 1
-    with pytest.raises(DomainError, match="^operation must be '\\+' or a vertex label, got True$"):
+    with pytest.raises(DomainError, match="^an operation other than '\\+' must be an int, got True$"):
         graphs.replay(1, ("+", True))
 
 
@@ -72,7 +72,7 @@ def test_subdivision_requires_edge():
 def test_replay_refuses_a_base_that_is_not_an_int(base):
     # True would become the vertex of an edge (True, 2) that decompose refuses,
     # 1.5 a graph on float vertices, "1" a bare TypeError at "1" + 1
-    message = f"^base must be an int vertex label, got {re.escape(repr(base))}$"
+    message = f"^base must be an int, got {re.escape(repr(base))}$"
     with pytest.raises(DomainError, match=message):
         graphs.replay(base, ["+"])
     with pytest.raises(DomainError, match=message):
@@ -162,11 +162,14 @@ def test_from_parts_refuses_malformed_edges():
     for edges in ([(1, 2, 3), (2, 3)], [(1,), (2, 3)], [5, (2, 3)], [(1, "x"), (2, 3)]):
         with pytest.raises(DomainError, match="^bad edge: needs two integer vertices$"):
             graphs.from_parts(1, 3, edges)
-    for edge, message in ((("a", "b"), "bad edge ('a', 'b')"), ((True, 2), "bad edge (True, 2)")):
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+    # both ends are checked, also when the lower one is an int out of range
+    ends = [(("a", "b"), "'a'"), ((True, 2), "True"), ((0, 2.5), "2.5"),
+            (("y" * 99, "x" * 100), "<100 characters>")]
+    for edge, end in ends:
+        with pytest.raises(DomainError, match=f"^edge end must be an int, got {re.escape(end)}$"):
             graphs.from_parts(1, 3, [edge, (2, 3)])
-    with pytest.raises(DomainError, match=r"^bad edge \(<100 characters>, <99 characters>\)$"):
-        graphs.from_parts(1, 3, [("y" * 99, "x" * 100), (2, 3)])
+    with pytest.raises(DomainError, match=r"^bad edge \(2, <5001 digits>\)$"):
+        graphs.from_parts(1, 3, [(10**5000, 2), (2, 3)])
 
 
 def test_from_parts_replays_once(monkeypatch):
