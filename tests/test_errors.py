@@ -252,6 +252,27 @@ def test_scalar_parameters_refuse_floats_and_bools(name, value_id):
     assert calls
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theorems.resolution_bound(4.5), "surface degree must be an int, got 4.5"),
+        (lambda: theorems.thmA_verdict(4.0, 4, 1, 1), "surface degree must be an int, got 4.0"),
+        (lambda: theorems.miyaoka_budget(4.0), "surface degree must be an int, got 4.0"),
+        (lambda: rdp.pair_d_last(7.0), "pair index must be an int, got 7.0"),
+        (lambda: rdp.pair_a(7.0, 5), "pair index must be an int, got 7.0"),
+    ],
+    ids=["bound-float", "thmA", "miyaoka", "pair_d_last", "pair_a"],
+)
+def test_floats_and_bools_are_not_int_parameters(call, message):
+    # the contract's cases are named by parameter, and one case covers
+    # every callable that shares the name; these are such callables, each
+    # by its own call: past the check resolution_bound(4.5) was 29.0 and
+    # pair_d_last(7.0) a pair that type_of cannot type
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # Sequence entries checked one by one (each check is cheap next to the work
 # on the entry).  Exempt: a_closed_form's p, which pad_p would check on
 # every call: it took calculus jobs_per_s down 8%, 3 of 3 pairs.
