@@ -151,10 +151,13 @@ def a_closed_form(
     """Closed form for the m-th ruling coefficient of the expansion above.
 
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
-    ``q_value``, and p zero-padded to length n.
+    ``q_value``, and p read as zero past its end; more than n entries of p
+    is ``pad_p``'s refusal.
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= integer(m, "index m") <= n:
         raise DomainError(f"index m={echo(m)} outside 1..{n}")
-    padded = pad_p(p, n)
-    return sum(padded[: m - 1]) + (n - m) * padded[m - 1] - q_value(s, t, d, g)
+    if len(p) > n:
+        pad_p(p, n)  # raises: one refusal for p longer than n
+    p_m = p[m - 1] if m <= len(p) else 0
+    return sum(p[: m - 1]) + (n - m) * p_m - q_value(s, t, d, g)

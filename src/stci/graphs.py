@@ -208,6 +208,7 @@ def snort_check(a: Iterable[int]) -> ConeCheck:
     margins = []
     running = 0
     for x in a:
+        x = integer(x, "ruling coefficient")
         margins.append(x + running)
         running = 2 * running + x
     return ConeCheck(all(m >= 0 for m in margins), tuple(margins))

@@ -59,7 +59,7 @@ def normalize_type(entries: Iterable[int]) -> TypeSeq:
 def format_type(t: Iterable[int]) -> str:
     """Bracket notation: runs of length >= 3 collapse to ``v^[count]``."""
     parts: list[str] = []
-    for value, group in itertools.groupby(t):
+    for value, group in itertools.groupby(map(integer, t, itertools.repeat("type entry"))):
         run = len(list(group))
         if run >= 3:
             parts.append(f"{value}^[{run}]")
@@ -103,7 +103,7 @@ def parse_type(text: str) -> TypeSeq:
 
 def weighted_type_sum(t: Iterable[int]) -> Fraction:
     """Sum of p_k / (k (k+1)) over the sequence, exactly."""
-    return fraction_sum(Fraction(p, k * (k + 1)) for k, p in enumerate(t, start=1))
+    return fraction_sum(Fraction(integer(p, "type entry"), k * (k + 1)) for k, p in enumerate(t, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,11 @@ def phi(n: int, k: int) -> TypeSeq:
     """Type sequence of the A-series pair with parameters (n, k).
 
     Follows the blowup recursion: fold k to n-k+1 when 2k > n+1, record k,
-    and stop at 2k = n+1 or continue with (n-k, k).  The result equals the
-    closed form read off the Euclidean profile of (n-k+1, k): each
-    remainder repeated by its quotient, up to the last nonzero remainder.
+    and stop at 2k = n+1 or continue with (n-k, k).  While n >= 2k the
+    same k is recorded (n-k) // k times in a row: that run is emitted
+    whole.  The result equals the closed form read off the Euclidean
+    profile of (n-k+1, k): each remainder repeated by its quotient, up to
+    the last nonzero remainder.
     """
     if not 1 <= integer(k, "phi k") <= integer(n, "phi n"):
         raise DomainError(f"phi requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
@@ -127,8 +129,13 @@ def phi(n: int, k: int) -> TypeSeq:
         if 2 * k == n + 1:
             out.append(k)
             return tuple(out)
-        out.append(k)
-        n -= k
+        if n < 3 * k:  # a run of one: append is cheaper than a list
+            out.append(k)
+            n -= k
+        else:
+            run = (n - k) // k
+            out += [k] * run
+            n -= run * k
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 helpers only tests read.
 
 Each route recomputes a library result by an independent method, so a
-test can compare the two: the Euclidean closed form of phi, the pair one
+test can compare the two: the Euclidean closed form of phi and its
+recursion taken one entry per step, the pair one
 blowup along the curve leaves (type_of's type is p_1 followed by that
 pair's type), the general ring product on CycleClass records, summed
 term by term over every pair of levels (the one encoding of the ring
@@ -91,6 +92,20 @@ def phi_closed_form(n, k):
     for i in range(profile.t_last_nonzero + 1):
         out.extend([profile.remainders[i]] * profile.quotients[i])
     return tuple(out)
+
+
+def phi_step_by_step(n, k):
+    """The blowup recursion one step at a time: fold k to n-k+1 when
+    2k > n+1, record k, and stop at 2k = n+1 or continue with (n-k, k)."""
+    out = []
+    while True:
+        if 2 * k > n + 1:
+            k = n - k + 1
+        if 2 * k == n + 1:
+            out.append(k)
+            return tuple(out)
+        out.append(k)
+        n -= k
 
 
 def blowup_of(p):

@@ -195,8 +195,37 @@ def test_a_closed_form_errors():
         chow.a_closed_form(3, 3, 4, 0, (), 1)
     with pytest.raises(DomainError):
         chow.a_closed_form(4, 4, 4, 0, (), 5)
-    with pytest.raises(DomainError):
-        chow.a_closed_form(4, 4, 4, 0, (1, 2, 3, 4, 5), 1)
+    # the index is checked before the length of p, and a p longer than n
+    # gets pad_p's message, byte for byte
+    long_p = (1, 2, 3, 4, 5)
+    with pytest.raises(DomainError) as info:
+        chow.a_closed_form(4, 4, 4, 0, long_p, 5)
+    assert str(info.value) == "index m=5 outside 1..4"
+    with pytest.raises(DomainError) as info:
+        chow.a_closed_form(4, 4, 4, 0, long_p, 1)
+    assert str(info.value) == "p must have at most 4 entries, got 5"
+    with pytest.raises(DomainError) as padded:
+        chow.pad_p(long_p, 4)
+    assert str(padded.value) == str(info.value)
+
+
+def test_a_closed_form_reads_a_short_p_as_zero_padded():
+    # len(p) < n: every m, also past the end of p, equals st_expansion of
+    # the context of p padded with zeros to n entries; entries are >= 1,
+    # so a read past the end or a dropped zero shows
+    rng = random.Random(28)
+    for trial in range(60):
+        d = rng.randint(1, 6)
+        n = 256 if trial % 10 == 0 else rng.randint(2, 12)
+        st = n * d
+        s = rng.choice([s for s in range(1, st + 1) if st % s == 0])
+        t, g = st // s, rng.randint(0, 4)
+        p = [rng.randint(1, 25) for _ in range(rng.randint(0, n - 1))]
+        p = p if trial % 2 else tuple(p)
+        padded = tuple(p) + (0,) * (n - len(p))
+        expansion = chow.st_expansion(s, t, chow.BlowupContext(d, g, chow.beta_from_p(s, d, g, padded)))
+        closed = tuple(chow.a_closed_form(s, t, d, g, p, m) for m in range(1, n + 1))
+        assert closed == expansion.a, (s, t, d, g, p)
 
 
 def test_expansion_matches_closed_form_random():

@@ -10,6 +10,7 @@ from oracles import (
     blowup_of,
     config_invariants_fold,
     config_miyaoka_fold,
+    phi_step_by_step,
     weighted_type_sum_fold,
 )
 from stci import rdp, theorems
@@ -97,6 +98,22 @@ def test_phi_symmetry():
     for n in range(1, 40):
         for k in range(1, n + 1):
             assert rdp.phi(n, k) == rdp.phi(n, n - k + 1)
+
+
+def test_phi_equals_the_step_by_step_recursion():
+    # every pair 1 <= k <= n <= 300, on both sides of the fold (k above
+    # (n+1)/2 is folded first); phi emits each run of one k whole, the
+    # oracle one entry per step
+    for n in range(1, 301):
+        for k in range(1, n + 1):
+            assert rdp.phi(n, k) == phi_step_by_step(n, k), (n, k)
+
+
+def test_phi_runs_by_value():
+    assert rdp.phi(300, 1) == (1,) * 300  # one run of 299, then the stop
+    assert rdp.phi(300, 150) == (150,) + (1,) * 150
+    # n < 3k: a run of one 5, then a run of two 2s at n = 3k
+    assert rdp.phi(11, 5) == rdp.phi(11, 7) == (5, 2, 2, 1, 1)
 
 
 def test_phi_domain():
