@@ -138,10 +138,15 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     return StExpansion(s * t - ctx.n * ctx.d, a)
 
 
+def _check_p_length(p: Sequence[int], n: int) -> None:
+    """More than n entries of p is a DomainError."""
+    if len(p) > n:
+        raise DomainError(f"p must have at most {n} entries, got {len(p)}")
+
+
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
     """p zero-padded to n entries; more than n entries is a DomainError."""
-    if len(p) > integer(n, "pad length"):
-        raise DomainError(f"p must have at most {n} entries, got {len(p)}")
+    _check_p_length(p, integer(n, "pad length"))
     return tuple(p) + (0,) * (n - len(p))
 
 
@@ -152,12 +157,11 @@ def a_closed_form(
 
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
     ``q_value``, and p read as zero past its end; more than n entries of p
-    is ``pad_p``'s refusal.
+    is a DomainError, as in ``pad_p``.
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= integer(m, "index m") <= n:
         raise DomainError(f"index m={echo(m)} outside 1..{n}")
-    if len(p) > n:
-        pad_p(p, n)  # raises: one refusal for p longer than n
+    _check_p_length(p, n)
     p_m = p[m - 1] if m <= len(p) else 0
     return sum(p[: m - 1]) + (n - m) * p_m - q_value(s, t, d, g)

@@ -129,7 +129,7 @@ def phi(n: int, k: int) -> TypeSeq:
         if 2 * k == n + 1:
             out.append(k)
             return tuple(out)
-        if n < 3 * k:  # a run of one: append is cheaper than a list
+        if n < 3 * k:  # a run of one: one append, no one-entry list
             out.append(k)
             n -= k
         else:
