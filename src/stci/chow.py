@@ -86,24 +86,23 @@ def q_value(s: int, t: int, d: int, g: int) -> int:
     return s * t // d * a_value(s, d, g) // s
 
 
-class BlowupContext(namedtuple("BlowupContext", "d g beta alpha")):
-    """Immutable ring data: curve degree, genus, the beta sequence, and
-    the alpha sequence derived from them."""
+class BlowupContext(namedtuple("BlowupContext", "d g beta")):
+    """Immutable ring data: curve degree, genus and the beta sequence,
+    kept as a tuple of checked ints; alpha is derived from them."""
 
     __slots__ = ()
 
     def __new__(cls, d: int, g: int, beta: tuple[int, ...]) -> "BlowupContext":
         check_curve(d, g)
-        entries = map(integer, beta, repeat("beta entry"))
-        alpha = tuple(accumulate(entries, sub, initial=2 - 2 * g - 4 * d))
-        return super().__new__(cls, d, g, beta, alpha)
-
-    def __getnewargs__(self) -> tuple:
-        return self[:3]
+        return super().__new__(cls, d, g, tuple(map(integer, beta, repeat("beta entry"))))
 
     @property
     def n(self) -> int:
         return len(self.beta)
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.beta, sub, initial=2 - 2 * self.g - 4 * self.d))
 
 
 def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
@@ -132,22 +131,28 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     alpha_0) from the pairs E_i.E_k, -alpha_{k-1} from E_k^2, and -beta_k
     from each of the n - k squares E_j^2 with j > k.
     """
-    base = -ctx.d * (integer(s, "surface degree") + integer(t, "surface degree")) - 2 * ctx.alpha[0]
+    alpha = ctx.alpha
+    base = -ctx.d * (integer(s, "surface degree") + integer(t, "surface degree")) - 2 * alpha[0]
     later = range(ctx.n - 1, -1, -1)  # n - k for k = 1..n
-    a = tuple(base + ak - nk * bk for ak, bk, nk in zip(ctx.alpha, ctx.beta, later))
+    a = tuple(base + ak - nk * bk for ak, bk, nk in zip(alpha, ctx.beta, later))
     return StExpansion(s * t - ctx.n * ctx.d, a)
 
 
-def _check_p_length(p: Sequence[int], n: int) -> None:
-    """More than n entries of p is a DomainError."""
-    if len(p) > n:
-        raise DomainError(f"p must have at most {n} entries, got {len(p)}")
+def _head_of_p(p: Sequence[int], n: int, stop: int) -> Sequence[int]:
+    """p[:stop], read once for its callers; a p with no length or no slices
+    (no sequence) or of more than n entries is a DomainError."""
+    try:
+        length, head = len(p), p[:stop]
+    except TypeError:
+        raise DomainError(f"p must be a sequence, got {type(p).__name__}") from None
+    if length > n:
+        raise DomainError(f"p must have at most {n} entries, got {length}")
+    return head
 
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """p zero-padded to n entries; more than n entries is a DomainError."""
-    _check_p_length(p, integer(n, "pad length"))
-    return tuple(p) + (0,) * (n - len(p))
+    """p zero-padded to n entries; p must be a sequence of at most n entries."""
+    return tuple(_head_of_p(p, integer(n, "pad length"), n)) + (0,) * (n - len(p))
 
 
 def a_closed_form(
@@ -156,12 +161,12 @@ def a_closed_form(
     """Closed form for the m-th ruling coefficient of the expansion above.
 
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
-    ``q_value``, and p read as zero past its end; more than n entries of p
-    is a DomainError, as in ``pad_p``.
+    ``q_value``, and p read as zero past its end; p must be a sequence of
+    at most n entries, as in ``pad_p``.
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= integer(m, "index m") <= n:
         raise DomainError(f"index m={echo(m)} outside 1..{n}")
-    _check_p_length(p, n)
+    head = _head_of_p(p, n, m - 1)
     p_m = p[m - 1] if m <= len(p) else 0
-    return sum(p[: m - 1]) + (n - m) * p_m - q_value(s, t, d, g)
+    return sum(head) + (n - m) * p_m - q_value(s, t, d, g)

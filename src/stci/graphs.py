@@ -48,11 +48,6 @@ class LabeledGraph(NamedTuple):
     mu: tuple[int, ...]
     history: tuple[Op, ...]
 
-    def mu_of(self, v: int) -> int:
-        if not self.base <= integer(v, "vertex") <= self.top:
-            raise DomainError(f"vertex {echo(v)} outside [{echo(self.base)}, {echo(self.top)}]")
-        return self.mu[v - self.base]
-
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
     """Grow the single vertex ``base`` by ``ops``, freezing the result once."""
@@ -182,7 +177,7 @@ def strict_transform_class(graph: LabeledGraph) -> tuple[int, ...]:
         vec = [0] * n
         vec[l - 1] = 1
         for j in range(l + 1, n + 1):
-            m = g_l.mu_of(j)
+            m = g_l.mu[j - l]
             if m:
                 for idx in range(n):
                     vec[idx] -= m * solved[j][idx]

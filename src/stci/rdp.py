@@ -57,9 +57,9 @@ def normalize_type(entries: Iterable[int]) -> TypeSeq:
 
 
 def format_type(t: Iterable[int]) -> str:
-    """Bracket notation: runs of length >= 3 collapse to ``v^[count]``."""
+    """Bracket notation of ``normalize_type(t)``: runs of >= 3 become ``v^[count]``."""
     parts: list[str] = []
-    for value, group in itertools.groupby(map(integer, t, itertools.repeat("type entry"))):
+    for value, group in itertools.groupby(normalize_type(t)):
         run = len(list(group))
         if run >= 3:
             parts.append(f"{value}^[{run}]")
@@ -102,8 +102,8 @@ def parse_type(text: str) -> TypeSeq:
 
 
 def weighted_type_sum(t: Iterable[int]) -> Fraction:
-    """Sum of p_k / (k (k+1)) over the sequence, exactly."""
-    return fraction_sum(Fraction(integer(p, "type entry"), k * (k + 1)) for k, p in enumerate(t, start=1))
+    """Sum of p_k / (k (k+1)) over ``normalize_type(t)``, exactly."""
+    return fraction_sum(Fraction(p, k * (k + 1)) for k, p in enumerate(normalize_type(t), start=1))
 
 
 # ---------------------------------------------------------------------------

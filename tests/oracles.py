@@ -202,7 +202,7 @@ def replay_step_by_step(base, ops):
         edges = set(graph.edges)
         if op == PLUS:
             edges.add((m, new))
-            mu = graph.mu + (graph.mu_of(m),)
+            mu = graph.mu + (graph.mu[-1],)
         else:
             if type(op) is not int:  # a bool is not a vertex label
                 raise DomainError(f"an operation other than '+' must be an int, got {op!r}")
@@ -213,7 +213,7 @@ def replay_step_by_step(base, ops):
             edges.remove(key)
             edges.add((l, new))
             edges.add((m, new))
-            mu = graph.mu + (graph.mu_of(m) + graph.mu_of(l),)
+            mu = graph.mu + (graph.mu[-1] + graph.mu[l - base],)
         graph = LabeledGraph(base, new, frozenset(edges), mu, graph.history + (op,))
     return graph
 

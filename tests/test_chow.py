@@ -44,6 +44,18 @@ def test_make_context_examples():
     assert chow.make_context(3, 0, (0,)).alpha == (-10, -10)
 
 
+def test_context_keeps_its_inputs_and_derives_alpha():
+    ctx = chow.BlowupContext(4, 0, [1, 2])
+    assert ctx.beta == (1, 2) and type(ctx.beta) is tuple
+    assert chow.BlowupContext._fields == ("d", "g", "beta")
+    # _replace skips the checks, but leaves no derived field behind
+    replaced = ctx._replace(beta=(5, 5))
+    fresh = chow.BlowupContext(4, 0, (5, 5))
+    assert replaced.alpha == fresh.alpha == (-14, -19, -24)
+    assert chow.st_expansion(4, 4, replaced) == chow.st_expansion(4, 4, fresh)
+    assert chow.st_expansion(4, 4, replaced).a == (-23, -23)
+
+
 def test_context_validation():
     with pytest.raises(DomainError):
         chow.make_context(0, 0, ())
@@ -207,6 +219,23 @@ def test_a_closed_form_errors():
     with pytest.raises(DomainError) as padded:
         chow.pad_p(long_p, 4)
     assert str(padded.value) == str(info.value)
+
+
+@pytest.mark.parametrize("p, kind", [(iter([9, 8, 2]), "list_iterator"), ({1, 2}, "set"),
+                                     ({0: 9, 1: 8}, "dict"), (None, "NoneType")])
+def test_p_that_is_not_a_sequence_is_refused(p, kind):
+    # a_closed_form reads p by its length and two slices, pad_p by its
+    # length and one slice: a p with no length or no slices is named
+    message = f"p must be a sequence, got {kind}"
+    calls = [
+        lambda: chow.pad_p(p, 3),
+        lambda: chow.a_closed_form(4, 4, 4, 0, p, 1),
+        lambda: chow.a_closed_form(4, 4, 4, 0, p, 4),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_expansion_matches_closed_form_random():

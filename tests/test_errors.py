@@ -37,7 +37,6 @@ def test_refusals_quote_a_huge_input_by_its_length():
     calls = [
         lambda: chow.a_closed_form(4, 4, 4, 0, (), huge),
         lambda: graphs.replay(1, ["+", huge]),
-        lambda: graphs.replay(1, ["+"]).mu_of(huge),
         lambda: rdp.RdpPair("A", 3, huge),
         lambda: graphs.replay(1, ["x" * 5000]),
         lambda: rdp.RdpPair("x" * 5000, 3, 1),
@@ -125,7 +124,6 @@ CALLS = {
     "chow.st_expansion": ((4, 4, _CTX), {"s": "surface degree", "t": "surface degree"}),
     "chow.pad_p": (((9, 8), 4), {"n": "pad length"}),
     "chow.a_closed_form": ((4, 4, 4, 0, (9, 8, 2), 2), {**_DEGREES, "m": "index m"}),
-    "graphs.LabeledGraph.mu_of": ((_GRAPH, 2), {"v": "vertex"}),
     "graphs.replay": ((1, ["+", 1]), {"base": "base"}),
     "graphs.decompose": ((_GRAPH,), {}),
     "graphs.from_parts": ((1, 3, [(1, 3), (2, 3)]), {"base": "base", "top": "top"}),

@@ -211,7 +211,7 @@ def test_spitup_identity():
         total[0] = 1
         for part in parts:
             for v in range(part.base, part.top + 1):
-                total[v - g.base] += part.mu_of(v)
+                total[v - g.base] += part.mu[v - part.base]
         assert tuple(total) == g.mu
 
 
@@ -306,10 +306,7 @@ def test_from_parts_accepts_exactly_standard_graphs():
 
 def test_refusals_name_the_bad_vertex_edge_or_history():
     graph = graphs.replay(0, [graphs.PLUS, 0])
-    assert [graph.mu_of(v) for v in range(3)] == [1, 1, 2]
-    for v in (-1, 3):
-        with pytest.raises(DomainError, match=rf"^vertex {v} outside \[0, 2\]$"):
-            graph.mu_of(v)
+    assert graph.mu == (1, 1, 2)
     with pytest.raises(DomainError, match="^empty vertex interval$"):
         graphs.from_parts(3, 2, [])
     for edge in ((0, 0), (0, 2), (-1, 0)):

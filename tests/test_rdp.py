@@ -43,6 +43,17 @@ def test_format_type():
     assert rdp.format_type((3, 1, 1, 1, 1, 1, 1)) == "(3,1^[6])"
 
 
+@pytest.mark.parametrize("t, bad", [((0, -3), 0), ((2, 0, 1), 0), ((-5,), -5), ((9, -1, 0), -1)])
+def test_type_readers_refuse_what_normalize_type_refuses(t, bad):
+    # format_type and weighted_type_sum read their entries through
+    # normalize_type: '(0,-3)' is no type parse_type reads back
+    message = f"type entries must be positive integers, got {bad}"
+    for reader in (rdp.normalize_type, rdp.format_type, rdp.weighted_type_sum):
+        with pytest.raises(DomainError) as info:
+            reader(t)
+        assert str(info.value) == message, reader
+
+
 def test_parse_type():
     assert rdp.parse_type("(2,1^[4])") == (2, 1, 1, 1, 1)
     assert rdp.parse_type("(9,9,1)") == (9, 9, 1)

@@ -1,10 +1,13 @@
 """The library's records are immutable named tuples.  The three that check
 their input (RdpPair, BlowupContext, StciParams) do it in ``__new__``,
 which ``_replace`` and ``_make`` skip, so the library never calls those
-two on them."""
+two on them.  Their fields are their constructor's arguments and what
+derives from them is a property, so ``_replace`` still skips the checks
+but leaves no derived field stale."""
 
 import ast
 import copy
+import inspect
 import pickle
 from pathlib import Path
 
@@ -70,9 +73,14 @@ def test_validating_records_refuse_bad_input_when_built_directly():
 
 
 def test_validating_records_copy_through_new():
-    for record in (rdp.E7, chow.make_context(4, 0, (1, 2)), theorems.StciParams(4, 4, 4, 0)):
+    for record in (rdp.E7, chow.BlowupContext(4, 0, [1, 2]), theorems.StciParams(4, 4, 4, 0)):
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_validating_records_store_only_their_arguments():
+    for cls in (rdp.RdpPair, chow.BlowupContext, theorems.StciParams):
+        assert cls._fields == tuple(inspect.signature(cls.__new__).parameters)[1:], cls
 
 
 def test_library_never_replaces_or_makes_a_validating_record():
