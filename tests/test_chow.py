@@ -47,7 +47,6 @@ def test_make_context_examples():
 def test_context_keeps_its_inputs_and_derives_alpha():
     ctx = chow.BlowupContext(4, 0, [1, 2])
     assert ctx.beta == (1, 2) and type(ctx.beta) is tuple
-    assert chow.BlowupContext._fields == ("d", "g", "beta")
     # _replace skips the checks, but leaves no derived field behind
     replaced = ctx._replace(beta=(5, 5))
     fresh = chow.BlowupContext(4, 0, (5, 5))
@@ -224,8 +223,8 @@ def test_a_closed_form_errors():
 @pytest.mark.parametrize("p, kind", [(iter([9, 8, 2]), "list_iterator"), ({1, 2}, "set"),
                                      ({0: 9, 1: 8}, "dict"), (None, "NoneType")])
 def test_p_that_is_not_a_sequence_is_refused(p, kind):
-    # a_closed_form reads p by its length and two slices, pad_p by its
-    # length and one slice: a p with no length or no slices is named
+    # both read p's length and a slice before anything else: a p with no
+    # length or no slices gets a DomainError naming p, not a TypeError
     message = f"p must be a sequence, got {kind}"
     calls = [
         lambda: chow.pad_p(p, 3),
