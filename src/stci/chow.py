@@ -92,7 +92,7 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta")):
 
     __slots__ = ()
 
-    def __new__(cls, d: int, g: int, beta: tuple[int, ...]) -> "BlowupContext":
+    def __new__(cls, d: int, g: int, beta: Iterable[int]) -> "BlowupContext":
         check_curve(d, g)
         return super().__new__(cls, d, g, tuple(map(integer, beta, repeat("beta entry"))))
 
@@ -106,7 +106,7 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta")):
 
 
 def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
-    return BlowupContext(d, g, tuple(beta))
+    return BlowupContext(d, g, beta)
 
 
 def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
@@ -140,18 +140,19 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
 
 def _head_of_p(p: Sequence[int], n: int, stop: int) -> Sequence[int]:
     """p[:stop], read once for its callers; a p with no length or no slices
-    (no sequence) or of more than n entries is a DomainError."""
+    (a mapping's slice miss is a KeyError from Python 3.12 on) or of more
+    than n entries is a DomainError."""
     try:
         length, head = len(p), p[:stop]
-    except TypeError:
-        raise DomainError(f"p must be a sequence, got {type(p).__name__}") from None
+    except (TypeError, KeyError):
+        raise DomainError(f"p must support len() and slicing, got {type(p).__name__}") from None
     if length > n:
         raise DomainError(f"p must have at most {n} entries, got {length}")
     return head
 
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """p zero-padded to n entries; p must be a sequence of at most n entries."""
+    """p zero-padded to n entries; p needs len(), slices and at most n entries."""
     return tuple(_head_of_p(p, integer(n, "pad length"), n)) + (0,) * (n - len(p))
 
 
@@ -161,8 +162,8 @@ def a_closed_form(
     """Closed form for the m-th ruling coefficient of the expansion above.
 
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
-    ``q_value``, and p read as zero past its end; p must be a sequence of
-    at most n entries, as in ``pad_p``.
+    ``q_value``, and p read as zero past its end; p needs len(), slices
+    and at most n entries, as in ``pad_p``.
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= integer(m, "index m") <= n:

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -47,6 +48,7 @@ def test_make_context_examples():
 def test_context_keeps_its_inputs_and_derives_alpha():
     ctx = chow.BlowupContext(4, 0, [1, 2])
     assert ctx.beta == (1, 2) and type(ctx.beta) is tuple
+    assert chow.make_context(4, 0, iter([1, 2])) == ctx
     # _replace skips the checks, but leaves no derived field behind
     replaced = ctx._replace(beta=(5, 5))
     fresh = chow.BlowupContext(4, 0, (5, 5))
@@ -220,12 +222,24 @@ def test_a_closed_form_errors():
     assert str(padded.value) == str(info.value)
 
 
+class SliceMissingDict(dict):
+    """A dict whose slice reads miss with a KeyError, as every dict's do
+    from Python 3.12 on, where slices are hashable."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise KeyError(key)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("p, kind", [(iter([9, 8, 2]), "list_iterator"), ({1, 2}, "set"),
-                                     ({0: 9, 1: 8}, "dict"), (None, "NoneType")])
+                                     ({0: 9, 1: 8}, "dict"), (SliceMissingDict({0: 9}), "SliceMissingDict"),
+                                     (deque([9, 8]), "deque"), (None, "NoneType")])
 def test_p_that_is_not_a_sequence_is_refused(p, kind):
     # both read p's length and a slice before anything else: a p with no
-    # length or no slices gets a DomainError naming p, not a TypeError
-    message = f"p must be a sequence, got {kind}"
+    # length or no slices gets a DomainError naming p, not a TypeError or
+    # a KeyError
+    message = f"p must support len() and slicing, got {kind}"
     calls = [
         lambda: chow.pad_p(p, 3),
         lambda: chow.a_closed_form(4, 4, 4, 0, p, 1),
