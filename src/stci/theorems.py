@@ -204,15 +204,15 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.8/1.9/3.8 ms at 20/25/30, best of
-# 30 on a 2-vCPU AMD EPYC, Python 3.11), after a one-time 1.3 ms to type
+# doubles per 5 added (target (10,): 0.7/1.8/3.6 ms at 20/25/30, best of
+# 30 on a 2-vCPU AMD EPYC, Python 3.11.7), after a one-time 1.3 ms to type
 # the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.6 ms
-# for 4,442 configurations, with (15,2) as slow and other targets of one to
-# five entries and 3,900-5,900 configurations within 10% of it; (14,), with
-# the most configurations, 5,841, takes 10.5 ms.  Above sum 30 the slowest,
-# (14,6,4,3,2,1,1), takes 1.4 ms.
+# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.5 ms
+# for 4,442 configurations, with (15,2) and (13,4,2,1,1) within 10% of it
+# (11.5 ms, 4,997 and 4,677 configurations); (14,), with the most
+# configurations, 5,841, takes 10.1 ms.  Above sum 30 the slowest,
+# (14,6,4,3,2,1,1), takes 1.2 ms.
 MAX_SIGMA_CAP = 30
 
 # A search packs the target's remaining steps into one int, _WIDTH bits a
@@ -243,20 +243,32 @@ def _pack(values: Iterable[int]) -> int:
 
 
 @cache
-def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...]]:
+def _typed_pairs(
+    max_steps: Optional[int] = None, budget: int = MAX_SIGMA_CAP, a_only: bool = False
+) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
     types descending, as rows (the type's ``_steps``, which determine it,
-    its sum, its entries, its A-series entries, its steps ``_pack``ed, and
-    the packed mask of the lowest bit of each field its steps lower: 1 where
-    a step is nonzero).  Entries are (sigma, delta, Miyaoka term, pair) in
-    sigma order, the terms as integers over scale = lcm(2..31) < 2^47 (a D/E
-    pair has no Miyaoka term: 0), so the search's filters sum integers.  The
-    table depends on no input, so it is built once, at the first search.
-    With ``max_steps``, only the rows of at most that many steps, in table
-    order: config_search's index, reset with the table by ``cache_clear``."""
+    its sum, its entries, its A-series entries, the least Miyaoka term of
+    those, its steps ``_pack``ed, and the packed mask of the lowest bit of
+    each field its steps lower: 1 where a step is nonzero).  Entries are
+    (sigma, delta, Miyaoka term, pair) in sigma order, the terms as integers
+    over scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0, and
+    so is the least term of a type with no A-series entry), so the search's
+    filters sum integers.  The table depends on no input, so it is built
+    once, at the first search.
+
+    With ``max_steps``, config_search's index: the rows of at most that
+    many steps whose cheapest entry (cheapest A-series entry with
+    ``a_only``) has sigma <= ``budget``, in table order.  config_search keys
+    it by a length and a budget in 1..MAX_SIGMA_CAP and by whether a Miyaoka
+    cap is set, so the cache holds at most 30 * 30 * 2 indexes beside the
+    table; ``cache_clear`` resets them with it."""
     if max_steps is not None:
         scale, rows = _typed_pairs()
-        return scale, tuple(row for row in rows if len(row[0]) <= max_steps)
+        group = 3 if a_only else 2
+        return scale, tuple(
+            row for row in rows if len(row[0]) <= max_steps and row[group] and row[group][0][0] <= budget
+        )
     by_type: dict[TypeSeq, list] = {}
     for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
         type_seq, _, delta, sigma, _ = scalar_invariants(pair)
@@ -271,8 +283,9 @@ def _typed_pairs(max_steps: Optional[int] = None) -> tuple[int, tuple[tuple, ...
     for piece in sorted(by_type, reverse=True):
         entries = tuple((sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece])
         a_entries = tuple(entry for entry in entries if entry[3].species == "A")
+        least_term = min((entry[2] for entry in a_entries), default=0)
         steps = _steps(piece)
-        rows.append((steps, sum(piece), entries, a_entries, _pack(steps), _pack(map(bool, steps))))
+        rows.append((steps, sum(piece), entries, a_entries, least_term, _pack(steps), _pack(map(bool, steps))))
     return scale, tuple(rows)
 
 
@@ -301,7 +314,12 @@ def config_search(
     miyaoka_budget_cap that is not an int or a Fraction.
 
     Cost: the pair table is typed once per process (``_typed_pairs``), and
-    the search about doubles per 5 added to max_sigma (see MAX_SIGMA_CAP).
+    each (length, budget, Miyaoka-capped) key's index of the rows that can
+    fit once.  The search about doubles per 5 added to max_sigma (see
+    MAX_SIGMA_CAP).  It prices the type sum left at the least sigma per unit
+    of a kept type, and under a Miyaoka cap at the least contribution per
+    unit too: a target priced past its cap returns [] before the descent,
+    and a pick priced past it is skipped.
     """
     target = normalize_type(target)
     if not target:
@@ -315,39 +333,50 @@ def config_search(
         if value is not None:
             rational(value, name)
     # each pick leaves the rest of the target nonincreasing, as every pair's
-    # type is, so a target with a negative step has nothing to pick
+    # type is, so a target with a negative step has nothing to pick; every
+    # pair has sigma >= 1, so a budget below 1 has nothing to spend
     steps = _steps(target)
-    if min(steps) < 0:
+    if min(steps) < 0 or budget < 1:
         return []
 
     # no type has more entries than sigma, so no row has more steps than this
-    scale, table = _typed_pairs(min(len(steps), MAX_SIGMA_CAP))
+    capped = miyaoka_budget_cap is not None
+    scale, table = _typed_pairs(min(len(steps), MAX_SIGMA_CAP), budget, capped)
     delta_goal = contribution_cap = math.inf  # an absent filter's bound
     if require_delta is not None:
         delta_goal, off_grid = divmod(require_delta * scale, 1)
         if off_grid:  # no sum of the table's deltas
             return []
-    if miyaoka_budget_cap is not None:
+    if capped:
         contribution_cap = math.floor(miyaoka_budget_cap * scale)
     # with neither filter, ``filtered`` skips the int-with-infinity compares
-    filtered = require_delta is not None or miyaoka_budget_cap is not None
+    filtered = require_delta is not None or capped
 
     # the remaining steps packed at _WIDTH, a field per step with its guard set
     unit = _pack([1] * len(steps))
     guard = unit << (_WIDTH - 1)
     root = _pack([min(step, _CLAMP) for step in steps]) | guard
-    # (closed mask, pack, size, group) of each type that fits and has an entry
-    # within budget (A-series only under a Miyaoka cap), first holding the
-    # type's lowers mask; no entry is cut, as the descent's sigma cut stops
-    # each group at the budget
+    # (closed mask, pack, size, group) of each type that fits, first holding
+    # the type's lowers mask; the index keeps only types with an entry within
+    # budget (A-series only under a Miyaoka cap), and the descent's sigma cut
+    # stops each group at the budget
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
-    for _, size, entries, a_entries, pack, lower in table:
-        group = entries if miyaoka_budget_cap is None else a_entries
-        if (root - pack) & guard == guard and group and group[0][0] <= budget:
+    mnum, mden = 1, 0  # the least Miyaoka term/sum(type), likewise
+    for _, size, entries, a_entries, least_term, pack, lower in table:
+        if (root - pack) & guard == guard:
+            group = a_entries if capped else entries
             rows.append((lower, pack, size, group))
             if group[0][0] * den < num * size:
                 num, den = group[0][0], size
+            if capped and least_term * mden < mnum * size:
+                mnum, mden = least_term, size
+    # the contribution cut: every term is positive and every pick's term is
+    # at least mnum/mden times its type sum, so the picks left for a type sum
+    # rest add at least ceil(rest * mnum / mden); with no type kept, 1/0
+    # prices any sum past every cap
+    if capped and sum(target) * mnum > contribution_cap * mden:
+        return []
     # a row's closed mask: the value bits of the fields that no type from that
     # row on lowers, where a remaining step can no longer reach 0
     lowered = 0
@@ -374,13 +403,16 @@ def config_search(
             # the type sum left priced at num/den, would overspend the slack
             rest = left - size
             room = slack + num * rest // -den  # slack - ceil(rest * num / den)
+            # the contribution cut: the floored cap less the type sum left
+            # priced at mnum/mden, cap - ceil(rest * mnum / mden)
+            spend = contribution_cap + mnum * rest // -mden if capped else contribution_cap
             for pos in range(first if t == start else 0, len(group)):
                 sigma, d, m, pair = group[pos]
                 if sigma > room:
                     break
                 # delta and contribution are positive: a pick past the required
-                # delta or the floored cap is skipped
-                if filtered and (delta + d > delta_goal or total + m > contribution_cap):
+                # delta or the contribution left to spend is skipped
+                if filtered and (delta + d > delta_goal or total + m > spend):
                     continue
                 chosen.append(pair)
                 if child != guard:

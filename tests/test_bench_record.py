@@ -119,3 +119,22 @@ def test_compare_flags_new_failures(tmp_path, capsys):
     fewer_jobs = _with_failures(tmp_path, "BENCH_c.json", failed=3, attempted=10000)
     assert bench_record.main(["--compare", a, fewer_jobs]) == 1
     assert "search     FAILURES: A 3 of 30000, B 3 of 10000" in capsys.readouterr().out
+
+
+def test_record_refuses_a_checkout_with_bytecode_under_src(tmp_path, capsys, monkeypatch):
+    # a cached checkout skips the compiles that a fresh one pays, so it is
+    # refused before any checkout runs, even when listed after a clean one
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_record, "run_once", no_run)
+    clean, cached = tmp_path / "clean", tmp_path / "cached"
+    (clean / "src" / "stci").mkdir(parents=True)
+    cache = cached / "src" / "stci" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "theorems.cpython-311.pyc").write_bytes(b"")
+    code = bench_record.main([f"parent={clean}", f"change={cached}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+    assert bench_record.bytecode_cache(str(clean)) is None

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -310,6 +311,29 @@ def test_search_node_counts():
         assert (len(found), calls["descend"]) == counts, (target, kwargs)
 
 
+def test_search_node_counts_under_a_miyaoka_cap():
+    # the contribution cut prices the type sum left at the least Miyaoka
+    # term per unit of a kept type.  Before it, the refused (9,9,1)/25
+    # searches at max_deficiency 0-3 and cap 24 made 9, 16, 27 and 39
+    # descent calls, (9,8,2)/25 at 2 made 55, and (9,9)/30, whose one
+    # configuration passes 24, made 67.  The cap 18 is below the price of
+    # the whole (9,9,1) and (9,8,2), so those return before the descent;
+    # they made 22 and 38 calls
+    cap24, cap18 = Fraction(24), Fraction(18)
+    for target, kwargs, counts in (
+        ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 0, "miyaoka_budget_cap": cap24}, (0, 3)),
+        ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 1, "miyaoka_budget_cap": cap24}, (0, 3)),
+        ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 2, "miyaoka_budget_cap": cap24}, (0, 3)),
+        ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 3, "miyaoka_budget_cap": cap24}, (0, 3)),
+        ((9, 8, 2), {"max_sigma": 25, "max_deficiency": 2, "miyaoka_budget_cap": cap24}, (0, 17)),
+        ((9, 9), {"max_sigma": 30, "miyaoka_budget_cap": cap24}, (1, 9)),
+        ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 3, "miyaoka_budget_cap": cap18}, (0, 0)),
+        ((9, 8, 2), {"max_sigma": 25, "max_deficiency": 3, "miyaoka_budget_cap": cap18}, (0, 0)),
+    ):
+        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        assert (len(found), calls.get("descend", 0)) == counts, (target, kwargs)
+
+
 def test_search_node_count_of_a_priced_out_target():
     # the least ratio prices each target's whole sum past its budget, so the
     # one descent call tries every first pick and breaks there; the least
@@ -555,12 +579,23 @@ def test_config_search_results_are_sorted_and_distinct():
     assert (len(cases), results) == (254, 6771)
 
 
+# the targets of the max_sigma sweeps below
+SWEEP = ((9, 8, 2), (9, 9), (9, 9, 1), (1,), (2,), (2, 1, 1, 1, 1), (3, 2, 1), (5, 3))
+
+
+@functools.cache
+def _unpruned(target, max_sigma):
+    """The oracle's unfiltered configurations, shared by the sweeps: it
+    filters only its leaves, so one descent gives every filter's result."""
+    return config_search_unpruned(target, max_sigma=max_sigma)
+
+
 def test_config_search_budget_sweep_matches_unpruned():
     # every call searches one shared table under its own budget: sweep
     # max_sigma down from the cap and then up from 1, each time from a
     # cleared table, so either end may build it, and check every result and
     # the table
-    targets = ((9, 8, 2), (9, 9), (9, 9, 1), (1,), (2,), (2, 1, 1, 1, 1), (3, 2, 1), (5, 3))
+    targets = SWEEP
     filters = (
         {},
         {"max_deficiency": 0},
@@ -571,20 +606,21 @@ def test_config_search_budget_sweep_matches_unpruned():
         {"max_deficiency": 1, "require_delta": Fraction(6)},
     )
     sigmas = range(1, theorems.MAX_SIGMA_CAP + 1)
-    # the oracle filters only its leaves, so one unfiltered descent per
-    # target and max_sigma gives every filter's expected result
     want = {}
     for target in targets:
         for max_sigma in sigmas:
-            found = config_search_unpruned(target, max_sigma=max_sigma)
+            found = _unpruned(target, max_sigma)
             for i, kwargs in enumerate(filters):
                 want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
     built = theorems._typed_pairs.__wrapped__()
     scale, rows = built
     assert (len(rows), sum(len(row[2]) for row in rows)) == (253, 295)
     width = theorems._WIDTH
-    for steps, _, entries, a_entries, pack, lowers in rows:
+    for steps, _, entries, a_entries, least_term, pack, lowers in rows:
         assert a_entries == tuple(e for e in entries if e[3].species == "A")
+        # the contribution cut needs every A-series term positive
+        assert least_term == min((e[2] for e in a_entries), default=0)
+        assert all(e[2] > 0 for e in a_entries)
         assert pack == sum(step << (width * i) for i, step in enumerate(steps))
         assert lowers == sum(1 << (width * i) for i, step in enumerate(steps) if step)
         for sigma, delta, contribution, pair in entries:
@@ -603,20 +639,68 @@ def test_config_search_budget_sweep_matches_unpruned():
     assert sum(map(len, want.values())) == 4982
 
 
+def test_config_search_miyaoka_caps_match_unpruned():
+    # the contribution cut prices the type sum left at the least Miyaoka
+    # term per unit, at the root and at each pick; sweep max_sigma over
+    # caps below, at and above the contribution sums the targets reach,
+    # 73/3 among them, alone and with the deficiency and delta filters
+    caps = [Fraction(cap) for cap in (5, 18, 24, 25, 30, 40)] + [Fraction(73, 3)]
+    others = ({}, {"max_deficiency": 0}, {"max_deficiency": 2}, {"require_delta": Fraction(6)},
+              {"max_deficiency": 1, "require_delta": Fraction(73, 12)})
+    checked = found = 0
+    for target in SWEEP:
+        for max_sigma in range(1, theorems.MAX_SIGMA_CAP + 1):
+            unfiltered = _unpruned(target, max_sigma)
+            for cap in caps:
+                for other in others:
+                    kwargs = dict(other, miyaoka_budget_cap=cap)
+                    want = [c for c in unfiltered if config_passes(c, **kwargs)]
+                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                    assert got == want, (target, max_sigma, kwargs)
+                    checked, found = checked + 1, found + len(want)
+    assert (checked, found) == (8 * 30 * 7 * 5, 7733)
+
+
 def test_typed_pairs_index_by_length():
-    # config_search walks the rows of at most len(target) steps, in table
-    # order; no type has more entries than sigma, so a length past the cap
-    # keeps every row, and config_search keys the cache at the cap at most
+    # config_search walks the index of its (length, budget, capped) key:
+    # the rows of at most that many steps whose cheapest entry, or cheapest
+    # A-series entry under a Miyaoka cap, fits the budget, in table order
     scale, rows = theorems._typed_pairs()
-    assert max(len(row[0]) for row in rows) == theorems.MAX_SIGMA_CAP
-    for length in range(1, theorems.MAX_SIGMA_CAP + 2):
-        want = tuple(row for row in rows if len(row[0]) <= length)
-        assert theorems._typed_pairs(length) == (scale, want), length
-    assert theorems._typed_pairs(theorems.MAX_SIGMA_CAP + 1)[1] == rows
+    cap = theorems.MAX_SIGMA_CAP
+    assert max(len(row[0]) for row in rows) == cap
+    # every pair has sigma >= 1, so a budget below 1 keeps no row
+    assert min(row[2][0][0] for row in rows) == 1
+    for length in range(1, cap + 2):
+        by_length = [row for row in rows if len(row[0]) <= length]
+        assert theorems._typed_pairs(length) == (scale, tuple(by_length)), length
+        for budget in range(0, cap + 1):
+            for a_only, group in ((False, 2), (True, 3)):
+                want = tuple(row for row in by_length if row[group] and row[group][0][0] <= budget)
+                assert theorems._typed_pairs(length, budget, a_only) == (scale, want)
+    # no type has more entries than sigma, so a length past the cap keeps
+    # every row, and the budget bound keeps the cache at 30 * 30 * 2 keys
+    # beside the table, over any max_sigma and max_deficiency
+    assert theorems._typed_pairs(cap + 1)[1] == rows
     theorems._typed_pairs.cache_clear()
     for length in range(1, 46):
-        theorems.config_search((1,) * length, max_sigma=theorems.MAX_SIGMA_CAP)
-    assert theorems._typed_pairs.cache_info().currsize == theorems.MAX_SIGMA_CAP + 1
+        for max_deficiency in [None, -10**6, 10**6] + list(range(-45, 31)):
+            for max_sigma in (1, cap):
+                for miyaoka_budget_cap in (None, Fraction(24)):
+                    theorems.config_search((1,) * length, max_deficiency, None, max_sigma, miyaoka_budget_cap)
+    info = theorems._typed_pairs.cache_info()
+    assert info.currsize <= cap * cap * 2 + 1
+    # a budget below 1 returns before the index is looked up or the
+    # descent starts
+    misses = info.misses
+    for target, kwargs in (
+        ((9, 8, 2), {"max_deficiency": -19}),
+        ((1,), {"max_sigma": 0}),
+        ((1,), {"max_sigma": -10**6, "miyaoka_budget_cap": Fraction(24)}),
+        ((1,), {"max_deficiency": -10**6}),
+    ):
+        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        assert (found, "_typed_pairs" in calls, "descend" in calls) == ([], False, False), kwargs
+    assert theorems._typed_pairs.cache_info().misses == misses
 
 
 def test_typed_pairs_index_is_rebuilt_after_cache_clear():

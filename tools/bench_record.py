@@ -14,7 +14,10 @@ first rotates from seed to seed.  Each checkout gets one file at the root
 of this checkout, with the host (CPU model, vCPU count, Python version),
 the checkout's git SHA and, per workload, the median, IQR and run count
 of every end-to-end metric and of the pass count, with the raw runs
-beside them.
+beside them.  A checkout with a ``__pycache__`` directory under ``src/``
+is refused before any run (exit 2): the benchmark's own checkout has no
+bytecode cache and the host writes none, so a cached checkout would time
+skipped compiles as a gain; record from a fresh clone.
 
 Comparing prints, per workload and metric, both medians with their IQRs,
 the ratio B/A and how many seed-matched pairs of raw runs B wins (``wins
@@ -121,6 +124,14 @@ def record(label: str, checkout: str, runs: dict, seconds: float) -> dict:
             "seeds": list(SEEDS), "seconds": seconds, "workloads": workloads}
 
 
+def bytecode_cache(checkout: str):
+    """The first ``__pycache__`` directory under the checkout's src/, or None."""
+    for top, dirs, _ in os.walk(os.path.join(checkout, "src")):
+        if "__pycache__" in dirs:
+            return os.path.join(top, "__pycache__")
+    return None
+
+
 def record_main(targets: list[str], benchmark: dict) -> int:
     seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -128,6 +139,12 @@ def record_main(targets: list[str], benchmark: dict) -> int:
     for target in targets:
         label, _, checkout = target.partition("=")
         checkouts.append((label, os.path.abspath(checkout or ROOT)))
+    for _, checkout in checkouts:
+        cached = bytecode_cache(checkout)
+        if cached is not None:
+            print(f"error: {cached}: a bytecode cache under src/ skips compiles the benchmark "
+                  "pays; record from a fresh clone", file=sys.stderr)
+            return 2
     runs = {label: {w: [] for w in workloads} for label, _ in checkouts}
     for workload in workloads:
         for i, seed in enumerate(SEEDS):
