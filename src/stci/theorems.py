@@ -314,12 +314,12 @@ def config_search(
     miyaoka_budget_cap that is not an int or a Fraction.
 
     Cost: the pair table is typed once per process (``_typed_pairs``), and
-    each (length, budget, Miyaoka-capped) key's index of the rows that can
-    fit once.  The search about doubles per 5 added to max_sigma (see
-    MAX_SIGMA_CAP).  It prices the type sum left at the least sigma per unit
-    of a kept type, and under a Miyaoka cap at the least contribution per
-    unit too: a target priced past its cap returns [] before the descent,
-    and a pick priced past it is skipped.
+    so is each index of it that a length, a budget and the presence of a
+    Miyaoka cap select.  The search about doubles per 5 added to max_sigma
+    (see MAX_SIGMA_CAP).  It prices the type sum left at the least sigma per
+    unit of a kept type, and under a Miyaoka cap at the least contribution
+    per unit too: a target priced past its cap returns [] before the
+    descent, and a pick priced past it is skipped.
     """
     target = normalize_type(target)
     if not target:

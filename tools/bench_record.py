@@ -15,9 +15,9 @@ of this checkout, with the host (CPU model, vCPU count, Python version),
 the checkout's git SHA and, per workload, the median, IQR and run count
 of every end-to-end metric and of the pass count, with the raw runs
 beside them.  A checkout with a ``__pycache__`` directory under ``src/``
-is refused before any run (exit 2): the benchmark's own checkout has no
-bytecode cache and the host writes none, so a cached checkout would time
-skipped compiles as a gain; record from a fresh clone.
+is refused before any run (exit 2): the benchmark runs a fresh checkout
+with bytecode writing off, so a cached checkout would time skipped
+compiles as a gain; record from a fresh clone.
 
 Comparing prints, per workload and metric, both medians with their IQRs,
 the ratio B/A and how many seed-matched pairs of raw runs B wins (``wins
@@ -124,7 +124,7 @@ def record(label: str, checkout: str, runs: dict, seconds: float) -> dict:
             "seeds": list(SEEDS), "seconds": seconds, "workloads": workloads}
 
 
-def bytecode_cache(checkout: str):
+def bytecode_cache(checkout: str) -> str | None:
     """The first ``__pycache__`` directory under the checkout's src/, or None."""
     for top, dirs, _ in os.walk(os.path.join(checkout, "src")):
         if "__pycache__" in dirs:
