@@ -204,14 +204,14 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.7/1.8/3.6 ms at 20/25/30, best of
-# 30 on a 2-vCPU AMD EPYC, Python 3.11.7), after a one-time 1.3 ms to type
+# doubles per 5 added (target (10,): 0.7/1.7/3.5 ms at 20/25/30, best of
+# 30 on a 2-vCPU AMD EPYC, Python 3.11.7), after a one-time 1.5 ms to type
 # the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.5 ms
+# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.2 ms
 # for 4,442 configurations, with (15,2) and (13,4,2,1,1) within 10% of it
-# (11.5 ms, 4,997 and 4,677 configurations); (14,), with the most
-# configurations, 5,841, takes 10.1 ms.  Above sum 30 the slowest,
+# (11.4 ms, 4,997 and 4,677 configurations); (14,), with the most
+# configurations, 5,841, takes 10.0 ms.  Above sum 30 the slowest,
 # (14,6,4,3,2,1,1), takes 1.2 ms.
 MAX_SIGMA_CAP = 30
 
@@ -251,11 +251,11 @@ def _typed_pairs(
     its sum, its entries, its A-series entries, the least Miyaoka term of
     those, its steps ``_pack``ed, and the packed mask of the lowest bit of
     each field its steps lower: 1 where a step is nonzero).  Entries are
-    (sigma, delta, Miyaoka term, pair) in sigma order, the terms as integers
-    over scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka term: 0, and
-    so is the least term of a type with no A-series entry), so the search's
-    filters sum integers.  The table depends on no input, so it is built
-    once, at the first search.
+    (sigma, delta, Miyaoka term, pair, position in their tuple) in sigma
+    order, the terms as integers over scale = lcm(2..31) < 2^47 (a D/E pair
+    has no Miyaoka term: 0, and so is the least term of a type with no
+    A-series entry), so the search's filters sum integers.  The table
+    depends on no input, so it is built once, at the first search.
 
     With ``max_steps``, config_search's index: the rows of at most that
     many steps whose cheapest entry (cheapest A-series entry with
@@ -281,8 +281,10 @@ def _typed_pairs(
 
     rows = []
     for piece in sorted(by_type, reverse=True):
-        entries = tuple((sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece])
-        a_entries = tuple(entry for entry in entries if entry[3].species == "A")
+        group = [(sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece]]
+        entries = tuple(entry + (pos,) for pos, entry in enumerate(group))
+        a_group = (entry for entry in group if entry[3].species == "A")
+        a_entries = tuple(entry + (pos,) for pos, entry in enumerate(a_group))
         least_term = min((entry[2] for entry in a_entries), default=0)
         steps = _steps(piece)
         rows.append((steps, sum(piece), entries, a_entries, least_term, _pack(steps), _pack(map(bool, steps))))
@@ -344,11 +346,11 @@ def config_search(
     scale, table = _typed_pairs(min(len(steps), MAX_SIGMA_CAP), budget, capped)
     delta_goal = contribution_cap = math.inf  # an absent filter's bound
     if require_delta is not None:
-        delta_goal, off_grid = divmod(require_delta * scale, 1)
+        delta_goal, off_grid = divmod(require_delta.numerator * scale, require_delta.denominator)
         if off_grid:  # no sum of the table's deltas
             return []
     if capped:
-        contribution_cap = math.floor(miyaoka_budget_cap * scale)
+        contribution_cap = miyaoka_budget_cap.numerator * scale // miyaoka_budget_cap.denominator
     # with neither filter, ``filtered`` skips the int-with-infinity compares
     filtered = require_delta is not None or capped
 
@@ -356,34 +358,32 @@ def config_search(
     unit = _pack([1] * len(steps))
     guard = unit << (_WIDTH - 1)
     root = _pack([min(step, _CLAMP) for step in steps]) | guard
-    # (closed mask, pack, size, group) of each type that fits, first holding
-    # the type's lowers mask; the index keeps only types with an entry within
-    # budget (A-series only under a Miyaoka cap), and the descent's sigma cut
-    # stops each group at the budget
+    # (closed mask, pack, size, group) of each type that fits; the index keeps
+    # only types with an entry within budget (A-series only under a Miyaoka
+    # cap), and the descent's sigma cut stops each group at the budget.  A
+    # row's closed mask holds the value bits of the fields that no type from
+    # that row on lowers, where a remaining step can no longer reach 0, so
+    # the rows are built last to first
+    kept = [row for row in table if (root - row[5]) & guard == guard]
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
     mnum, mden = 1, 0  # the least Miyaoka term/sum(type), likewise
-    for _, size, entries, a_entries, least_term, pack, lower in table:
-        if (root - pack) & guard == guard:
-            group = a_entries if capped else entries
-            rows.append((lower, pack, size, group))
-            if group[0][0] * den < num * size:
-                num, den = group[0][0], size
-            if capped and least_term * mden < mnum * size:
-                mnum, mden = least_term, size
+    lowered = 0
+    for _, size, entries, a_entries, least_term, pack, lower in reversed(kept):
+        group = a_entries if capped else entries
+        lowered |= lower
+        rows.append(((unit ^ lowered) * _CLAMP, pack, size, group))
+        if group[0][0] * den < num * size:
+            num, den = group[0][0], size
+        if capped and least_term * mden < mnum * size:
+            mnum, mden = least_term, size
+    rows.reverse()
     # the contribution cut: every term is positive and every pick's term is
     # at least mnum/mden times its type sum, so the picks left for a type sum
     # rest add at least ceil(rest * mnum / mden); with no type kept, 1/0
     # prices any sum past every cap
     if capped and sum(target) * mnum > contribution_cap * mden:
         return []
-    # a row's closed mask: the value bits of the fields that no type from that
-    # row on lowers, where a remaining step can no longer reach 0
-    lowered = 0
-    for t in reversed(range(len(rows))):
-        lower, pack, size, group = rows[t]
-        lowered |= lower
-        rows[t] = ((unit ^ lowered) * _CLAMP, pack, size, group)
 
     results: list[Config] = []
     chosen: list[RdpPair] = []
@@ -391,8 +391,10 @@ def config_search(
     # picks (type, entry) positions in nondecreasing order, so each multiset
     # is found once; types run in table order, and end at the first row
     # whose closed mask meets a remaining step
+    n_rows = len(rows)
+
     def descend(start: int, first: int, rem: int, left: int, slack: int, delta: int, total: int) -> None:
-        for t in range(start, len(rows)):
+        for t in range(start, n_rows):
             closed, pack, size, group = rows[t]
             if rem & closed:
                 break
@@ -406,8 +408,7 @@ def config_search(
             # the contribution cut: the floored cap less the type sum left
             # priced at mnum/mden, cap - ceil(rest * mnum / mden)
             spend = contribution_cap + mnum * rest // -mden if capped else contribution_cap
-            for pos in range(first if t == start else 0, len(group)):
-                sigma, d, m, pair = group[pos]
+            for sigma, d, m, pair, pos in group if t != start else group[first:]:
                 if sigma > room:
                     break
                 # delta and contribution are positive: a pick past the required
