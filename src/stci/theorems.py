@@ -265,9 +265,9 @@ def _typed_pairs(
     table; ``cache_clear`` resets them with it."""
     if max_steps is not None:
         scale, rows = _typed_pairs()
-        group = 3 if a_only else 2
+        column = 3 if a_only else 2
         return scale, tuple(
-            row for row in rows if len(row[0]) <= max_steps and row[group] and row[group][0][0] <= budget
+            row for row in rows if len(row[0]) <= max_steps and row[column] and row[column][0][0] <= budget
         )
     by_type: dict[TypeSeq, list] = {}
     for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
