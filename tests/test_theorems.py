@@ -315,8 +315,8 @@ def test_search_node_counts_under_a_miyaoka_cap():
     # the contribution cut prices the type sum left at the least Miyaoka
     # term per unit of a kept type.  Before it, the refused (9,9,1)/25
     # searches at max_deficiency 0-3 and cap 24 made 9, 16, 27 and 39
-    # descent calls, (9,8,2)/25 at 2 made 55, and (9,9)/30, whose one
-    # configuration passes 24, made 67.  The cap 18 is below the price of
+    # descent calls, (9,8,2)/25 at 2 made 55, and (9,9)/30, which keeps its
+    # one configuration under 24, made 67.  The cap 18 is below the price of
     # the whole (9,9,1) and (9,8,2), so those return before the descent;
     # they made 22 and 38 calls
     cap24, cap18 = Fraction(24), Fraction(18)
@@ -647,8 +647,8 @@ def test_config_search_miyaoka_caps_match_unpruned():
     # term per unit, at the root and at each pick; sweep max_sigma over
     # caps below, at and above the contribution sums the targets reach,
     # 73/3 among them, alone and with the deficiency and delta filters.
-    # The last cap is within one unit of the scaled terms below the sum 25
-    # of a (9,8,2) configuration: the cap is floored, not rounded up
+    # The last cap lies less than one scaled unit below 25, the contribution
+    # sum of a (9,8,2) configuration, which it keeps out only if floored
     caps = [Fraction(cap) for cap in (5, 18, 24, 25, 30, 40)] + [Fraction(73, 3), 25 - Fraction(1, 10**15)]
     others = ({}, {"max_deficiency": 0}, {"max_deficiency": 2}, {"require_delta": Fraction(6)},
               {"max_deficiency": 1, "require_delta": Fraction(73, 12)})
@@ -679,8 +679,8 @@ def test_typed_pairs_index_by_length():
         by_length = [row for row in rows if len(row[0]) <= length]
         assert theorems._typed_pairs(length) == (scale, tuple(by_length)), length
         for budget in range(0, cap + 1):
-            for a_only, group in ((False, 2), (True, 3)):
-                want = tuple(row for row in by_length if row[group] and row[group][0][0] <= budget)
+            for a_only, column in ((False, 2), (True, 3)):
+                want = tuple(row for row in by_length if row[column] and row[column][0][0] <= budget)
                 assert theorems._typed_pairs(length, budget, a_only) == (scale, want)
     # no type has more entries than sigma, so a length past the cap keeps
     # every row, and the budget bound keeps the cache at 30 * 30 * 2 keys
