@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import count, repeat
 from operator import attrgetter, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -204,15 +204,15 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 
 # The largest max_sigma config_search accepts.  The quartic case analysis
 # needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.7/1.7/3.5 ms at 20/25/30, best of
+# doubles per 5 added (target (10,): 0.65/1.6/3.2 ms at 20/25/30, best of
 # 30 on a 2-vCPU AMD EPYC, Python 3.11.7), after a one-time 1.5 ms to type
 # the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
 # sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 12.2 ms
-# for 4,442 configurations, with (15,2) and (13,4,2,1,1) within 10% of it
-# (11.4 ms, 4,997 and 4,677 configurations); (14,), with the most
-# configurations, 5,841, takes 10.0 ms.  Above sum 30 the slowest,
-# (14,6,4,3,2,1,1), takes 1.2 ms.
+# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 11.5-12
+# ms for 4,442 configurations, with (14,3,1,1,1), (15,4,2,1,1) and
+# (13,4,2,1,1) within 10% of it; (14,), with the most configurations,
+# 5,841, takes 8.5-9 ms.  Above sum 30 the slowest, (14,6,4,3,2,1,1), takes
+# 1.1 ms.
 MAX_SIGMA_CAP = 30
 
 # A search packs the target's remaining steps into one int, _WIDTH bits a
@@ -267,7 +267,8 @@ def _typed_pairs(
         scale, rows = _typed_pairs()
         column = 3 if a_only else 2
         return scale, tuple(
-            row for row in rows if len(row[0]) <= max_steps and row[column] and row[column][0][0] <= budget
+            row for row in rows
+            if len(row[0]) <= max_steps and row[column] and row[column][0][0] <= budget
         )
     by_type: dict[TypeSeq, list] = {}
     for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
@@ -287,7 +288,8 @@ def _typed_pairs(
         a_entries = tuple(entry + (pos,) for pos, entry in enumerate(a_group))
         least_term = min((entry[2] for entry in a_entries), default=0)
         steps = _steps(piece)
-        rows.append((steps, sum(piece), entries, a_entries, least_term, _pack(steps), _pack(map(bool, steps))))
+        lowers = _pack(map(bool, steps))
+        rows.append((steps, sum(piece), entries, a_entries, least_term, _pack(steps), lowers))
     return scale, tuple(rows)
 
 
@@ -354,16 +356,17 @@ def config_search(
     # with neither filter, ``filtered`` skips the int-with-infinity compares
     filtered = require_delta is not None or capped
 
-    # the remaining steps packed at _WIDTH, a field per step with its guard set
-    unit = _pack([1] * len(steps))
+    # the remaining steps packed at _WIDTH, a field per step with its guard
+    # set; unit, a 1 in each field, is a geometric sum
+    unit = ((1 << _WIDTH * len(steps)) - 1) // ((1 << _WIDTH) - 1)
     guard = unit << (_WIDTH - 1)
-    root = _pack([min(step, _CLAMP) for step in steps]) | guard
-    # (closed mask, pack, size, group) of each type that fits; the index keeps
-    # only types with an entry within budget (A-series only under a Miyaoka
-    # cap), and the descent's sigma cut stops each group at the budget.  A
-    # row's closed mask holds the value bits of the fields that no type from
-    # that row on lowers, where a remaining step can no longer reach 0, so
-    # the rows are built last to first
+    root = _pack(map(min, steps, repeat(_CLAMP))) | guard
+    # (closed mask, pack, size, group, row index) of each type that fits; the
+    # index keeps only types with an entry within budget (A-series only under
+    # a Miyaoka cap), and the descent's sigma cut stops each group at the
+    # budget.  A row's closed mask holds the value bits of the fields that no
+    # type from that row on lowers, where a remaining step can no longer
+    # reach 0, so the rows are built last to first
     kept = [row for row in table if (root - row[5]) & guard == guard]
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
@@ -372,7 +375,7 @@ def config_search(
     for _, size, entries, a_entries, least_term, pack, lower in reversed(kept):
         group = a_entries if capped else entries
         lowered |= lower
-        rows.append(((unit ^ lowered) * _CLAMP, pack, size, group))
+        rows.append(((unit ^ lowered) * _CLAMP, pack, size, group, len(kept) - 1 - len(rows)))
         if group[0][0] * den < num * size:
             num, den = group[0][0], size
         if capped and least_term * mden < mnum * size:
@@ -391,11 +394,8 @@ def config_search(
     # picks (type, entry) positions in nondecreasing order, so each multiset
     # is found once; types run in table order, and end at the first row
     # whose closed mask meets a remaining step
-    n_rows = len(rows)
-
     def descend(start: int, first: int, rem: int, left: int, slack: int, delta: int, total: int) -> None:
-        for t in range(start, n_rows):
-            closed, pack, size, group = rows[t]
+        for closed, pack, size, group, t in rows[start:]:
             if rem & closed:
                 break
             child = rem - pack
