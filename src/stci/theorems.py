@@ -366,7 +366,7 @@ def config_search(
     # a Miyaoka cap), and the descent's sigma cut stops each group at the
     # budget.  A row's closed mask holds the value bits of the fields that no
     # type from that row on lowers, where a remaining step can no longer
-    # reach 0, so the rows are built last to first
+    # reach 0, so the rows are built last to first (row[5] is a type's pack)
     kept = [row for row in table if (root - row[5]) & guard == guard]
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
