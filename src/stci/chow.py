@@ -35,8 +35,7 @@ coefficients of the surface product rest on are defined here once
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, repeat
-from operator import sub
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, echo, integer
@@ -88,7 +87,7 @@ def q_value(s: int, t: int, d: int, g: int) -> int:
 
 class BlowupContext(namedtuple("BlowupContext", "d g beta")):
     """Immutable ring data: curve degree, genus and the beta sequence,
-    kept as a tuple of checked ints; alpha is derived from them."""
+    kept as a tuple of checked ints."""
 
     __slots__ = ()
 
@@ -99,10 +98,6 @@ class BlowupContext(namedtuple("BlowupContext", "d g beta")):
     @property
     def n(self) -> int:
         return len(self.beta)
-
-    @property
-    def alpha(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.beta, sub, initial=2 - 2 * self.g - 4 * self.d))
 
 
 def make_context(d: int, g: int, beta: Iterable[int]) -> BlowupContext:
@@ -131,11 +126,13 @@ def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:
     alpha_0) from the pairs E_i.E_k, -alpha_{k-1} from E_k^2, and -beta_k
     from each of the n - k squares E_j^2 with j > k.
     """
-    alpha = ctx.alpha
-    base = -ctx.d * (integer(s, "surface degree") + integer(t, "surface degree")) - 2 * alpha[0]
-    later = range(ctx.n - 1, -1, -1)  # n - k for k = 1..n
-    a = tuple(base + ak - nk * bk for ak, bk, nk in zip(alpha, ctx.beta, later))
-    return StExpansion(s * t - ctx.n * ctx.d, a)
+    alpha = 2 - 2 * ctx.g - 4 * ctx.d  # alpha_0, then alpha_{k-1} at level k
+    base = -ctx.d * (integer(s, "surface degree") + integer(t, "surface degree")) - 2 * alpha
+    a = []
+    for nk, bk in zip(range(ctx.n - 1, -1, -1), ctx.beta):  # nk = n - k for k = 1..n
+        a.append(base + alpha - nk * bk)
+        alpha -= bk
+    return StExpansion(s * t - ctx.n * ctx.d, tuple(a))
 
 
 def _head_of_p(p: Sequence[int], n: int, stop: int) -> Sequence[int]:
@@ -163,11 +160,19 @@ def a_closed_form(
 
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
     ``q_value``, and p read as zero past its end; p needs len(), slices
-    and at most n entries, as in ``pad_p``.
+    and at most n entries, as in ``pad_p``.  p_m must be an int, and so
+    must the sum of p_1..p_{m-1}, which refuses a float, Fraction or
+    Decimal among them but not a bool or an IntEnum member; the entries
+    past p_m are not read.
     """
     n = multiplicity(s, t, d, g)
     if not 1 <= integer(m, "index m") <= n:
         raise DomainError(f"index m={echo(m)} outside 1..{n}")
     head = _head_of_p(p, n, m - 1)
-    p_m = p[m - 1] if m <= len(p) else 0
-    return sum(head) + (n - m) * p_m - q_value(s, t, d, g)
+    p_m = integer(p[m - 1], "p entry") if m <= len(p) else 0
+    try:
+        total = integer(sum(head), "p entry")
+    except DomainError:  # only a non-int entry makes the sum one: refuse the first
+        tuple(map(integer, head, repeat("p entry")))
+        raise
+    return total + (n - m) * p_m - q_value(s, t, d, g)

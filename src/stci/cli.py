@@ -85,24 +85,23 @@ def render(doc: Document, fmt: str) -> str:
 _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
-def _invariant_values(inv: rdp.Invariants) -> list:
+def _invariant_fields(inv: rdp.Invariants) -> dict:
     from . import rdp
 
-    return [rdp.format_type(inv.type_seq), inv.order, str(inv.delta), inv.sigma, inv.deficiency]
+    values = (rdp.format_type(inv.type_seq), inv.order, str(inv.delta), inv.sigma, inv.deficiency)
+    return dict(zip(_INVARIANTS, values))
 
 
 def cmd_rdp_info(args) -> Document:
     from . import rdp
 
-    inv = rdp.scalar_invariants(rdp.classify(args.pair))
-    return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
+    return record(_invariant_fields(rdp.scalar_invariants(rdp.classify(args.pair))))
 
 
 def cmd_rdp_config(args) -> Document:
     from . import rdp
 
-    inv = rdp.config_invariants(rdp.parse_config(args.expr))
-    return record(dict(zip(_INVARIANTS, _invariant_values(inv))))
+    return record(_invariant_fields(rdp.config_invariants(rdp.parse_config(args.expr))))
 
 
 def cmd_phi(args) -> Document:
@@ -175,7 +174,7 @@ def cmd_thm2(args) -> Document:
     _max_n(params.n)
     p = _parse_int_list(args.p)
     margins = theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
-    rhs = theorems._rhs_column(params.q, range(1, params.n))  # thm2_rhs recomputes q per k
+    rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))
     holds = all(m >= 0 for m in margins)
@@ -235,10 +234,10 @@ def cmd_search_config(args) -> Document:
     if args.contains:
         needle = rdp.classify(args.contains)
         results = [config for config in results if needle in config]
-    rows = []
-    for config in results:
-        inv = rdp.config_invariants(config)
-        rows.append([rdp.format_config(config), *_invariant_values(inv)])
+    rows = [
+        [rdp.format_config(config), *_invariant_fields(rdp.config_invariants(config)).values()]
+        for config in results
+    ]
     line = "{0}  order={2} delta={3} sigma={4} deficiency={5}"
     return table(("config", *_INVARIANTS), rows, line, "no configurations")
 

@@ -16,10 +16,7 @@ from typing import NamedTuple, Optional
 from .chow import a_value, check_curve
 from .errors import at_most, integer
 
-# The largest curve degree enumerate_pairs accepts.  The s loop walks the
-# divisors for d^2 - 2 values of s, about d^2 log d steps in all, and takes
-# one remainder for each of the d^2 - 1 values above: d = 600 takes about
-# 0.4 s (2-vCPU AMD EPYC, Python 3.11.7), d = 10^5 would not finish.
+# The largest curve degree enumerate_pairs accepts: the work grows as d^2 log d.
 MAX_CURVE_DEGREE = 600
 
 _BOTH = ("s-orientation", "t-orientation")

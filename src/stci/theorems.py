@@ -76,12 +76,7 @@ def thm2_rhs(params: StciParams, k: int) -> int:
     n = params.n
     if not 1 <= integer(k, "index k") <= n - 1:
         raise DomainError(f"index k={echo(k)} outside 1..{n - 1}")
-    return _rhs_column(params.q, (k,))[0]
-
-
-def _rhs_column(q: int, ks: Iterable[int]) -> list[int]:
-    """``thm2_rhs`` at each k of ks from one known q, with no index check."""
-    return [(1 << (k - 1)) * q for k in ks]
+    return (1 << (k - 1)) * params.q
 
 
 def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
@@ -202,17 +197,7 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
 # configuration search
 
 
-# The largest max_sigma config_search accepts.  The quartic case analysis
-# needs 19 (the resolution bound) and its widened check 25.  The cost about
-# doubles per 5 added (target (10,): 0.65/1.6/3.2 ms at 20/25/30, best of
-# 30 on a 2-vCPU AMD EPYC, Python 3.11.7), after a one-time 1.5 ms to type
-# the pair table.  At 30 a sweep of all 376,325 nonincreasing targets with
-# sum <= 43 (odd Dn pairs have negative deficiency, so type sums pass
-# sigma, but none passes 43) found the slowest to be (14,4,2,1,1), 11.5-12
-# ms for 4,442 configurations, with (14,3,1,1,1), (15,4,2,1,1) and
-# (13,4,2,1,1) within 10% of it; (14,), with the most configurations,
-# 5,841, takes 8.5-9 ms.  Above sum 30 the slowest, (14,6,4,3,2,1,1), takes
-# 1.1 ms.
+# The largest max_sigma config_search accepts: the quartic analysis needs 25.
 MAX_SIGMA_CAP = 30
 
 # A search packs the target's remaining steps into one int, _WIDTH bits a
@@ -317,13 +302,7 @@ def config_search(
     not an int, a max_sigma above MAX_SIGMA_CAP, and a require_delta or
     miyaoka_budget_cap that is not an int or a Fraction.
 
-    Cost: the pair table is typed once per process (``_typed_pairs``), and
-    so is each index of it that a length, a budget and the presence of a
-    Miyaoka cap select.  The search about doubles per 5 added to max_sigma
-    (see MAX_SIGMA_CAP).  It prices the type sum left at the least sigma per
-    unit of a kept type, and under a Miyaoka cap at the least contribution
-    per unit too: a target priced past its cap returns [] before the
-    descent, and a pick priced past it is skipped.
+    The cost about doubles per 5 added to max_sigma, hence MAX_SIGMA_CAP.
     """
     target = normalize_type(target)
     if not target:

@@ -23,6 +23,7 @@ spitup decomposition and the K-formula bound.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -120,6 +121,12 @@ def blowup_of(p):
     return None
 
 
+def context_alpha(ctx: BlowupContext) -> tuple[int, ...]:
+    """alpha_0..alpha_n of a context: alpha_0 = 2 - 2g - 4d and
+    alpha_k = alpha_{k-1} - beta_k."""
+    return tuple(itertools.accumulate(ctx.beta, operator.sub, initial=2 - 2 * ctx.g - 4 * ctx.d))
+
+
 class CycleClass(NamedTuple):
     """A class of the graded basis {1; H, E_1..E_n; H^2, R_1..R_n; pt}
     of one blowup context, with integer coefficients."""
@@ -142,7 +149,7 @@ def mul_term_by_term(x: CycleClass, y: CycleClass) -> CycleClass:
     assert x.ctx == y.ctx, "classes of two different blowup contexts"
     ctx = x.ctx
     n, d = ctx.n, ctx.d
-    beta, alpha = ctx.beta, ctx.alpha
+    beta, alpha = ctx.beta, context_alpha(ctx)
 
     c0 = x.c0 * y.c0
     h = x.c0 * y.h + y.c0 * x.h

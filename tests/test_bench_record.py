@@ -13,12 +13,24 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def compare(capsys, a, b):
+def compare_tables(capsys, a, b):
+    """The exit code of --compare, then each of its two tables, after
+    their header lines, as {(workload, metric): the rest of the row}."""
     code = bench_record.main(["--compare", str(FIXTURES / a), str(FIXTURES / b)])
-    rows = {}
-    for line in capsys.readouterr().out.splitlines()[2:]:
-        workload, metric, rest = line.split(None, 2)
-        rows[workload, metric] = rest
+    medians, blank, paired = capsys.readouterr().out.partition("\n\n")
+    assert blank and paired.startswith("seed-matched ratios B/A\n")
+    tables = []
+    for text, skip in ((medians, 2), (paired, 2)):
+        rows = {}
+        for line in text.splitlines()[skip:]:
+            workload, metric, rest = line.split(None, 2)
+            rows[workload, metric] = rest
+        tables.append(rows)
+    return code, *tables
+
+
+def compare(capsys, a, b):
+    code, rows, _ = compare_tables(capsys, a, b)
     return code, rows
 
 
@@ -50,6 +62,23 @@ def test_compare_with_itself_passes(capsys):
     assert all(rest.split()[4] == "1.000" for rest in rows.values())
     # every pair ties, and a tie counts for neither
     assert all(rest.split()[5:7] == ["wins", "0/3"] for rest in rows.values())
+
+
+def test_compare_prints_the_spread_of_seed_matched_ratios(capsys):
+    # jobs_per_s B/A by seed: 5100/3430, 5000/3500, 4900/3570; quartiles
+    # by the inclusive method, as ``summary`` takes them
+    _, rows, ratios = compare_tables(capsys, "BENCH_before.json", "BENCH_after.json")
+    assert ratios.keys() == rows.keys()
+    assert ratios["search", "jobs_per_s"].split() == [
+        "1.401", "1.429", "1.458", "1.373", "1.487", "3"]
+    assert ratios["search", "job_ms_p50"].split() == ["0.560"] * 5 + ["3"]
+    _, _, ratios = compare_tables(capsys, "BENCH_after.json", "BENCH_after.json")
+    assert all(rest.split() == ["1.000"] * 5 + ["3"] for rest in ratios.values())
+
+
+def test_ratio_spread_of_one_pair_and_of_none():
+    assert bench_record.ratio_spread([(2.0, 3.0)]).split() == ["1.500"] * 5 + ["1"]
+    assert bench_record.ratio_spread([]) == "no seed-matched pairs"
 
 
 def test_fixture_summaries_are_those_of_their_raw_runs():

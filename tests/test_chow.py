@@ -1,12 +1,14 @@
 import random
 from collections import deque
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from oracles import CycleClass
+from oracles import CycleClass, context_alpha
 from oracles import mul_term_by_term as mul
 from stci import chow
-from stci.errors import DomainError
+from stci.errors import DomainError, echo
 
 
 def quartic_ctx(p=(8, 8, 8, 0)):
@@ -39,22 +41,28 @@ def add(x, y):
 
 def test_make_context_examples():
     ctx = chow.make_context(4, 0, (-6, -6, -6))
-    assert ctx.alpha == (-14, -8, -2, 4)
+    assert context_alpha(ctx) == (-14, -8, -2, 4)
     assert ctx.n == 3
-    assert chow.make_context(1, 0, ()).alpha == (-2,)
-    assert chow.make_context(3, 0, (0,)).alpha == (-10, -10)
+    assert context_alpha(chow.make_context(1, 0, ())) == (-2,)
+    assert context_alpha(chow.make_context(3, 0, (0,))) == (-10, -10)
 
 
 def test_context_keeps_its_inputs_and_derives_alpha():
     ctx = chow.BlowupContext(4, 0, [1, 2])
     assert ctx.beta == (1, 2) and type(ctx.beta) is tuple
     assert chow.make_context(4, 0, iter([1, 2])) == ctx
-    # _replace skips the checks, but leaves no derived field behind
+    # _replace skips the checks, and st_expansion reads alpha off beta
     replaced = ctx._replace(beta=(5, 5))
     fresh = chow.BlowupContext(4, 0, (5, 5))
-    assert replaced.alpha == fresh.alpha == (-14, -19, -24)
+    assert context_alpha(replaced) == context_alpha(fresh) == (-14, -19, -24)
     assert chow.st_expansion(4, 4, replaced) == chow.st_expansion(4, 4, fresh)
     assert chow.st_expansion(4, 4, replaced).a == (-23, -23)
+
+
+def test_st_expansion_of_a_context_with_no_levels():
+    # the loop over the levels runs no step: no ruling coefficients, and
+    # the H^2 coefficient is s*t
+    assert chow.st_expansion(2, 3, chow.BlowupContext(1, 0, ())) == chow.StExpansion(6, ())
 
 
 def test_context_validation():
@@ -220,6 +228,18 @@ def test_a_closed_form_errors():
     with pytest.raises(DomainError) as padded:
         chow.pad_p(long_p, 4)
     assert str(padded.value) == str(info.value)
+
+
+@pytest.mark.parametrize("entry", [9.5, Fraction(9), Decimal(9)], ids=["float", "Fraction", "Decimal"])
+def test_a_closed_form_refuses_entries_that_are_not_ints(entry):
+    # p_m is checked, and an entry before it through the sum it leaves
+    # (a non-int sum), which the refusal names; the same entry passes
+    # unread past p_m
+    for p, m in [((entry, 8, 2), 1), ((entry, 8, 2), 3), ((9, entry, 2), 4)]:
+        with pytest.raises(DomainError) as info:
+            chow.a_closed_form(4, 4, 4, 0, p, m)
+        assert str(info.value) == f"p entry must be an int, got {echo(entry)}"
+    assert chow.a_closed_form(4, 4, 4, 0, (9, 8, entry), 2) == 1
 
 
 class SliceMissingDict(dict):

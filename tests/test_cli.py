@@ -522,6 +522,16 @@ def test_results_past_the_int_str_limit(capsys):
     assert outputs == [(0, out, "") for out in expected]
 
 
+def test_no_digit_limit_before_python_3_10_7(capsys, monkeypatch):
+    # before 3.10.7 sys has no digit limit to lift: _set_int_digits is a
+    # no-op that reports no limit, and a command runs as usual
+    from stci.cli import _set_int_digits
+
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert _set_int_digits(0) == 0
+    assert run_cli(capsys, "bound", "4") == (0, "19\n", "")
+
+
 def test_help_and_usage_text(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, "thm1", "--help") == (0, THM1_HELP, "")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import context_alpha
 from stci import chow, cli, degrees, graphs, rdp, theorems
 from stci.errors import DomainError
 
@@ -69,7 +70,7 @@ def test_validating_records_refuse_bad_input_when_built_directly():
         chow.BlowupContext(1, -1, ())
     with pytest.raises(DomainError):
         theorems.StciParams(3, 3, 4, 0)
-    assert chow.BlowupContext(4, 0, (-6, -6, -6)).alpha == (-14, -8, -2, 4)
+    assert context_alpha(chow.BlowupContext(4, 0, (-6, -6, -6))) == (-14, -8, -2, 4)
 
 
 def test_validating_records_copy_through_new():

@@ -24,7 +24,10 @@ the ratio B/A and how many seed-matched pairs of raw runs B wins (``wins
 9/10``; a tie counts for neither), and flags a metric whose median is
 worse than A's by more than its bound in BENCHMARK.json; the pass counts
 are printed next to ``peak_rss_mb``, because ``run.py`` keeps one time
-array per pass.
+array per pass.  A second table follows, after a blank line: per workload
+and metric, the quartiles and the range of the seed-matched ratios B/A.
+Each seed draws its own job mix, so the IQRs of the medians carry the
+spread between seeds as well as noise, and the paired ratios do not.
 The exit code is 1 when a metric is flagged, when B is not correct, or
 when B fails a larger share of its attempted jobs than A.
 Neither mode changes ``perfbench/`` or ``BENCHMARK.json``; both only read
@@ -167,13 +170,27 @@ def cell(metric: dict) -> str:
     return f"{metric['median']:.4g} ({metric['iqr']:.2g})"
 
 
-def wins(name: str, better: str, wa: dict, wb: dict) -> str:
-    """How many of the seed-matched raw runs B does better on than A, out
-    of the matched pairs; a tie counts for neither."""
+def seed_pairs(name: str, wa: dict, wb: dict) -> list[tuple[float, float]]:
+    """(A, B) values of one metric for each seed both workloads ran, in B's order."""
     runs_a = {r["seed"]: r["metrics"][name] for r in wa["raw"]}
-    pairs = [(runs_a[r["seed"]], r["metrics"][name]) for r in wb["raw"] if r["seed"] in runs_a]
+    return [(runs_a[r["seed"]], r["metrics"][name]) for r in wb["raw"] if r["seed"] in runs_a]
+
+
+def wins(better: str, pairs: list[tuple[float, float]]) -> str:
+    """How many of the seed-matched pairs B does better on than A; a tie
+    counts for neither."""
     won = sum(vb > va if better == "higher" else vb < va for va, vb in pairs)
     return f"wins {won}/{len(pairs)}"
+
+
+def ratio_spread(pairs: list[tuple[float, float]]) -> str:
+    """Quartiles and range of the seed-matched ratios B/A, which leave out
+    the spread between seeds that the medians' IQRs carry."""
+    ratios = sorted(vb / va for va, vb in pairs)
+    if not ratios:
+        return "no seed-matched pairs"
+    quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    return " ".join(f"{r:7.3f}" for r in (*quartiles, ratios[0], ratios[-1])) + f"  {len(ratios):5d}"
 
 
 def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
@@ -181,6 +198,9 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
     lines = [f"A = {a['label']} ({a['git_sha']}), B = {b['label']} ({b['git_sha']})",
              f"{'workload':10s} {'metric':12s} {'A median (IQR)':>22s} "
              f"{'B median (IQR)':>22s} {'B/A':>7s}"]
+    paired = ["", "seed-matched ratios B/A",
+              f"{'workload':10s} {'metric':12s} {'Q1':>7s} {'median':>7s} {'Q3':>7s} "
+              f"{'min':>7s} {'max':>7s}  {'pairs':>5s}"]
     flagged = 0
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -190,10 +210,12 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
         for spec in benchmark["end_to_end"]:
             name = spec["name"]
             ma, mb = wa["metrics"][name], wb["metrics"][name]
+            pairs = seed_pairs(name, wa, wb)
             ratio = mb["median"] / ma["median"]
             change = ratio - 1 if spec["better"] == "lower" else 1 - ratio
             line = (f"{workload:10s} {name:12s} {cell(ma):>22s} {cell(mb):>22s} {ratio:7.3f}"
-                    f"  {wins(name, spec['better'], wa, wb)}")
+                    f"  {wins(spec['better'], pairs)}")
+            paired.append(f"{workload:10s} {name:12s} {ratio_spread(pairs)}")
             if name == "peak_rss_mb":
                 line += f"  passes {wa['passes']['median']:g} -> {wb['passes']['median']:g}"
             if change > spec["bound"]:
@@ -205,7 +227,7 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
             flagged += 1
             lines.append(f"{workload:10s} FAILURES: A {wa['failed']} of {wa['attempted']}, "
                          f"B {wb['failed']} of {wb['attempted']}, B correct {wb['correct']}")
-    return lines, flagged
+    return lines + paired, flagged
 
 
 def main(argv=None) -> int:
