@@ -161,8 +161,8 @@ def a_closed_form(
     a_m = p_1 + ... + p_{m-1} + (n-m) p_m - q, with n = s*t/d, q from
     ``q_value``, and p read as zero past its end; p needs len(), slices
     and at most n entries, as in ``pad_p``.  p_m must be an int, and so
-    must the sum of p_1..p_{m-1}, which refuses a float, Fraction or
-    Decimal among them but not a bool or an IntEnum member; the entries
+    must the sum of p_1..p_{m-1}, which refuses a float, Fraction, Decimal
+    or str among them but not a bool or an IntEnum member; the entries
     past p_m are not read.
     """
     n = multiplicity(s, t, d, g)
@@ -172,7 +172,7 @@ def a_closed_form(
     p_m = integer(p[m - 1], "p entry") if m <= len(p) else 0
     try:
         total = integer(sum(head), "p entry")
-    except DomainError:  # only a non-int entry makes the sum one: refuse the first
+    except (DomainError, TypeError):  # only a non-int entry fails the sum: refuse the first
         tuple(map(integer, head, repeat("p entry")))
         raise
     return total + (n - m) * p_m - q_value(s, t, d, g)

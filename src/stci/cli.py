@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import stci
 
 from .errors import DomainError, ParseError, at_most, echo
-
-if TYPE_CHECKING:  # each handler imports the layers it calls, when it runs
-    from . import rdp
 
 FORMATS = ("human", "json", "csv")
 
@@ -85,30 +84,23 @@ def render(doc: Document, fmt: str) -> str:
 _INVARIANTS = ("type", "order", "delta", "sigma", "deficiency")
 
 
-def _invariant_fields(inv: rdp.Invariants) -> dict:
-    from . import rdp
-
-    values = (rdp.format_type(inv.type_seq), inv.order, str(inv.delta), inv.sigma, inv.deficiency)
-    return dict(zip(_INVARIANTS, values))
+def _invariant_fields(inv: stci.rdp.Invariants) -> dict:
+    type_text = stci.rdp.format_type(inv.type_seq)
+    return dict(zip(_INVARIANTS, (type_text, inv.order, str(inv.delta), inv.sigma, inv.deficiency)))
 
 
 def cmd_rdp_info(args) -> Document:
-    from . import rdp
-
-    return record(_invariant_fields(rdp.scalar_invariants(rdp.classify(args.pair))))
+    return record(_invariant_fields(stci.rdp.scalar_invariants(stci.rdp.classify(args.pair))))
 
 
 def cmd_rdp_config(args) -> Document:
-    from . import rdp
-
-    return record(_invariant_fields(rdp.config_invariants(rdp.parse_config(args.expr))))
+    return record(_invariant_fields(stci.rdp.config_invariants(stci.rdp.parse_config(args.expr))))
 
 
 def cmd_phi(args) -> Document:
-    from . import rdp
-
-    seq = rdp.phi(at_most(args.n, rdp.MAX_INDEX, "phi n", "the work grows with it"), args.k)
-    text = rdp.format_type(seq)
+    n = at_most(args.n, stci.rdp.MAX_INDEX, "phi n", "the work grows with it")
+    seq = stci.rdp.phi(n, args.k)
+    text = stci.rdp.format_type(seq)
     fields = {"n": args.n, "k": args.k, "phi": text}
     return Document(text, fields, ("i", "p_i"), list(enumerate(seq, 1)))
 
@@ -142,13 +134,11 @@ def _inputs(args, n: int) -> dict:
 
 
 def cmd_chow_expand(args) -> Document:
-    from . import chow
-
     p = _parse_int_list(args.p)
-    n = _max_n(chow.multiplicity(args.s, args.t, args.d, args.g))
-    p = chow.pad_p(p, n)
-    ctx = chow.make_context(args.d, args.g, chow.beta_from_p(args.s, args.d, args.g, p))
-    expansion = chow.st_expansion(args.s, args.t, ctx)
+    n = _max_n(stci.chow.multiplicity(args.s, args.t, args.d, args.g))
+    p = stci.chow.pad_p(p, n)
+    ctx = stci.chow.BlowupContext(args.d, args.g, stci.chow.beta_from_p(args.s, args.d, args.g, p))
+    expansion = stci.chow.st_expansion(args.s, args.t, ctx)
     a = expansion.a
     return Document(
         f"h2: {expansion.h2_coeff}\na: ({','.join(map(str, a))})",
@@ -159,22 +149,18 @@ def cmd_chow_expand(args) -> Document:
 
 
 def cmd_thm1(args) -> Document:
-    from . import theorems
-
-    params = theorems.StciParams(args.s, args.t, args.d, args.g)
-    result = theorems.thm1_value(params)
+    params = stci.theorems.StciParams(args.s, args.t, args.d, args.g)
+    result = stci.theorems.thm1_value(params)
     fields = {"value": str(result.value), "integral": result.integral}
     return record(fields, _inputs(args, params.n))
 
 
 def cmd_thm2(args) -> Document:
-    from . import theorems
-
-    params = theorems.StciParams(args.s, args.t, args.d, args.g)
+    params = stci.theorems.StciParams(args.s, args.t, args.d, args.g)
     _max_n(params.n)
     p = _parse_int_list(args.p)
-    margins = theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
-    rhs = [theorems.thm2_rhs(params, k) for k in range(1, params.n)]
+    margins = stci.theorems.thm2_margins(params, p[: params.n - 1])  # ignores entries past n - 1
+    rhs = [stci.theorems.thm2_rhs(params, k) for k in range(1, params.n)]
     sides = {"lhs": [r + m for r, m in zip(rhs, margins)], "rhs": rhs}
     rows = list(zip(range(1, params.n), *sides.values(), margins))
     holds = all(m >= 0 for m in margins)
@@ -188,43 +174,32 @@ def cmd_thm2(args) -> Document:
 
 
 def cmd_thm3(args) -> Document:
-    from . import rdp, theorems
-
-    t = rdp.parse_type(args.type)
-    result = theorems.thm3_check(args.s, args.d, args.g, t, args.truncate_at)
-    inputs = {"s": args.s, "d": args.d, "g": args.g, "type": rdp.format_type(t)}
+    t = stci.rdp.parse_type(args.type)
+    result = stci.theorems.thm3_check(args.s, args.d, args.g, t, args.truncate_at)
+    inputs = {"s": args.s, "d": args.d, "g": args.g, "type": stci.rdp.format_type(t)}
     return record({"lhs": str(result.lhs), "rhs": str(result.rhs), "holds": result.holds}, inputs)
 
 
 def cmd_thmA(args) -> Document:
-    from . import theorems
-
-    verdict = theorems.thmA_verdict(args.s, args.t, args.d, args.g)
+    verdict = stci.theorems.thmA_verdict(args.s, args.t, args.d, args.g)
     return record(verdict._asdict(), {"s": args.s, "t": args.t, "d": args.d, "g": args.g})
 
 
 def cmd_bound(args) -> Document:
-    from . import theorems
-
-    bound = theorems.resolution_bound(args.s)
+    bound = stci.theorems.resolution_bound(args.s)
     return record({"s": args.s, "bound": bound})._replace(human=str(bound))
 
 
 def cmd_bungo(args) -> Document:
-    from . import rdp, theorems
-
-    rows = [(n, rdp.format_type(seq)) for n, seq in theorems.bungobungo_solve()]
+    rows = [(n, stci.rdp.format_type(seq)) for n, seq in stci.theorems.bungobungo_solve()]
     return table(("n", "type"), rows, "n={} type={}", "")
 
 
 def cmd_search_config(args) -> Document:
-    from . import rdp, theorems
-    from .exact import parse_rational
-
-    target = rdp.parse_type(args.type)
-    require_delta = parse_rational(args.require_delta) if args.require_delta else None
-    budget = parse_rational(args.miyaoka_budget) if args.miyaoka_budget else None
-    results = theorems.config_search(
+    target = stci.rdp.parse_type(args.type)
+    require_delta = stci.exact.parse_rational(args.require_delta) if args.require_delta else None
+    budget = stci.exact.parse_rational(args.miyaoka_budget) if args.miyaoka_budget else None
+    results = stci.theorems.config_search(
         target,
         max_deficiency=args.max_def,
         require_delta=require_delta,
@@ -232,20 +207,18 @@ def cmd_search_config(args) -> Document:
         miyaoka_budget_cap=budget,
     )
     if args.contains:
-        needle = rdp.classify(args.contains)
+        needle = stci.rdp.classify(args.contains)
         results = [config for config in results if needle in config]
     rows = [
-        [rdp.format_config(config), *_invariant_fields(rdp.config_invariants(config)).values()]
-        for config in results
+        [stci.rdp.format_config(cfg), *_invariant_fields(stci.rdp.config_invariants(cfg)).values()]
+        for cfg in results
     ]
     line = "{0}  order={2} delta={3} sigma={4} deficiency={5}"
     return table(("config", *_INVARIANTS), rows, line, "no configurations")
 
 
 def cmd_enumerate(args) -> Document:
-    from . import degrees
-
-    records = degrees.enumerate_pairs(args.d, args.g, s_max=args.s_max, t_max=args.t_max)
+    records = stci.degrees.enumerate_pairs(args.d, args.g, s_max=args.s_max, t_max=args.t_max)
     rows = [(r.s, r.t, r.n, str(r.p_s), str(r.p_t)) for r in records]
     line = "({},{})  n={}  p_s={}  p_t={}"
     return table(("s", "t", "n", "p_s", "p_t"), rows, line, "no admissible pairs")

@@ -12,11 +12,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import count, repeat
+from itertools import count
 from operator import attrgetter, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chow import (a_value, beta_from_p, check_curve, check_degrees, check_surface, make_context,
+from .chow import (BlowupContext, a_value, beta_from_p, check_curve, check_degrees, check_surface,
                    multiplicity, pad_p, q_value, st_expansion)
 from .errors import DomainError, at_most, echo, integer, rational
 from .graphs import snort_check
@@ -93,7 +93,7 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
-    ctx = make_context(d, g, beta_from_p(s, d, g, pad_p(p, n - 1) + (0,)))
+    ctx = BlowupContext(d, g, beta_from_p(s, d, g, pad_p(p, n - 1) + (0,)))
     return snort_check(st_expansion(s, t, ctx).a[:-1]).margins
 
 
@@ -205,13 +205,10 @@ MAX_SIGMA_CAP = 30
 # _CLAMP, which is also the value mask of a field.  A type's steps fit under
 # the remaining ones exactly when subtracting its packed steps leaves every
 # guard set (no field borrows from the next), so a fit test is a
-# subtraction and a mask.  A target's steps are packed clamped to _CLAMP.
-# That changes no fit, leaf or closed-field test: picks spend at most
-# MAX_SIGMA_CAP sigma, and a type's sum is at most 42/29 of its sigma (the
-# table's least ratio is 29/42), so picks lower a field by at most 43 in
-# all, and a clamped field stays above 63 - 43 = 20, more than the largest
-# table step, 15: it fits every type, is never 0 and is lowered by the same
-# types as the true step.
+# subtraction and a mask.  A target with a step past _CLAMP is refused
+# unpacked: it has an entry past 63, and no configuration within
+# MAX_SIGMA_CAP has a type sum past 43, since a type's sum is at most 42/29
+# of its sigma.
 _WIDTH = 7
 _CLAMP = (1 << (_WIDTH - 1)) - 1
 
@@ -317,9 +314,10 @@ def config_search(
             rational(value, name)
     # each pick leaves the rest of the target nonincreasing, as every pair's
     # type is, so a target with a negative step has nothing to pick; every
-    # pair has sigma >= 1, so a budget below 1 has nothing to spend
+    # pair has sigma >= 1, so a budget below 1 has nothing to spend; a step
+    # past _CLAMP does not fit a field and has no configuration (see _WIDTH)
     steps = _steps(target)
-    if min(steps) < 0 or budget < 1:
+    if min(steps) < 0 or max(steps) > _CLAMP or budget < 1:
         return []
 
     # no type has more entries than sigma, so no row has more steps than this
@@ -339,7 +337,7 @@ def config_search(
     # set; unit, a 1 in each field, is a geometric sum
     unit = ((1 << _WIDTH * len(steps)) - 1) // ((1 << _WIDTH) - 1)
     guard = unit << (_WIDTH - 1)
-    root = _pack(map(min, steps, repeat(_CLAMP))) | guard
+    root = _pack(steps) | guard
     # (closed mask, pack, size, group, row index) of each type that fits; the
     # index keeps only types with an entry within budget (A-series only under
     # a Miyaoka cap), and the descent's sigma cut stops each group at the

@@ -230,11 +230,13 @@ def test_a_closed_form_errors():
     assert str(padded.value) == str(info.value)
 
 
-@pytest.mark.parametrize("entry", [9.5, Fraction(9), Decimal(9)], ids=["float", "Fraction", "Decimal"])
+@pytest.mark.parametrize(
+    "entry", [9.5, Fraction(9), Decimal(9), "9"], ids=["float", "Fraction", "Decimal", "str"]
+)
 def test_a_closed_form_refuses_entries_that_are_not_ints(entry):
     # p_m is checked, and an entry before it through the sum it leaves
-    # (a non-int sum), which the refusal names; the same entry passes
-    # unread past p_m
+    # (a non-int sum, or none for a str), which the refusal names; the same
+    # entry passes unread past p_m
     for p, m in [((entry, 8, 2), 1), ((entry, 8, 2), 3), ((9, entry, 2), 4)]:
         with pytest.raises(DomainError) as info:
             chow.a_closed_form(4, 4, 4, 0, p, m)

@@ -340,11 +340,13 @@ def test_search_node_count_of_a_priced_out_target():
     # ratio of (4,1,1,1,1) is 5/6, and a floored price takes it to 3 calls
     for target, kwargs in (
         ((9, 8, 2), {"max_sigma": 18}),
-        ((1000000000000, 7, 1), {}),
         ((4, 1, 1, 1, 1), {"max_sigma": 6}),
     ):
         found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
         assert (found, calls.get("descend")) == ([], 1), target
+    # a step past _CLAMP is refused before the packing, so no descent runs
+    found, calls = _calls_in_theorems(theorems.config_search, (10**12, 7, 1))
+    assert (found, calls.get("_pack", 0), calls.get("descend", 0)) == ([], 0, 0)
 
 
 def test_bungobungo_rejected_candidates():
@@ -760,10 +762,11 @@ def test_config_search_thirty_entries_at_cap_match_unpruned():
         assert len(want) == (target == (1,) * 30), target
 
 
-def test_packed_steps_clamp_is_never_reached():
-    # picks spend at most MAX_SIGMA_CAP sigma and lower a field by at most
-    # their type sums, each at most sum/sigma of its sigma; one more type
-    # step is subtracted in a fit test, and the field must stay above 0
+def test_type_sums_within_the_sigma_cap_stay_under_the_clamp():
+    # config_search refuses a target step past _CLAMP unpacked, which is
+    # sound only if no configuration within MAX_SIGMA_CAP has a type sum
+    # past _CLAMP: a type's sum is at most sigma/least of its sigma; the
+    # assert also leaves room for one more table step
     _, rows = theorems._typed_pairs()
     least = min(Fraction(entries[0][0], size) for _, size, entries, *_ in rows)
     largest_step = max(max(row[0]) for row in rows)
@@ -773,10 +776,10 @@ def test_packed_steps_clamp_is_never_reached():
 
 
 def test_config_search_steps_past_the_clamp_match_unpruned():
-    # a step of 43, the most that picks can lower a field, and steps at,
-    # just past and far past the clamp, each packed clamped: no type sum
-    # under the cap reaches 43 in one field, so the oracle finds nothing,
-    # and a clamped field must not read as one that picks can empty
+    # a step of 43, the most that picks can lower a field, a step at the
+    # clamp, packed, and steps just past and far past it, refused unpacked:
+    # no type sum under the cap reaches 43 in one field, so the oracle finds
+    # nothing, and a packed field must not read as one that picks can empty
     cap = theorems.MAX_SIGMA_CAP
     for big in (43, 63, 64, 127, 10**12):
         for target, kwargs in (
