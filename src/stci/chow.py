@@ -149,8 +149,10 @@ def _head_of_p(p: Sequence[int], n: int, stop: int) -> Sequence[int]:
 
 
 def pad_p(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """p zero-padded to n entries; p needs len(), slices and at most n entries."""
-    return tuple(_head_of_p(p, integer(n, "pad length"), n)) + (0,) * (n - len(p))
+    """p zero-padded to n >= 0 entries; p needs len(), slices and at most n entries."""
+    if integer(n, "pad length") < 0:
+        raise DomainError(f"pad length must be >= 0, got {echo(n)}")
+    return tuple(_head_of_p(p, n, n)) + (0,) * (n - len(p))
 
 
 def a_closed_form(

@@ -197,8 +197,8 @@ def cmd_bungo(args) -> Document:
 
 def cmd_search_config(args) -> Document:
     target = stci.rdp.parse_type(args.type)
-    require_delta = stci.exact.parse_rational(args.require_delta) if args.require_delta else None
-    budget = stci.exact.parse_rational(args.miyaoka_budget) if args.miyaoka_budget else None
+    require_delta = None if args.require_delta is None else stci.exact.parse_rational(args.require_delta)
+    budget = None if args.miyaoka_budget is None else stci.exact.parse_rational(args.miyaoka_budget)
     results = stci.theorems.config_search(
         target,
         max_deficiency=args.max_def,
@@ -206,7 +206,7 @@ def cmd_search_config(args) -> Document:
         max_sigma=args.max_sigma,
         miyaoka_budget_cap=budget,
     )
-    if args.contains:
+    if args.contains is not None:
         needle = stci.rdp.classify(args.contains)
         results = [config for config in results if needle in config]
     rows = [
@@ -265,20 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     thm2 = sub.add_parser("thm2", help="margins of the dyadic inequality family")
     thm3 = sub.add_parser("thm3", help="weighted type sum against the delta bound")
     thmA = sub.add_parser("thmA", help="whether the degree bound forces d <= g+3")
-    for p in (expand, thm1, thm2, thmA):
-        for flag in ("--s", "--t", "--d"):
-            p.add_argument(flag, type=int, required=True)
+    for p, names in ((expand, "std"), (thm1, "std"), (thm2, "std"), (thm3, "sd"), (thmA, "std")):
+        for name in names:
+            p.add_argument(f"--{name}", type=int, required=True)
         p.add_argument("--g", type=int, default=0)
     expand.add_argument("--p", required=True, help='comma list like "8,8,8"')
     _leaf(expand, cmd_chow_expand)
     _leaf(thm1, cmd_thm1)
     _leaf(thm2, cmd_thm2)
     thm2.add_argument("--p", required=True, help='prefix like "8,8,8"')  # after --format in usage
-    for flag in ("--s", "--d"):
-        thm3.add_argument(flag, type=int, required=True)
-    thm3.add_argument("--g", type=int, default=0)
     thm3.add_argument("--type", required=True, help='type like "(9,9)"')
-    thm3.add_argument("--truncate-at", type=int, default=None, dest="truncate_at")
+    thm3.add_argument("--truncate-at", type=int)
     _leaf(thm3, cmd_thm3)
     _leaf(thmA, cmd_thmA)
 
@@ -291,33 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search-config", help="configurations with a given type")
     search.add_argument("--type", required=True, help='target type like "(9,9,1)"')
     search.add_argument(
-        "--max-def", type=int, default=None, dest="max_def",
+        "--max-def", type=int,
         help="keep configs whose deficiency (sigma minus the target's sum) is at most this",
     )
+    search.add_argument("--max-sigma", type=int, help="total sigma cap (default 19, at most 30)")
     search.add_argument(
-        "--max-sigma", type=int, default=None, dest="max_sigma",
-        help="total sigma cap (default 19, at most 30)",
+        "--require-delta", help='keep configs whose delta is exactly this rational, like "6" or "73/12"'
     )
     search.add_argument(
-        "--require-delta", default=None, dest="require_delta",
-        help='keep configs whose delta is exactly this rational, like "6" or "73/12"',
+        "--miyaoka-budget", help="keep A-series configs whose contributions sum to at most this rational"
     )
-    search.add_argument(
-        "--miyaoka-budget", default=None, dest="miyaoka_budget",
-        help="keep A-series configs whose contributions sum to at most this rational",
-    )
-    search.add_argument("--contains", default=None, help="keep configs containing this pair")
+    search.add_argument("--contains", help="keep configs containing this pair")
     _leaf(search, cmd_search_config)
 
     enum = sub.add_parser("enumerate", help="admissible surface degree pairs")
     enum.add_argument("--d", type=int, required=True)
     enum.add_argument("--g", type=int, default=0)
     enum.add_argument(
-        "--one-sided", action="store_true", dest="one_sided",
-        help="no effect: the s-orientation implies the t-orientation",
+        "--one-sided", action="store_true", help="no effect: the s-orientation implies the t-orientation"
     )
-    enum.add_argument("--s-max", type=int, default=None, dest="s_max")
-    enum.add_argument("--t-max", type=int, default=None, dest="t_max")
+    enum.add_argument("--s-max", type=int)
+    enum.add_argument("--t-max", type=int)
     _leaf(enum, cmd_enumerate)
 
     return parser

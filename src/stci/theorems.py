@@ -230,30 +230,27 @@ def _typed_pairs(
 ) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
     types descending, as rows (the type's ``_steps``, which determine it,
-    its sum, its entries, its A-series entries, the least Miyaoka term of
-    those, its steps ``_pack``ed, and the packed mask of the lowest bit of
-    each field its steps lower: 1 where a step is nonzero).  Entries are
-    (sigma, delta, Miyaoka term, pair, position in their tuple) in sigma
-    order, the terms as integers over scale = lcm(2..31) < 2^47 (a D/E pair
-    has no Miyaoka term: 0, and so is the least term of a type with no
-    A-series entry), so the search's filters sum integers.  The table
-    depends on no input, so it is built once, at the first search.
+    its sum, its entries, the least Miyaoka term of those, its steps
+    ``_pack``ed, and the packed mask of the lowest bit of each field its
+    steps lower: 1 where a step is nonzero).  Entries are (sigma, delta,
+    Miyaoka term, pair, position in the row) in sigma order, the terms as
+    integers over scale = lcm(2..31) < 2^47 (a D/E pair has no Miyaoka
+    term: 0), so the search's filters sum integers.  ``a_only`` keeps only
+    the A-series pairs, the ones a search under a Miyaoka cap may pick.  A
+    table depends on no input, so it is built once, at its first search.
 
     With ``max_steps``, config_search's index: the rows of at most that
-    many steps whose cheapest entry (cheapest A-series entry with
-    ``a_only``) has sigma <= ``budget``, in table order.  config_search keys
-    it by a length and a budget in 1..MAX_SIGMA_CAP and by whether a Miyaoka
-    cap is set, so the cache holds at most 30 * 30 * 2 indexes beside the
-    table; ``cache_clear`` resets them with it."""
+    many steps whose cheapest entry has sigma <= ``budget``, in table
+    order.  config_search keys it by a length, a budget in 1..MAX_SIGMA_CAP
+    and whether a Miyaoka cap is set, so the cache holds at most
+    30 * 30 * 2 indexes beside the two tables; ``cache_clear`` resets all."""
     if max_steps is not None:
-        scale, rows = _typed_pairs()
-        column = 3 if a_only else 2
-        return scale, tuple(
-            row for row in rows
-            if len(row[0]) <= max_steps and row[column] and row[column][0][0] <= budget
-        )
+        # each table under one cache key, the one every other caller uses
+        scale, rows = _typed_pairs(a_only=True) if a_only else _typed_pairs()
+        return scale, tuple(row for row in rows if len(row[0]) <= max_steps and row[2][0][0] <= budget)
     by_type: dict[TypeSeq, list] = {}
-    for pair in sorted(classified_pairs(MAX_SIGMA_CAP), key=attrgetter("n")):
+    pairs = [pair for pair in classified_pairs(MAX_SIGMA_CAP) if pair.species == "A" or not a_only]
+    for pair in sorted(pairs, key=attrgetter("n")):
         type_seq, _, delta, sigma, _ = scalar_invariants(pair)
         term = miyaoka_contribution(pair) if pair.species == "A" else Fraction(0)
         by_type.setdefault(type_seq, []).append((sigma, delta, term, pair))
@@ -264,14 +261,11 @@ def _typed_pairs(
 
     rows = []
     for piece in sorted(by_type, reverse=True):
-        group = [(sigma, scaled(d), scaled(m), pair) for sigma, d, m, pair in by_type[piece]]
-        entries = tuple(entry + (pos,) for pos, entry in enumerate(group))
-        a_group = (entry for entry in group if entry[3].species == "A")
-        a_entries = tuple(entry + (pos,) for pos, entry in enumerate(a_group))
-        least_term = min((entry[2] for entry in a_entries), default=0)
+        entries = tuple((sigma, scaled(d), scaled(m), pair, pos)
+                        for pos, (sigma, d, m, pair) in enumerate(by_type[piece]))
         steps = _steps(piece)
-        lowers = _pack(map(bool, steps))
-        rows.append((steps, sum(piece), entries, a_entries, least_term, _pack(steps), lowers))
+        least_term = min(entry[2] for entry in entries)
+        rows.append((steps, sum(piece), entries, least_term, _pack(steps), _pack(map(bool, steps))))
     return scale, tuple(rows)
 
 
@@ -339,18 +333,17 @@ def config_search(
     guard = unit << (_WIDTH - 1)
     root = _pack(steps) | guard
     # (closed mask, pack, size, group, row index) of each type that fits; the
-    # index keeps only types with an entry within budget (A-series only under
-    # a Miyaoka cap), and the descent's sigma cut stops each group at the
-    # budget.  A row's closed mask holds the value bits of the fields that no
-    # type from that row on lowers, where a remaining step can no longer
-    # reach 0, so the rows are built last to first (row[5] is a type's pack)
-    kept = [row for row in table if (root - row[5]) & guard == guard]
+    # index keeps only types with an entry within budget, from the A-series
+    # table under a Miyaoka cap, and the descent's sigma cut stops each group
+    # at the budget.  A row's closed mask holds the value bits of the fields
+    # no type from that row on lowers, where a remaining step can no longer
+    # reach 0, so the rows are built last to first (row[4] is a type's pack)
+    kept = [row for row in table if (root - row[4]) & guard == guard]
     rows = []
     num, den = 1, 0  # the least sigma/sum(type) of a kept type, as num/den; 1/0 tops all
     mnum, mden = 1, 0  # the least Miyaoka term/sum(type), likewise
     lowered = 0
-    for _, size, entries, a_entries, least_term, pack, lower in reversed(kept):
-        group = a_entries if capped else entries
+    for _, size, group, least_term, pack, lower in reversed(kept):
         lowered |= lower
         rows.append(((unit ^ lowered) * _CLAMP, pack, size, group, len(kept) - 1 - len(rows)))
         if group[0][0] * den < num * size:

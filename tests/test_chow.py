@@ -230,6 +230,14 @@ def test_a_closed_form_errors():
     assert str(padded.value) == str(info.value)
 
 
+def test_pad_p_refuses_a_negative_length():
+    # the length is checked first, so the message names it, not p
+    for p in ((), (1,)):
+        with pytest.raises(DomainError, match=r"^pad length must be >= 0, got -3$"):
+            chow.pad_p(p, -3)
+    assert chow.pad_p((), 0) == ()
+
+
 @pytest.mark.parametrize(
     "entry", [9.5, Fraction(9), Decimal(9), "9"], ids=["float", "Fraction", "Decimal", "str"]
 )

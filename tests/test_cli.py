@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stci
 from stci import chow, rdp, theorems
 from stci.cli import record, render, run
 from stci.errors import DomainError
@@ -434,6 +435,14 @@ def test_import_stci_loads_layers_on_first_access():
     assert out == f"{layers}\n[]\nTrue\nmodule 'stci' has no attribute 'nonesuch'\n"
 
 
+def test_dir_stci_lists_the_layers():
+    # the probe above runs dir(stci) in a child process, which shows that it
+    # loads no layer; here it runs in the suite's own process too
+    names = dir(stci)
+    assert names == sorted(set(names))
+    assert {"chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"} <= set(names)
+
+
 def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
     # a cold process pays for every module it imports; -S keeps site's own
     # imports out of the count.  The layers are named, because stci.cli
@@ -621,6 +630,17 @@ def test_rationals_outside_p_and_p_over_q_are_refused(capsys):
     )
     assert parse_rational(" -3/4 ") == Fraction(-3, 4)
     assert parse_rational("+6") == 6
+
+
+def test_empty_filter_values_are_refused(capsys):
+    # an empty value is malformed like any other, not an absent filter
+    base = ["search-config", "--type", "(9,9)", "--max-def", "1"]
+    for flag, message in (
+        ("--require-delta=", "not a rational: ''"),
+        ("--miyaoka-budget=", "not a rational: ''"),
+        ("--contains=", "bad pair descriptor ''"),
+    ):
+        assert run_cli(capsys, *base, flag) == (1, "", f"error: {message}\n"), flag
 
 
 def test_long_input_is_named_by_its_length(capsys):

@@ -592,6 +592,11 @@ def _unpruned(target, max_sigma):
     return config_search_unpruned(target, max_sigma=max_sigma)
 
 
+def _table(a_only):
+    """The full pair table, or the A-series one, under its one cache key."""
+    return theorems._typed_pairs(a_only=True) if a_only else theorems._typed_pairs()
+
+
 def test_config_search_budget_sweep_matches_unpruned():
     # every call searches one shared table under its own budget: sweep
     # max_sigma down from the cap and then up from 1, each time from a
@@ -615,17 +620,19 @@ def test_config_search_budget_sweep_matches_unpruned():
             for i, kwargs in enumerate(filters):
                 want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
     built = theorems._typed_pairs.__wrapped__()
+    a_built = theorems._typed_pairs.__wrapped__(a_only=True)
     scale, rows = built
     assert (len(rows), sum(len(row[2]) for row in rows)) == (253, 295)
+    # the A-series table holds the full table's A-series entries, in order,
+    # over the same scale, and drops the types that have none
+    a_series = ((row[0], [e[:4] for e in row[2] if e[3].species == "A"]) for row in rows)
+    assert a_built[0] == scale
+    assert [(row[0], [e[:4] for e in row[2]]) for row in a_built[1]] == [x for x in a_series if x[1]]
     width = theorems._WIDTH
-    for steps, _, entries, a_entries, least_term, pack, lowers in rows:
-        assert [e[:4] for e in a_entries] == [e[:4] for e in entries if e[3].species == "A"]
-        # each entry carries its position in its own tuple
-        for group in (entries, a_entries):
-            assert [e[4] for e in group] == list(range(len(group)))
-        # the contribution cut needs every A-series term positive
-        assert least_term == min((e[2] for e in a_entries), default=0)
-        assert all(e[2] > 0 for e in a_entries)
+    for steps, _, entries, least_term, pack, lowers in rows + a_built[1]:
+        # each entry carries its position in its own row
+        assert [e[4] for e in entries] == list(range(len(entries)))
+        assert least_term == min(e[2] for e in entries)
         assert pack == sum(step << (width * i) for i, step in enumerate(steps))
         assert lowers == sum(1 << (width * i) for i, step in enumerate(steps) if step)
         for sigma, delta, contribution, pair, _ in entries:
@@ -633,6 +640,8 @@ def test_config_search_budget_sweep_matches_unpruned():
             assert Fraction(delta, scale) == rdp.scalar_invariants(pair).delta
             if pair.species == "A":
                 assert Fraction(contribution, scale) == rdp.miyaoka_contribution(pair)
+    # the contribution cut needs every A-series term positive
+    assert all(e[2] > 0 for row in a_built[1] for e in row[2])
     for sweep in (reversed(sigmas), sigmas):
         theorems._typed_pairs.cache_clear()
         for max_sigma in sweep:
@@ -640,7 +649,7 @@ def test_config_search_budget_sweep_matches_unpruned():
                 for i, kwargs in enumerate(filters):
                     got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
                     assert got == want[target, max_sigma, i], (target, max_sigma, kwargs)
-        assert theorems._typed_pairs() == built
+        assert (_table(False), _table(True)) == (built, a_built)
     assert sum(map(len, want.values())) == 4982
 
 
@@ -670,24 +679,27 @@ def test_config_search_miyaoka_caps_match_unpruned():
 
 def test_typed_pairs_index_by_length():
     # config_search walks the index of its (length, budget, capped) key:
-    # the rows of at most that many steps whose cheapest entry, or cheapest
-    # A-series entry under a Miyaoka cap, fits the budget, in table order
-    scale, rows = theorems._typed_pairs()
+    # the rows of at most that many steps of its table, the A-series one
+    # under a Miyaoka cap, whose cheapest entry fits the budget, in table
+    # order
     cap = theorems.MAX_SIGMA_CAP
-    assert max(len(row[0]) for row in rows) == cap
-    # every pair has sigma >= 1, so a budget below 1 keeps no row
-    assert min(row[2][0][0] for row in rows) == 1
-    for length in range(1, cap + 2):
-        by_length = [row for row in rows if len(row[0]) <= length]
-        assert theorems._typed_pairs(length) == (scale, tuple(by_length)), length
-        for budget in range(0, cap + 1):
-            for a_only, column in ((False, 2), (True, 3)):
-                want = tuple(row for row in by_length if row[column] and row[column][0][0] <= budget)
+    for a_only in (False, True):
+        scale, rows = _table(a_only)
+        assert max(len(row[0]) for row in rows) == cap
+        # every pair has sigma >= 1, so a budget below 1 keeps no row
+        assert min(row[2][0][0] for row in rows) == 1
+        for length in range(1, cap + 2):
+            by_length = [row for row in rows if len(row[0]) <= length]
+            for budget in range(0, cap + 1):
+                want = tuple(row for row in by_length if row[2][0][0] <= budget)
                 assert theorems._typed_pairs(length, budget, a_only) == (scale, want)
-    # no type has more entries than sigma, so a length past the cap keeps
-    # every row, and the budget bound keeps the cache at 30 * 30 * 2 keys
-    # beside the table, over any max_sigma and max_deficiency
-    assert theorems._typed_pairs(cap + 1)[1] == rows
+            assert want == tuple(by_length), length
+        # no type has more entries than sigma, so a length past the cap
+        # keeps every row
+        assert theorems._typed_pairs(cap + 1, cap, a_only)[1] == rows
+    assert theorems._typed_pairs(cap + 1) == _table(False)
+    # the budget bound keeps the cache at 30 * 30 * 2 keys beside the two
+    # tables, over any max_sigma and max_deficiency
     theorems._typed_pairs.cache_clear()
     for length in range(1, 46):
         for max_deficiency in [None, -10**6, 10**6] + list(range(-45, 31)):
@@ -695,7 +707,7 @@ def test_typed_pairs_index_by_length():
                 for miyaoka_budget_cap in (None, Fraction(24)):
                     theorems.config_search((1,) * length, max_deficiency, None, max_sigma, miyaoka_budget_cap)
     info = theorems._typed_pairs.cache_info()
-    assert info.currsize <= cap * cap * 2 + 1
+    assert info.currsize <= cap * cap * 2 + 2
     # a budget below 1 returns before the index is looked up or the
     # descent starts
     misses = info.misses
@@ -711,16 +723,17 @@ def test_typed_pairs_index_by_length():
 
 
 def test_typed_pairs_index_is_rebuilt_after_cache_clear():
-    old_scale, old_rows = theorems._typed_pairs()
-    old_index = theorems._typed_pairs(3)
-    theorems._typed_pairs.cache_clear()
-    index = theorems._typed_pairs(3)
-    # no hits: one miss for the index and one for the table it is cut from
-    assert theorems._typed_pairs.cache_info()[:2] == (0, 2)
-    assert index == old_index and index[0] == old_scale
-    _, rows = theorems._typed_pairs()
-    new_ids, old_ids = set(map(id, rows)), set(map(id, old_rows))
-    assert all(id(row) in new_ids and id(row) not in old_ids for row in index[1])
+    for a_only in (False, True):
+        old_scale, old_rows = _table(a_only)
+        old_index = theorems._typed_pairs(3, theorems.MAX_SIGMA_CAP, a_only)
+        theorems._typed_pairs.cache_clear()
+        index = theorems._typed_pairs(3, theorems.MAX_SIGMA_CAP, a_only)
+        # no hits: one miss for the index and one for the table it is cut from
+        assert theorems._typed_pairs.cache_info()[:2] == (0, 2)
+        assert index == old_index and index[0] == old_scale
+        _, rows = _table(a_only)
+        new_ids, old_ids = set(map(id, rows)), set(map(id, old_rows))
+        assert index[1] and all(id(row) in new_ids and id(row) not in old_ids for row in index[1])
 
 
 def _least_ratio(target, budget):
