@@ -1,7 +1,9 @@
 """Theorem evaluators and the quartic configuration case analysis.
 
-Everything here is exact integer/rational arithmetic over the invariants
-from stci.rdp.  The three inequality families share the data
+Everything here is exact integer/rational arithmetic.  The invariants
+come from rdp and the ruling-cone margins from graphs, both reached
+through ``stci.<module>`` at their call sites, so a command that calls
+neither loads neither.  The three inequality families share the data
 (s, t, d, g): surface degrees, curve degree, genus, with multiplicity
 n = s*t/d, validated and combined into q by stci.chow.
 """
@@ -16,21 +18,11 @@ from itertools import count
 from operator import attrgetter, lshift, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import stci
+
 from .chow import (BlowupContext, a_value, beta_from_p, check_curve, check_degrees, check_surface,
                    multiplicity, pad_p, q_value, st_expansion)
 from .errors import DomainError, at_most, echo, integer, rational
-from .graphs import snort_check
-from .rdp import (
-    Config,
-    RdpPair,
-    TypeSeq,
-    classified_pairs,
-    make_config,
-    miyaoka_contribution,
-    normalize_type,
-    scalar_invariants,
-    weighted_type_sum,
-)
 
 
 class StciParams(namedtuple("StciParams", "s t d g")):
@@ -94,7 +86,7 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     if n < 2:
         raise DomainError("multiplicity n = 1: no inequalities")
     ctx = BlowupContext(d, g, beta_from_p(s, d, g, pad_p(p, n - 1) + (0,)))
-    return snort_check(st_expansion(s, t, ctx).a[:-1]).margins
+    return stci.graphs.snort_check(st_expansion(s, t, ctx).a[:-1]).margins
 
 
 class Thm3Result(NamedTuple):
@@ -117,12 +109,12 @@ def thm3_check(
     """
     check_surface(s)
     check_curve(d, g)
-    t = normalize_type(type_seq)
+    t = stci.rdp.normalize_type(type_seq)
     if truncate_at is not None:
         if integer(truncate_at, "truncation index") < 0:
             raise DomainError("truncation index must be >= 0")
         t = t[:truncate_at]
-    lhs = weighted_type_sum(t)
+    lhs = stci.rdp.weighted_type_sum(t)
     rhs = Fraction(a_value(s, d, g), s)
     return Thm3Result(lhs, rhs, lhs >= rhs)
 
@@ -151,7 +143,7 @@ def miyaoka_budget(s: int) -> Fraction:
 _BUNGO_SCALE = 232792560
 
 
-def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
+def bungobungo_solve() -> list[tuple[int, stci.rdp.TypeSeq]]:
     """All (n, p) with n >= 0 and p nonincreasing satisfying
 
     (i) p_1 <= 9 - (2/5) n, (ii) monotone, (iii) sum p <= 19 - n,
@@ -174,7 +166,7 @@ def bungobungo_solve() -> list[tuple[int, TypeSeq]]:
         tail = p * (_BUNGO_SCALE // k - _BUNGO_SCALE // e) + r * (_BUNGO_SCALE // (e * (e + 1)))
         return acc + tail >= goal
 
-    def descend(n: int, seq: TypeSeq, k: int, cap: int, budget: int, acc: int) -> None:
+    def descend(n: int, seq: stci.rdp.TypeSeq, k: int, cap: int, budget: int, acc: int) -> None:
         if acc >= goal:
             out.append((n, seq))
         weight = _BUNGO_SCALE // (k * (k + 1))
@@ -213,7 +205,7 @@ _WIDTH = 7
 _CLAMP = (1 << (_WIDTH - 1)) - 1
 
 
-def _steps(seq: TypeSeq) -> TypeSeq:
+def _steps(seq: stci.rdp.TypeSeq) -> stci.rdp.TypeSeq:
     """(v_1 - v_2, ..., v_{m-1} - v_m, v_m): v is nonincreasing and
     nonnegative exactly when every step is >= 0."""
     return tuple(map(sub, seq, seq[1:])) + seq[-1:]
@@ -248,11 +240,12 @@ def _typed_pairs(
         # each table under one cache key, the one every other caller uses
         scale, rows = _typed_pairs(a_only=True) if a_only else _typed_pairs()
         return scale, tuple(row for row in rows if len(row[0]) <= max_steps and row[2][0][0] <= budget)
-    by_type: dict[TypeSeq, list] = {}
-    pairs = [pair for pair in classified_pairs(MAX_SIGMA_CAP) if pair.species == "A" or not a_only]
+    rdp = stci.rdp
+    by_type: dict[rdp.TypeSeq, list] = {}
+    pairs = [pair for pair in rdp.classified_pairs(MAX_SIGMA_CAP) if pair.species == "A" or not a_only]
     for pair in sorted(pairs, key=attrgetter("n")):
-        type_seq, _, delta, sigma, _ = scalar_invariants(pair)
-        term = miyaoka_contribution(pair) if pair.species == "A" else Fraction(0)
+        type_seq, _, delta, sigma, _ = rdp.scalar_invariants(pair)
+        term = rdp.miyaoka_contribution(pair) if pair.species == "A" else Fraction(0)
         by_type.setdefault(type_seq, []).append((sigma, delta, term, pair))
     scale = math.lcm(*(w.denominator for group in by_type.values() for e in group for w in e[1:3]))
 
@@ -275,7 +268,7 @@ def config_search(
     require_delta: Optional[Fraction] = None,
     max_sigma: Optional[int] = None,
     miyaoka_budget_cap: Optional[Fraction] = None,
-) -> list[Config]:
+) -> list[stci.rdp.Config]:
     """All configurations of classified pairs whose type equals target,
     canonically sorted and deterministic.
 
@@ -295,7 +288,7 @@ def config_search(
 
     The cost about doubles per 5 added to max_sigma, hence MAX_SIGMA_CAP.
     """
-    target = normalize_type(target)
+    target = stci.rdp.normalize_type(target)
     if not target:
         raise DomainError("target type must be nonempty")
     max_sigma = resolution_bound(4) if max_sigma is None else integer(max_sigma, "max_sigma")
@@ -358,8 +351,9 @@ def config_search(
     if capped and sum(target) * mnum > contribution_cap * mden:
         return []
 
-    results: list[Config] = []
-    chosen: list[RdpPair] = []
+    results: list[stci.rdp.Config] = []
+    chosen: list[stci.rdp.RdpPair] = []
+    make_config = stci.rdp.make_config  # bound once: the leaves below call it
 
     # picks (type, entry) positions in nondecreasing order, so each multiset
     # is found once; types run in table order, and end at the first row

@@ -466,16 +466,16 @@ COLD_LOADS = {
     "enumerate --d 6": (0, "chow cli degrees errors", ""),
     "chow expand --s 4 --t 4 --d 4 --p 9,8,2 --format json": (0, "chow cli errors", "json"),
     "phi 3": (2, "cli errors", ""),
-    "bound 4": (0, "chow cli errors exact graphs rdp theorems", "fractions"),
+    "bound 4": (0, "chow cli errors theorems", "fractions"),
     "rdp info Dn:7": (0, "cli errors exact rdp", "fractions"),
     'rdp config "8*A:2:1 + A:3:1"': (0, "cli errors exact rdp", "fractions"),
-    "thm1 --s 4 --t 4 --d 4": (0, "chow cli errors exact graphs rdp theorems", "fractions"),
-    "thm2 --s 4 --t 4 --d 4 --p 9,8,2": (0, "chow cli errors exact graphs rdp theorems", "fractions"),
-    'thm3 --s 4 --d 4 --type "(9,9)"': (0, "chow cli errors exact graphs rdp theorems", "fractions"),
-    "thmA --s 4 --t 4 --d 4": (0, "chow cli errors exact graphs rdp theorems", "fractions"),
+    "thm1 --s 4 --t 4 --d 4": (0, "chow cli errors theorems", "fractions"),
+    "thm2 --s 4 --t 4 --d 4 --p 9,8,2": (0, "chow cli errors graphs theorems", "fractions"),
+    'thm3 --s 4 --d 4 --type "(9,9)"': (0, "chow cli errors exact rdp theorems", "fractions"),
+    "thmA --s 4 --t 4 --d 4": (0, "chow cli errors theorems", "fractions"),
     'search-config --type "(9,9)" --max-def 1':
-        (0, "chow cli errors exact graphs rdp theorems", "fractions"),
-    "bungo --format csv": (0, "chow cli errors exact graphs rdp theorems", "csv fractions"),
+        (0, "chow cli errors exact rdp theorems", "fractions"),
+    "bungo --format csv": (0, "chow cli errors exact rdp theorems", "csv fractions"),
 }
 
 

@@ -2,10 +2,13 @@ import functools
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from oracles import (
 )
 from stci import chow, graphs, rdp, theorems
 from stci.errors import DomainError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_params_validation():
@@ -360,6 +365,37 @@ def test_config_search_nine_nine():
     assert [rdp.format_config(c) for c in found] == ["9*A:2:1", "7*A:2:1 + A:5:2"]
     for config in found:
         assert rdp.config_invariants(config).order == 3
+
+
+def test_theorems_loads_rdp_and_graphs_only_when_called():
+    # theorems reaches rdp and graphs through stci.<module>, so a call that
+    # needs neither loads neither; the suite's own process has loaded every
+    # layer, so only a fresh one can show a load that is missing or eager
+    probe = (
+        "import sys, stci\n"
+        "from stci import theorems\n"
+        "def loaded(result):\n"
+        "    layers = sorted(m[5:] for m in sys.modules if m.startswith('stci.'))\n"
+        "    print(' '.join(layers), result, sep='|')\n"
+        "quartic = theorems.StciParams(4, 4, 4, 0)\n"
+        "loaded(theorems.resolution_bound(4))\n"
+        "loaded(theorems.thm1_value(quartic).value)\n"
+        "loaded(theorems.thmA_verdict(4, 4, 4, 0).applies)\n"
+        "loaded(theorems.thm2_margins(quartic, (9, 8, 2)))\n"
+        "found = theorems.config_search((9, 9), max_deficiency=1)\n"
+        "loaded([stci.rdp.format_config(c) for c in found])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "chow errors theorems|19",
+        "chow errors theorems|8",
+        "chow errors theorems|False",
+        "chow errors graphs theorems|(3, 4, 2)",
+        "chow errors exact graphs rdp theorems|['9*A:2:1', '7*A:2:1 + A:5:2']",
+    ]
 
 
 def test_config_search_nine_nine_one():
@@ -825,8 +861,8 @@ def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
     # with the table cleared, a build or a typing before the step check fails
     theorems._typed_pairs.cache_clear()
     monkeypatch.setattr(theorems, "_typed_pairs", no_typing)
-    monkeypatch.setattr(theorems, "classified_pairs", no_typing)
-    monkeypatch.setattr(theorems, "scalar_invariants", no_typing)
+    monkeypatch.setattr(rdp, "classified_pairs", no_typing)
+    monkeypatch.setattr(rdp, "scalar_invariants", no_typing)
     for target in ((1, 2), (3, 1, 2), (9, 8, 9)):
         assert theorems.config_search(target) == []
         assert theorems.config_search(target, require_delta=Fraction(6), max_sigma=25) == []
@@ -872,7 +908,7 @@ def test_config_search_sigma_cap(monkeypatch):
     # the cap check would have to run, and fail
     theorems._typed_pairs.cache_clear()
     monkeypatch.setattr(theorems, "_typed_pairs", no_walk)
-    monkeypatch.setattr(theorems, "classified_pairs", no_walk)
+    monkeypatch.setattr(rdp, "classified_pairs", no_walk)
     for max_sigma in (theorems.MAX_SIGMA_CAP + 1, 10 ** 9):
         with pytest.raises(DomainError, match="max_sigma"):
             theorems.config_search((9, 9), max_sigma=max_sigma)
