@@ -6,12 +6,17 @@ a domain error (bad parameters, malformed descriptors, or an input past a
 documented cost cap), 2 on usage errors.  Any other exception is a bug:
 it prints one ``internal error: <type>: <message>`` line and exits 1.
 Exact rationals appear in JSON and CSV as "p/q" strings, never as floats.
+
+The grammar is one table, ``_COMMANDS``.  A well-formed argv (the command
+words, its positionals, then each of its --flags at most once with a
+separate value) is read straight from that table; argparse, built from the
+same table, loads only for help, usage errors and argv outside that form.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 import stci
@@ -225,93 +230,192 @@ def cmd_enumerate(args) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# grammar
+
+_REQUIRED = object()  # the default of a --flag that must be given
 
 
-def _leaf(parser: argparse.ArgumentParser, handler) -> None:
-    """Finish a command: --format after its own arguments, then its handler."""
-    parser.add_argument(
-        "--format", choices=FORMATS, default="human", help="output format (default: human)"
-    )
-    parser.set_defaults(handler=handler)
+def _arg(name: str, kind=str, default=None, help: Optional[str] = None) -> tuple:
+    """One argument: a positional name or a --flag; its kind, which is int,
+    str, a tuple of choices or bool for a switch; its default (positionals
+    are always required); its help text."""
+    return name, kind, default, help
+
+
+_S, _T, _D = (_arg(f"--{name}", int, _REQUIRED) for name in "std")
+_G = _arg("--g", int, 0)
+_FORMAT = _arg("--format", FORMATS, "human", "output format (default: human)")
+
+# The whole CLI grammar, in help order: command words -> (help line,
+# arguments, handler); a group of subcommands has neither arguments nor
+# handler.  build_parser and _read_strict both read it.
+_COMMANDS = {
+    ("rdp",): ("pair and configuration invariants", (), None),
+    ("rdp", "info"): (
+        "invariants of one classified pair",
+        (_arg("pair", help='descriptor like "A:10:4", "Dn:7", "E6"'), _FORMAT),
+        cmd_rdp_info,
+    ),
+    ("rdp", "config"): (
+        "invariants of a configuration",
+        (_arg("expr", help='descriptor like "8*A:2:1 + A:3:1"'), _FORMAT),
+        cmd_rdp_config,
+    ),
+    ("phi",): ("A-series type sequence", (_arg("n", int), _arg("k", int), _FORMAT), cmd_phi),
+    ("chow",): ("blowup intersection arithmetic", (), None),
+    ("chow", "expand"): (
+        "expand the surface product over the ruling basis",
+        (_S, _T, _D, _G, _arg("--p", str, _REQUIRED, 'comma list like "8,8,8"'), _FORMAT),
+        cmd_chow_expand,
+    ),
+    ("thm1",): (
+        "common ruling count for disjoint singular loci", (_S, _T, _D, _G, _FORMAT), cmd_thm1
+    ),
+    ("thm2",): (
+        "margins of the dyadic inequality family",
+        (_S, _T, _D, _G, _FORMAT, _arg("--p", str, _REQUIRED, 'prefix like "8,8,8"')),
+        cmd_thm2,
+    ),
+    ("thm3",): (
+        "weighted type sum against the delta bound",
+        (
+            _S, _D, _G,
+            _arg("--type", str, _REQUIRED, 'type like "(9,9)"'),
+            _arg("--truncate-at", int),
+            _FORMAT,
+        ),
+        cmd_thm3,
+    ),
+    ("thmA",): (
+        "whether the degree bound forces d <= g+3", (_S, _T, _D, _G, _FORMAT), cmd_thmA
+    ),
+    ("bound",): ("resolution curve-count bound", (_arg("s", int), _FORMAT), cmd_bound),
+    ("bungo",): ("solve the quartic type constraints", (_FORMAT,), cmd_bungo),
+    ("search-config",): (
+        "configurations with a given type",
+        (
+            _arg("--type", str, _REQUIRED, 'target type like "(9,9,1)"'),
+            _arg(
+                "--max-def", int,
+                help="keep configs whose deficiency (sigma minus the target's sum) is at most this",
+            ),
+            _arg("--max-sigma", int, help="total sigma cap (default 19, at most 30)"),
+            _arg(
+                "--require-delta",
+                help='keep configs whose delta is exactly this rational, like "6" or "73/12"',
+            ),
+            _arg(
+                "--miyaoka-budget",
+                help="keep A-series configs whose contributions sum to at most this rational",
+            ),
+            _arg("--contains", help="keep configs containing this pair"),
+            _FORMAT,
+        ),
+        cmd_search_config,
+    ),
+    ("enumerate",): (
+        "admissible surface degree pairs",
+        (
+            _arg("--d", int, _REQUIRED),
+            _G,
+            _arg("--one-sided", bool, False, "no effect: the s-orientation implies the t-orientation"),
+            _arg("--s-max", int),
+            _arg("--t-max", int),
+            _FORMAT,
+        ),
+        cmd_enumerate,
+    ),
+}
+
+
+def _dest(name: str) -> str:
+    """The namespace attribute argparse derives from an argument's name."""
+    return name.removeprefix("--").replace("-", "_")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the grammar; it writes every help, usage and
+    error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stci",
         description="Exact invariants of rational double point pairs, iterated "
         "blowup intersection arithmetic, and degree-pair enumeration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rdp_parser = sub.add_parser("rdp", help="pair and configuration invariants")
-    rdp_sub = rdp_parser.add_subparsers(dest="rdp_command", required=True)
-    info = rdp_sub.add_parser("info", help="invariants of one classified pair")
-    info.add_argument("pair", help='descriptor like "A:10:4", "Dn:7", "E6"')
-    _leaf(info, cmd_rdp_info)
-    config = rdp_sub.add_parser("config", help="invariants of a configuration")
-    config.add_argument("expr", help='descriptor like "8*A:2:1 + A:3:1"')
-    _leaf(config, cmd_rdp_config)
-
-    phi_parser = sub.add_parser("phi", help="A-series type sequence")
-    phi_parser.add_argument("n", type=int)
-    phi_parser.add_argument("k", type=int)
-    _leaf(phi_parser, cmd_phi)
-
-    chow_parser = sub.add_parser("chow", help="blowup intersection arithmetic")
-    chow_sub = chow_parser.add_subparsers(dest="chow_command", required=True)
-    expand = chow_sub.add_parser("expand", help="expand the surface product over the ruling basis")
-    thm1 = sub.add_parser("thm1", help="common ruling count for disjoint singular loci")
-    thm2 = sub.add_parser("thm2", help="margins of the dyadic inequality family")
-    thm3 = sub.add_parser("thm3", help="weighted type sum against the delta bound")
-    thmA = sub.add_parser("thmA", help="whether the degree bound forces d <= g+3")
-    for p, names in ((expand, "std"), (thm1, "std"), (thm2, "std"), (thm3, "sd"), (thmA, "std")):
-        for name in names:
-            p.add_argument(f"--{name}", type=int, required=True)
-        p.add_argument("--g", type=int, default=0)
-    expand.add_argument("--p", required=True, help='comma list like "8,8,8"')
-    _leaf(expand, cmd_chow_expand)
-    _leaf(thm1, cmd_thm1)
-    _leaf(thm2, cmd_thm2)
-    thm2.add_argument("--p", required=True, help='prefix like "8,8,8"')  # after --format in usage
-    thm3.add_argument("--type", required=True, help='type like "(9,9)"')
-    thm3.add_argument("--truncate-at", type=int)
-    _leaf(thm3, cmd_thm3)
-    _leaf(thmA, cmd_thmA)
-
-    bound = sub.add_parser("bound", help="resolution curve-count bound")
-    bound.add_argument("s", type=int)
-    _leaf(bound, cmd_bound)
-
-    _leaf(sub.add_parser("bungo", help="solve the quartic type constraints"), cmd_bungo)
-
-    search = sub.add_parser("search-config", help="configurations with a given type")
-    search.add_argument("--type", required=True, help='target type like "(9,9,1)"')
-    search.add_argument(
-        "--max-def", type=int,
-        help="keep configs whose deficiency (sigma minus the target's sum) is at most this",
-    )
-    search.add_argument("--max-sigma", type=int, help="total sigma cap (default 19, at most 30)")
-    search.add_argument(
-        "--require-delta", help='keep configs whose delta is exactly this rational, like "6" or "73/12"'
-    )
-    search.add_argument(
-        "--miyaoka-budget", help="keep A-series configs whose contributions sum to at most this rational"
-    )
-    search.add_argument("--contains", help="keep configs containing this pair")
-    _leaf(search, cmd_search_config)
-
-    enum = sub.add_parser("enumerate", help="admissible surface degree pairs")
-    enum.add_argument("--d", type=int, required=True)
-    enum.add_argument("--g", type=int, default=0)
-    enum.add_argument(
-        "--one-sided", action="store_true", help="no effect: the s-orientation implies the t-orientation"
-    )
-    enum.add_argument("--s-max", type=int)
-    enum.add_argument("--t-max", type=int)
-    _leaf(enum, cmd_enumerate)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (help_line, arguments, handler) in _COMMANDS.items():
+        sub = groups[path[:-1]].add_parser(path[-1], help=help_line)
+        if handler is None:
+            groups[path] = sub.add_subparsers(dest=f"{path[-1]}_command", required=True)
+            continue
+        for name, kind, default, help_text in arguments:
+            options = {"help": help_text}
+            if kind is bool:
+                options["action"] = "store_true"
+            elif kind is int:
+                options["type"] = int
+            elif kind is not str:
+                options["choices"] = kind
+            if name.startswith("--"):
+                if default is _REQUIRED:
+                    options["required"] = True
+                else:
+                    options["default"] = default
+            sub.add_argument(name, **options)
+        sub.set_defaults(handler=handler)
     return parser
+
+
+def _value(kind, text: Optional[str]):
+    """One argument's value as argparse reads it; ValueError for a missing
+    value or one outside the strict form."""
+    if kind is bool:
+        return True
+    if text is None or text.startswith("-"):
+        raise ValueError(text)
+    if kind is int:
+        return int(text)
+    if kind is not str and text not in kind:
+        raise ValueError(text)
+    return text
+
+
+def _read_strict(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from argv in the strict form, or None.
+
+    The strict form is the command words, then the command's positionals in
+    order, then each of its exact --flags at most once, each followed by a
+    value that does not start with "-".  Anything else, help included, is
+    left to argparse.
+    """
+    depth = 1
+    command = _COMMANDS.get(tuple(argv[:1]))
+    if command is not None and command[2] is None:  # a group: one more word
+        depth = 2
+        command = _COMMANDS.get(tuple(argv[:2]))
+    if command is None or command[2] is None:
+        return None
+    _, arguments, handler = command
+    names = {"command": argv[0]}
+    if depth == 2:
+        names[f"{argv[0]}_command"] = argv[1]
+    flags = {arg[0]: arg for arg in arguments if arg[0].startswith("--")}
+    tokens = iter(argv[depth:])
+    given = [(arg, next(tokens, None)) for arg in arguments if arg[0] not in flags]
+    for token in tokens:
+        arg = flags.pop(token, None)
+        if arg is None:
+            return None
+        given.append((arg, None if arg[1] is bool else next(tokens, None)))
+    values = {_dest(name): default for name, _, default, _ in flags.values()}
+    if _REQUIRED in values.values():
+        return None
+    try:
+        values.update((_dest(name), _value(kind, text)) for (name, kind, _, _), text in given)
+    except ValueError:
+        return None
+    return SimpleNamespace(**names, **values, handler=handler)
 
 
 def _set_int_digits(limit: int) -> int:
@@ -331,10 +435,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     not safe to call from two threads at once: one can restore the limit
     while the other still prints a longer result.
     """
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_strict(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     limit = _set_int_digits(0)
     try:
         text = render(args.handler(args), args.format)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import stci
 from stci import chow, rdp, theorems
-from stci.cli import record, render, run
+from stci.cli import _read_strict, build_parser, record, render, run
 from stci.errors import DomainError
 from stci.exact import parse_rational
 
@@ -460,12 +460,13 @@ def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
 
 # A cold command loads the layers its handler calls and the output modules
 # its format needs, and nothing else: argv -> (exit code, stci modules
-# beyond stci itself, which of fractions/json/csv).
+# beyond stci itself, which of argparse/fractions/json/csv).  argparse
+# loads only to write a usage error or help.
 COLD_LOADS = {
     "phi 10 4": (0, "cli errors exact rdp", "fractions"),
     "enumerate --d 6": (0, "chow cli degrees errors", ""),
     "chow expand --s 4 --t 4 --d 4 --p 9,8,2 --format json": (0, "chow cli errors", "json"),
-    "phi 3": (2, "cli errors", ""),
+    "phi 3": (2, "cli errors", "argparse"),
     "bound 4": (0, "chow cli errors theorems", "fractions"),
     "rdp info Dn:7": (0, "cli errors exact rdp", "fractions"),
     'rdp config "8*A:2:1 + A:3:1"': (0, "cli errors exact rdp", "fractions"),
@@ -486,7 +487,7 @@ def test_cold_command_loads_only_what_it_calls(argv):
         "from stci.cli import run\n"
         "code = run(sys.argv[1:])\n"
         "layers = sorted(m[5:] for m in sys.modules if m.startswith('stci.'))\n"
-        "output = sorted({'fractions', 'json', 'csv'} & set(sys.modules))\n"
+        "output = sorted({'argparse', 'fractions', 'json', 'csv'} & set(sys.modules))\n"
         "print(code, ' '.join(layers), ' '.join(output), sep='|')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -700,6 +701,50 @@ def test_p_list_starting_negative_needs_an_equals_sign(capsys):
     assert err.endswith("error: argument --p: expected one argument\n")
     code, out, err = run_cli(capsys, *base, "--p=-5,-3", "--format", "csv")
     assert (code, out, err) == (0, "k,lhs,rhs,margin\n1,-15,24,-39\n2,-26,48,-74\n3,-49,96,-145\n", "")
+
+
+def test_strict_reader_matches_argparse_on_the_corpus():
+    # every corpus argv the strict reader accepts gets argparse's namespace;
+    # the rest go to argparse
+    from test_corpus import load_corpus
+
+    accepted = 0
+    for number, line, argv in load_corpus():
+        args = _read_strict(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv)), f"line {number}: {line}"
+            accepted += 1
+    assert accepted == 622
+
+
+# argv outside the strict form, each with its exit code and a part of its
+# output under argparse
+DECLINED = {
+    "-h": (0, "show this help message and exit\n"),
+    "rdp -h": (0, "show this help message and exit\n"),
+    "thm1 -h": (0, "output format (default: human)\n"),
+    "thm2 --s 4 --t 4 --d 4 --p=-5,-3": (0, "holds: no\n"),
+    'search-config --type "(9,9)" --require-delta=-1/2': (0, "no configurations\n"),
+    'search-config --type "(9,9)" --max-d 1': (0, "sigma=19 deficiency=1\n"),
+    "thm1 --s 4 --t 4 --d 4 --d 2": (0, "value: 24/7\nintegral: no\n"),
+    "thm1 --s -4 --t 4 --d 4": (1, "error: surface degree must be >= 1, got -4\n"),
+    "bound -- 4": (0, "19\n"),
+    "rdp": (2, "error: the following arguments are required: rdp_command\n"),
+    "thm1 --s 4 --d 4": (2, "error: the following arguments are required: --t\n"),
+    "bound 4 --format xml": (2, "error: argument --format: invalid choice: 'xml'"),
+    f"bound {'9' * 4301}": (2, f"invalid int value: '{'9' * 4301}'\n"),
+    "bound 4 5": (2, "error: unrecognized arguments: 5\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(DECLINED), ids=lambda command: command[:40])
+def test_argv_outside_the_strict_form_goes_to_argparse(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shlex.split(command)
+    assert _read_strict(argv) is None
+    code, out, err = run_cli(capsys, *argv)
+    assert code == DECLINED[command][0]
+    assert DECLINED[command][1] in out + err
 
 
 # Argv drawn from the CLI grammar: zero, negative and huge integers (huge

@@ -152,7 +152,7 @@ CALLS = {
 # by ``_public_callables``, not listed here.
 EXEMPT = {
     "errors": "the validator itself",
-    "cli": "it passes only ints that argparse has parsed",
+    "cli": "it passes only ints that int() has read from argv",
     "chow.a_value": "an unchecked formula by its docstring, run on every s by enumerate_pairs",
     "chow.q_value": "an unchecked formula by its docstring; callers check with multiplicity first",
 }
