@@ -113,29 +113,21 @@ def weighted_type_sum(t: Iterable[int]) -> Fraction:
 def phi(n: int, k: int) -> TypeSeq:
     """Type sequence of the A-series pair with parameters (n, k).
 
-    Follows the blowup recursion: fold k to n-k+1 when 2k > n+1, record k,
-    and stop at 2k = n+1 or continue with (n-k, k).  While n >= 2k the
-    same k is recorded (n-k) // k times in a row: that run is emitted
-    whole.  The result equals the closed form read off the Euclidean
-    profile of (n-k+1, k): each remainder repeated by its quotient, up to
-    the last nonzero remainder.
+    Euclid's algorithm on (n-k+1, k), with k first folded to n-k+1 when
+    2k > n+1: each nonzero remainder b is repeated by its quotient a // b.
+    The blowup recursion (fold, record k, stop at 2k = n+1 or continue with
+    (n-k, k)) gives the same sequence one entry per step; it is the test
+    oracle, tests/oracles.phi_step_by_step.
     """
     if not 1 <= integer(k, "phi k") <= integer(n, "phi n"):
         raise DomainError(f"phi requires 1 <= k <= n, got n={echo(n)}, k={echo(k)}")
-    out: list[int] = []
-    while True:
-        if 2 * k > n + 1:
-            k = n - k + 1
-        if 2 * k == n + 1:
-            out.append(k)
-            return tuple(out)
-        if n < 3 * k:  # a run of one: one append, no one-entry list
-            out.append(k)
-            n -= k
-        else:
-            run = (n - k) // k
-            out += [k] * run
-            n -= run * k
+    a, b = (n - k + 1, k) if 2 * k <= n + 1 else (k, n - k + 1)
+    out: TypeSeq = ()
+    while b:
+        q = a // b
+        out += (b,) * q
+        a, b = b, a - q * b
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 helpers only tests read.
 
 Each route recomputes a library result by an independent method, so a
-test can compare the two: the Euclidean closed form of phi and its
-recursion taken one entry per step, the pair one
+test can compare the two: the blowup recursion of phi taken one entry
+per step (the library runs Euclid's algorithm), the pair one
 blowup along the curve leaves (type_of's type is p_1 followed by that
 pair's type), the general ring product on CycleClass records, summed
 term by term over every pair of levels (the one encoding of the ring
@@ -82,17 +82,6 @@ def euclid_profile(N, k):
         prev, cur = cur, prev % cur
         remainders.append(cur)
     return EuclidProfile(N, k, tuple(remainders), tuple(quotients))
-
-
-def phi_closed_form(n, k):
-    """Each Euclidean remainder of (n-k+1, k) repeated by its quotient."""
-    if 2 * k > n + 1:
-        k = n - k + 1
-    profile = euclid_profile(n - k + 1, k)
-    out = []
-    for i in range(profile.t_last_nonzero + 1):
-        out.extend([profile.remainders[i]] * profile.quotients[i])
-    return tuple(out)
 
 
 def phi_step_by_step(n, k):

@@ -16,7 +16,7 @@ from oracles import (
     divisibility_check,
     dyadic_margins,
     neighbors,
-    phi_closed_form,
+    phi_step_by_step,
     spitup_decomposition,
 )
 from stci import chow, degrees, graphs, rdp, theorems
@@ -164,10 +164,11 @@ def test_criterion_8_property_suite():
             )
             assert expansion.a == closed and expansion.h2_coeff == 0
 
-        # recursive type sequence equals the Euclidean closed form
+        # the type sequence by Euclid's algorithm equals the blowup
+        # recursion taken one entry at a time
         for n in range(1, 301):
             for k in range(1, (n + 1) // 2 + 1):
-                assert rdp.phi(n, k) == phi_closed_form(n, k)
+                assert rdp.phi(n, k) == phi_step_by_step(n, k)
 
         # cone feasibility: running sums vs direct dyadic margins and the
         # triangular solve

@@ -121,10 +121,34 @@ def test_phi_equals_the_step_by_step_recursion():
 
 
 def test_phi_runs_by_value():
-    assert rdp.phi(300, 1) == (1,) * 300  # one run of 299, then the stop
+    assert rdp.phi(300, 1) == (1,) * 300  # one Euclid step: (300, 1), quotient 300
+    # (151, 150): quotient 1, then (150, 1): quotient 150
     assert rdp.phi(300, 150) == (150,) + (1,) * 150
-    # n < 3k: a run of one 5, then a run of two 2s at n = 3k
+    # (7, 5), with k = 7 folded to 5: quotients 1, 2 and 2 over 5, 2 and 1
     assert rdp.phi(11, 5) == rdp.phi(11, 7) == (5, 2, 2, 1, 1)
+
+
+def test_phi_consecutive_fibonacci():
+    # (n-k+1, k) = (F(m+1), F(m)) takes the longest Euclid chain for its
+    # size, every quotient 1 but the last, and gives F(m), ..., F(1)
+    fib = [0, 1, 1]
+    while len(fib) < 303:
+        fib.append(fib[-1] + fib[-2])
+    for m in range(1, 301):
+        n, k = fib[m + 2] - 1, fib[m]
+        expected = tuple(reversed(fib[1 : m + 1]))
+        assert rdp.phi(n, k) == rdp.phi(n, n - k + 1) == expected, m
+        assert phi_step_by_step(n, k) == expected, m
+
+
+def test_phi_matches_the_recursion_past_the_sweep():
+    # n up to 5,000; each k is drawn with its fold partner n-k+1
+    rng = random.Random(5000)
+    for _ in range(2000):
+        n = rng.randint(301, 5000)
+        k = rng.randint(1, n)
+        expected = phi_step_by_step(n, k)
+        assert rdp.phi(n, k) == rdp.phi(n, n - k + 1) == expected, (n, k)
 
 
 def test_phi_domain():
