@@ -35,8 +35,8 @@ coefficients of the surface product rest on are defined here once
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, echo, integer
 
@@ -112,9 +112,8 @@ def beta_from_p(s: int, d: int, g: int, p: Iterable[int]) -> tuple[int, ...]:
     return tuple(base - integer(pk, "p entry") for pk in p)
 
 
-class StExpansion(NamedTuple):
-    h2_coeff: int
-    a: tuple[int, ...]
+class StExpansion(namedtuple("StExpansion", "h2_coeff a")):
+    __slots__ = ()
 
 
 def st_expansion(s: int, t: int, ctx: BlowupContext) -> StExpansion:

@@ -16,8 +16,9 @@ same table, loads only for help, usage errors and argv outside that form.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence
 
 import stci
 
@@ -35,20 +36,17 @@ MAX_N = 256
 ARGV_DIGITS = 4300
 
 
-class Document(NamedTuple):
+class Document(namedtuple("Document", "human json columns rows")):
     """One command's answer: human text, a JSON value, CSV columns and rows."""
 
-    human: str
-    json: object
-    columns: Sequence[str]
-    rows: Sequence[Sequence]
+    __slots__ = ()
 
 
 def _yes_no(value):
     return "yes" if value is True else "no" if value is False else value
 
 
-def record(fields: dict, inputs: Optional[dict] = None) -> Document:
+def record(fields: dict, inputs: dict | None = None) -> Document:
     """One result: a ``key: value`` line per field (booleans as yes/no), a
     one-row CSV, and a JSON object listing the inputs, then the fields."""
     human = "\n".join(f"{key}: {_yes_no(value)}" for key, value in fields.items())
@@ -235,7 +233,7 @@ def cmd_enumerate(args) -> Document:
 _REQUIRED = object()  # the default of a --flag that must be given
 
 
-def _arg(name: str, kind=str, default=None, help: Optional[str] = None) -> tuple:
+def _arg(name: str, kind=str, default=None, help: str | None = None) -> tuple:
     """One argument: a positional name or a --flag; its kind, which is int,
     str, a tuple of choices or bool for a switch; its default (positionals
     are always required); its help text."""
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value(kind, text: Optional[str]):
+def _value(kind, text: str | None):
     """One argument's value as argparse reads it; ValueError for a missing
     value or one outside the strict form."""
     if kind is bool:
@@ -381,7 +379,7 @@ def _value(kind, text: Optional[str]):
     return text
 
 
-def _read_strict(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _read_strict(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse builds from argv in the strict form, or None.
 
     The strict form is the command words, then the command's positionals in
@@ -428,7 +426,7 @@ def _set_int_digits(limit: int) -> int:
     return old
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute, print, and return the exit code.
 
     While it runs it lifts the process-wide int<->str digit limit, so it is

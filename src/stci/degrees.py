@@ -10,8 +10,8 @@ divisors rather than the (s, t) grid.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple, Optional
 
 from .chow import a_value, check_curve
 from .errors import at_most, integer
@@ -22,21 +22,16 @@ MAX_CURVE_DEGREE = 600
 _BOTH = ("s-orientation", "t-orientation")
 
 
-class DegreePairRecord(NamedTuple):
-    s: int
-    t: int
-    n: int
-    p_s: int
-    p_t: int
-    flags: tuple[str, ...]
+class DegreePairRecord(namedtuple("DegreePairRecord", "s t n p_s p_t flags")):
+    __slots__ = ()
 
 
 def enumerate_pairs(
     d: int,
     g: int,
     symmetric: bool = True,
-    s_max: Optional[int] = None,
-    t_max: Optional[int] = None,
+    s_max: int | None = None,
+    t_max: int | None = None,
 ) -> list[DegreePairRecord]:
     """All admissible (s, t) with 3 <= s <= s_max, s <= t <= t_max, sorted.
 

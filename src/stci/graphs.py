@@ -25,28 +25,26 @@ running sums.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import DomainError, echo, integer
 
-Op = Union[str, int]  # "+" or the subdivision vertex label
+Op = str | int  # "+" or the subdivision vertex label
 
 PLUS: Op = "+"
 
 
-class LabeledGraph(NamedTuple):
+class LabeledGraph(namedtuple("LabeledGraph", "base top edges mu history")):
     """Standard labeled graph on the vertex interval [base, top].
 
-    ``mu[v - base]`` is the multiplicity of vertex v.  ``history`` replays
+    ``edges`` is a frozenset of (low, high) vertex pairs and ``mu[v - base]``
+    the multiplicity of vertex v.  ``history``, a tuple of ops, replays
     from the single vertex ``base`` to exactly this graph.  Build
     instances with replay / from_parts.
     """
 
-    base: int
-    top: int
-    edges: frozenset[tuple[int, int]]
-    mu: tuple[int, ...]
-    history: tuple[Op, ...]
+    __slots__ = ()
 
 
 def replay(base: int, ops: Iterable[Op]) -> LabeledGraph:
@@ -189,9 +187,8 @@ def strict_transform_class(graph: LabeledGraph) -> tuple[int, ...]:
 # the ruling cone
 
 
-class ConeCheck(NamedTuple):
-    feasible: bool
-    margins: tuple[int, ...]
+class ConeCheck(namedtuple("ConeCheck", "feasible margins")):
+    __slots__ = ()
 
 
 def snort_check(a: Iterable[int]) -> ConeCheck:
@@ -209,7 +206,7 @@ def snort_check(a: Iterable[int]) -> ConeCheck:
     return ConeCheck(all(m >= 0 for m in margins), tuple(margins))
 
 
-def cone_decompose(a: Iterable[int]) -> Optional[tuple[int, ...]]:
+def cone_decompose(a: Iterable[int]) -> tuple[int, ...] | None:
     """Coordinates of a over the cone generators, or None when infeasible.
 
     Generator g_k = R_k - R_{k+1} - ... - R_n, so the coordinates satisfy

@@ -12,7 +12,9 @@ The module computes, for single pairs and for multiset configurations:
 * sigma, the number of exceptional curves in the minimal resolution, and
   the deficiency sigma - sum(type).
 
-Every rational sum here goes through ``exact.fraction_sum``.
+Every rational sum here goes through ``stci.exact.fraction_sum``, and
+every Fraction is built as ``stci.exact.Fraction``, so ``phi``, ``type_of``
+and the parsers load neither ``stci.exact`` nor ``fractions``.
 
 Type sequences are plain tuples of positive integers with trailing zeros
 dropped; the empty tuple is the smooth type.
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import namedtuple
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from collections.abc import Iterable, Iterator
+from functools import cache
+
+import stci
 
 from .errors import DomainError, ParseError, at_most, echo, integer
-from .exact import fraction_sum
 
 TypeSeq = tuple[int, ...]
 
@@ -68,9 +70,6 @@ def format_type(t: Iterable[int]) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-_RUN_TOKEN = re.compile(r"^(\d+)\^\[(\d+)\]$")
-
-
 def _decimal(digits: str, what: str, token: str, text: str) -> int:
     """digits as an int when they are nothing but decimal digits, the one
     way every descriptor reads a number: no sign, space or underscore.
@@ -86,6 +85,8 @@ def _decimal(digits: str, what: str, token: str, text: str) -> int:
 
 def parse_type(text: str) -> TypeSeq:
     """Parse bracket notation; accepts both "(9,9,1)" and "(2,1^[4])"."""
+    import re  # loaded by the parsers that match a pattern, not at a layer's import
+
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
@@ -94,16 +95,17 @@ def parse_type(text: str) -> TypeSeq:
     runs: list[tuple[int, int]] = []
     for token in s.split(","):
         token = token.strip()
-        m = _RUN_TOKEN.match(token)
+        m = re.fullmatch(r"(\d+)\^\[(\d+)\]", token)
         value, count = m.groups() if m else (token, "1")
         runs.append(tuple(_decimal(digits, "type entry", token, text) for digits in (value, count)))
     at_most(sum(count for _, count in runs), MAX_INDEX, "type length")
     return normalize_type(p for p, count in runs for _ in range(count))
 
 
-def weighted_type_sum(t: Iterable[int]) -> Fraction:
+def weighted_type_sum(t: Iterable[int]) -> stci.exact.Fraction:
     """Sum of p_k / (k (k+1)) over ``normalize_type(t)``, exactly."""
-    return fraction_sum(Fraction(p, k * (k + 1)) for k, p in enumerate(normalize_type(t), start=1))
+    exact = stci.exact
+    return exact.fraction_sum(exact.Fraction(p, k * (k + 1)) for k, p in enumerate(normalize_type(t), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +140,21 @@ def phi(n: int, k: int) -> TypeSeq:
 # index.  Descriptors, validation and enumeration read this table.
 _SPECIES = {"A": (1, 2), "D1": (4, 1), "Dn": (5, 1), "E6": (6, 0), "E7": (7, 0)}
 
-# Type sequence, order and delta of the species whose invariants do not
-# depend on the index.
+# Type sequence, order and delta, as (numerator, denominator), of the
+# species whose invariants do not depend on the index.
 _FIXED = {
-    "D1": ((2,), 2, Fraction(1)),
-    "E6": ((2, 2), 3, Fraction(4, 3)),
-    "E7": ((3,), 2, Fraction(3, 2)),
+    "D1": ((2,), 2, (1, 1)),
+    "E6": ((2, 2), 3, (4, 3)),
+    "E7": ((3,), 2, (3, 2)),
 }
+
+
+@cache
+def _fixed(species: str) -> tuple[TypeSeq, int, stci.exact.Fraction]:
+    """The _FIXED row of species with its delta as a Fraction, built at the
+    first read, so that importing this module builds none."""
+    type_seq, order, delta = _FIXED[species]
+    return type_seq, order, stci.exact.Fraction(*delta)
 
 
 class RdpPair(namedtuple("RdpPair", "species n k", defaults=(0,))):
@@ -231,14 +241,10 @@ def type_of(p: RdpPair) -> TypeSeq:
     return _FIXED[p.species][0]
 
 
-class Invariants(NamedTuple):
+class Invariants(namedtuple("Invariants", "type_seq order delta sigma deficiency")):
     """Type sequence, order, delta, sigma and deficiency of a pair or config."""
 
-    type_seq: TypeSeq
-    order: int
-    delta: Fraction
-    sigma: int
-    deficiency: int
+    __slots__ = ()
 
 
 def scalar_invariants(p: RdpPair) -> Invariants:
@@ -246,16 +252,16 @@ def scalar_invariants(p: RdpPair) -> Invariants:
     type_seq = type_of(p)
     if p.species == "A":
         order = (p.n + 1) // math.gcd(p.k, p.n + 1)
-        delta = Fraction(p.k * (p.n - p.k + 1), p.n + 1)
+        delta = stci.exact.Fraction(p.k * (p.n - p.k + 1), p.n + 1)
     elif p.species == "Dn":
         order = 2 if p.n % 2 == 0 else 4
-        delta = Fraction(p.n, 4)
+        delta = stci.exact.Fraction(p.n, 4)
     else:
-        _, order, delta = _FIXED[p.species]
+        _, order, delta = _fixed(p.species)
     return Invariants(type_seq, order, delta, p.n, p.n - sum(type_seq))
 
 
-def miyaoka_contribution(p: RdpPair) -> Fraction:
+def miyaoka_contribution(p: RdpPair) -> stci.exact.Fraction:
     """Quotient-singularity contribution (n+1) - 1/(n+1) = n(n+2)/(n+1),
     A-series only."""
     if p.species != "A":
@@ -263,7 +269,7 @@ def miyaoka_contribution(p: RdpPair) -> Fraction:
             f"miyaoka contribution is unsupported for species {p.species}: "
             "no group order is on record for D/E pairs"
         )
-    return Fraction(p.n * (p.n + 2), p.n + 1)
+    return stci.exact.Fraction(p.n * (p.n + 2), p.n + 1)
 
 
 def classified_pairs(max_param: int) -> Iterator[RdpPair]:
@@ -329,11 +335,11 @@ def config_invariants(config: Iterable[RdpPair]) -> Invariants:
     members = [scalar_invariants(p) for p in config]
     type_seq = tuple(map(sum, itertools.zip_longest(*[m.type_seq for m in members], fillvalue=0)))
     order = math.lcm(*[m.order for m in members])
-    delta = fraction_sum([m.delta for m in members])
+    delta = stci.exact.fraction_sum([m.delta for m in members])
     sigma = sum([m.sigma for m in members])
     return Invariants(type_seq, order, delta, sigma, sigma - sum(type_seq))
 
 
-def config_miyaoka(config: Iterable[RdpPair]) -> Fraction:
+def config_miyaoka(config: Iterable[RdpPair]) -> stci.exact.Fraction:
     """Sum of the members' contributions; raises on D/E species."""
-    return fraction_sum(map(miyaoka_contribution, config))
+    return stci.exact.fraction_sum(map(miyaoka_contribution, config))

@@ -1,22 +1,22 @@
 """Theorem evaluators and the quartic configuration case analysis.
 
 Everything here is exact integer/rational arithmetic.  The invariants
-come from rdp and the ruling-cone margins from graphs, both reached
-through ``stci.<module>`` at their call sites, so a command that calls
-neither loads neither.  The three inequality families share the data
-(s, t, d, g): surface degrees, curve degree, genus, with multiplicity
-n = s*t/d, validated and combined into q by stci.chow.
+come from rdp, the ruling-cone margins from graphs and every Fraction
+from exact, each reached through ``stci.<module>`` at its call site, so a
+command that calls none of them loads none of them, nor ``fractions``.
+The three inequality families share the data (s, t, d, g): surface
+degrees, curve degree, genus, with multiplicity n = s*t/d, validated and
+combined into q by stci.chow.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import count
 from operator import attrgetter, lshift, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 import stci
 
@@ -46,9 +46,8 @@ class StciParams(namedtuple("StciParams", "s t d g")):
         return q_value(*self)
 
 
-class Thm1Result(NamedTuple):
-    value: Fraction
-    integral: bool
+class Thm1Result(namedtuple("Thm1Result", "value integral")):
+    __slots__ = ()
 
 
 def thm1_value(params: StciParams) -> Thm1Result:
@@ -59,7 +58,7 @@ def thm1_value(params: StciParams) -> Thm1Result:
     n = params.n
     if n < 2:
         raise DomainError("multiplicity n = 1: nothing to evaluate")
-    value = Fraction(params.q, n - 1)
+    value = stci.exact.Fraction(params.q, n - 1)
     return Thm1Result(value, value.denominator == 1)
 
 
@@ -89,10 +88,8 @@ def thm2_margins(params: StciParams, p: Sequence[int]) -> tuple[int, ...]:
     return stci.graphs.snort_check(st_expansion(s, t, ctx).a[:-1]).margins
 
 
-class Thm3Result(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+class Thm3Result(namedtuple("Thm3Result", "lhs rhs holds")):
+    __slots__ = ()
 
 
 def thm3_check(
@@ -100,7 +97,7 @@ def thm3_check(
     d: int,
     g: int,
     type_seq: Iterable[int],
-    truncate_at: Optional[int] = None,
+    truncate_at: int | None = None,
 ) -> Thm3Result:
     """Compare the weighted type sum against a/s = d^2/s + d(s-4) + 2 - 2g.
 
@@ -115,7 +112,7 @@ def thm3_check(
             raise DomainError("truncation index must be >= 0")
         t = t[:truncate_at]
     lhs = stci.rdp.weighted_type_sum(t)
-    rhs = Fraction(a_value(s, d, g), s)
+    rhs = stci.exact.Fraction(a_value(s, d, g), s)
     return Thm3Result(lhs, rhs, lhs >= rhs)
 
 
@@ -126,10 +123,10 @@ def resolution_bound(s: int) -> int:
     return s * (2 * s * s - 6 * s + 7) // 3 - 1
 
 
-def miyaoka_budget(s: int) -> Fraction:
+def miyaoka_budget(s: int) -> stci.exact.Fraction:
     """(2/3) s (s-1)^2, the cap on summed singularity contributions."""
     check_surface(s)
-    return Fraction(2 * s * (s - 1) * (s - 1), 3)
+    return stci.exact.Fraction(2 * s * (s - 1) * (s - 1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _pack(values: Iterable[int]) -> int:
 
 @cache
 def _typed_pairs(
-    max_steps: Optional[int] = None, budget: int = MAX_SIGMA_CAP, a_only: bool = False
+    max_steps: int | None = None, budget: int = MAX_SIGMA_CAP, a_only: bool = False
 ) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): every pair with sigma <= MAX_SIGMA_CAP grouped by type,
     types descending, as rows (the type's ``_steps``, which determine it,
@@ -245,11 +242,11 @@ def _typed_pairs(
     pairs = [pair for pair in rdp.classified_pairs(MAX_SIGMA_CAP) if pair.species == "A" or not a_only]
     for pair in sorted(pairs, key=attrgetter("n")):
         type_seq, _, delta, sigma, _ = rdp.scalar_invariants(pair)
-        term = rdp.miyaoka_contribution(pair) if pair.species == "A" else Fraction(0)
+        term = rdp.miyaoka_contribution(pair) if pair.species == "A" else 0
         by_type.setdefault(type_seq, []).append((sigma, delta, term, pair))
     scale = math.lcm(*(w.denominator for group in by_type.values() for e in group for w in e[1:3]))
 
-    def scaled(w: Fraction) -> int:
+    def scaled(w: stci.exact.Fraction | int) -> int:
         return w.numerator * (scale // w.denominator)
 
     rows = []
@@ -264,10 +261,10 @@ def _typed_pairs(
 
 def config_search(
     target: Iterable[int],
-    max_deficiency: Optional[int] = None,
-    require_delta: Optional[Fraction] = None,
-    max_sigma: Optional[int] = None,
-    miyaoka_budget_cap: Optional[Fraction] = None,
+    max_deficiency: int | None = None,
+    require_delta: stci.exact.Fraction | None = None,
+    max_sigma: int | None = None,
+    miyaoka_budget_cap: stci.exact.Fraction | None = None,
 ) -> list[stci.rdp.Config]:
     """All configurations of classified pairs whose type equals target,
     canonically sorted and deterministic.
@@ -395,10 +392,8 @@ def config_search(
 # the d <= g + 3 criterion
 
 
-class ThmAVerdict(NamedTuple):
-    applies: bool
-    conclusion: bool
-    witness: str
+class ThmAVerdict(namedtuple("ThmAVerdict", "applies conclusion witness")):
+    __slots__ = ()
 
 
 def thmA_verdict(s: int, t: int, d: int, g: int) -> ThmAVerdict:

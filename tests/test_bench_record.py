@@ -13,20 +13,29 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def compare_tables(capsys, a, b):
-    """The exit code of --compare, then each of its two tables, after
-    their header lines, as {(workload, metric): the rest of the row}."""
+TITLES = ("A = ", "seed-matched ratios B/A", "claim rule: ", "per-kind median ms per job")
+
+
+def all_tables(capsys, a, b):
+    """The exit code of --compare, then each of its four tables, after
+    their header lines, as {(workload, metric or kind): the rest of the row}."""
     code = bench_record.main(["--compare", str(FIXTURES / a), str(FIXTURES / b)])
-    medians, blank, paired = capsys.readouterr().out.partition("\n\n")
-    assert blank and paired.startswith("seed-matched ratios B/A\n")
+    texts = capsys.readouterr().out.split("\n\n")
+    assert [text.startswith(title) for text, title in zip(texts, TITLES)] == [True] * 4
     tables = []
-    for text, skip in ((medians, 2), (paired, 2)):
+    for text in texts:
         rows = {}
-        for line in text.splitlines()[skip:]:
+        for line in text.splitlines()[2:]:
             workload, metric, rest = line.split(None, 2)
             rows[workload, metric] = rest
         tables.append(rows)
     return code, *tables
+
+
+def compare_tables(capsys, a, b):
+    """The exit code of --compare, then its medians and its seed-matched ratios."""
+    code, medians, paired, _, _ = all_tables(capsys, a, b)
+    return code, medians, paired
 
 
 def compare(capsys, a, b):
@@ -113,15 +122,25 @@ def test_compare_counts_wins_over_seed_matched_pairs(tmp_path, capsys):
 
 
 def test_parse_run_and_summary():
-    stdout = (
+    head = (
         "workload search seed 3: 152 jobs x 241 passes\n"
         "job_ms_tail is p93.42 of 152 per-job medians (10 jobs beyond it; 36632 samples)\n"
-        '{"correct": true, "attempted": 36632, "failed": 0, "metrics": '
-        '{"jobs_per_s": {"value": 4900.5, "unit": "1/s"}}}\n'
+        "fail_ratio 0.000000 (0 of 36632 jobs failed, 0 with a wrong result)\n"
     )
-    run = bench_record.parse_run(stdout)
+    # run.py pads a kind to 32 characters; a longer one keeps one space
+    kinds = (
+        "job kind shares of the summed per-job median time:\n"
+        "  bungo                                10 jobs   10.5%  median 0.3012 ms/job\n"
+        "  config_search.a_kind_name_past_32_characters     42 jobs   89.5%  median 12.5000 ms/job\n"
+    )
+    last = ('{"correct": true, "attempted": 36632, "failed": 0, "metrics": '
+            '{"jobs_per_s": {"value": 4900.5, "unit": "1/s"}}}\n')
+    run = bench_record.parse_run(head + kinds + last)
     assert run == {"passes": 241, "correct": True, "failed": 0, "attempted": 36632,
-                   "metrics": {"jobs_per_s": 4900.5}}
+                   "metrics": {"jobs_per_s": 4900.5},
+                   "kinds": {"bungo": [10, 10.5, 0.3012],
+                             "config_search.a_kind_name_past_32_characters": [42, 89.5, 12.5]}}
+    assert bench_record.parse_run(head + last)["kinds"] == {}
     assert bench_record.summary([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "iqr": 2.0, "runs": 5}
     assert bench_record.summary([7.0]) == {"median": 7.0, "iqr": 0.0, "runs": 1}
 
@@ -167,3 +186,55 @@ def test_record_refuses_a_checkout_with_bytecode_under_src(tmp_path, capsys, mon
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
     assert bench_record.bytecode_cache(str(clean)) is None
+
+
+def test_compare_states_the_claim_rule_per_metric(tmp_path, capsys):
+    # three of three pairs won and a median gap past A's IQR: met; setup_s
+    # and peak_rss_mb lose every pair
+    _, _, _, claims, _ = all_tables(capsys, "BENCH_before.json", "BENCH_after.json")
+    assert claims["search", "jobs_per_s"].split() == ["3/3", "1500", "70", "met"]
+    assert claims["search", "job_ms_p50"].split() == ["3/3", "-0.11", "0.005", "met"]
+    assert claims["search", "setup_s"].split() == ["0/3", "0.005", "0.0007", "not", "met"]
+    _, _, _, claims, _ = all_tables(capsys, "BENCH_after.json", "BENCH_after.json")
+    assert all(rest.endswith("not met") for rest in claims.values())
+    # every pair won, but the gap stays within A's IQR: not met
+    path = _with_jobs_per_s(tmp_path, (3490.0, 3560.0, 3630.0))
+    _, _, _, claims, _ = all_tables(capsys, "BENCH_before.json", path)
+    assert claims["search", "jobs_per_s"].split() == ["3/3", "60", "70", "not", "met"]
+    # nine tenths of three pairs is all three: two wins are not enough
+    path = _with_jobs_per_s(tmp_path, (3000.0, 4500.0, 4570.0))
+    _, _, _, claims, _ = all_tables(capsys, "BENCH_before.json", path)
+    assert claims["search", "jobs_per_s"].split() == ["2/3", "1000", "70", "not", "met"]
+
+
+def _with_jobs_per_s(tmp_path, values):
+    """BENCH_before.json with the search runs' jobs_per_s of seeds 1-3 set
+    to values and the summary taken again, as a file."""
+    bench = json.loads((FIXTURES / "BENCH_before.json").read_text())
+    workload = bench["workloads"]["search"]
+    for run, value in zip(workload["raw"], values):
+        run["metrics"]["jobs_per_s"] = value
+    workload["metrics"]["jobs_per_s"] = bench_record.summary(list(values))
+    path = tmp_path / "BENCH_changed.json"
+    path.write_text(json.dumps(bench))
+    return path
+
+
+def test_compare_prints_per_kind_medians(tmp_path, capsys):
+    # medians over the runs that ran each kind; wins over the seeds both ran
+    # it (bungo: seed 2 only), lower being better
+    _, _, _, _, kinds = all_tables(capsys, "BENCH_before.json", "BENCH_after.json")
+    assert kinds == {
+        ("search", "bungo"): "0.305      0.315   1.033  wins 1/1",
+        ("search", "config_search"): "0.3       0.15   0.500  wins 3/3",
+        ("search", "enumerate"): "0.1        0.1   1.000  wins 0/3",
+    }
+    # a file recorded before runs kept their kinds has no per-kind rows
+    old = json.loads((FIXTURES / "BENCH_before.json").read_text())
+    for run in old["workloads"]["search"]["raw"]:
+        del run["kinds"]
+    path = tmp_path / "BENCH_old.json"
+    path.write_text(json.dumps(old))
+    code, _, _, _, kinds = all_tables(capsys, path, "BENCH_after.json")
+    assert (code, kinds) == (1, {})
+

@@ -458,25 +458,29 @@ def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
     assert out == "[]\n"
 
 
-# A cold command loads the layers its handler calls and the output modules
-# its format needs, and nothing else: argv -> (exit code, stci modules
-# beyond stci itself, which of argparse/fractions/json/csv).  argparse
-# loads only to write a usage error or help.
+# A cold command loads the layers its handler calls and the stdlib modules
+# its work and format need, and nothing else: argv -> (exit code, stci
+# modules beyond stci itself, which of STDLIB_PROBED).  argparse loads
+# only to write a usage error or help; fractions, and decimal with it,
+# only where a Fraction is built; re only where a pattern is matched
+# (fractions, json, csv and argparse import it too); typing never.  The
+# probe runs with -S, since the host's site may preload typing and re.
+STDLIB_PROBED = ("argparse", "csv", "decimal", "fractions", "json", "re", "typing")
 COLD_LOADS = {
-    "phi 10 4": (0, "cli errors exact rdp", "fractions"),
+    "phi 10 4": (0, "cli errors rdp", ""),
     "enumerate --d 6": (0, "chow cli degrees errors", ""),
-    "chow expand --s 4 --t 4 --d 4 --p 9,8,2 --format json": (0, "chow cli errors", "json"),
-    "phi 3": (2, "cli errors", "argparse"),
-    "bound 4": (0, "chow cli errors theorems", "fractions"),
-    "rdp info Dn:7": (0, "cli errors exact rdp", "fractions"),
-    'rdp config "8*A:2:1 + A:3:1"': (0, "cli errors exact rdp", "fractions"),
-    "thm1 --s 4 --t 4 --d 4": (0, "chow cli errors theorems", "fractions"),
-    "thm2 --s 4 --t 4 --d 4 --p 9,8,2": (0, "chow cli errors graphs theorems", "fractions"),
-    'thm3 --s 4 --d 4 --type "(9,9)"': (0, "chow cli errors exact rdp theorems", "fractions"),
-    "thmA --s 4 --t 4 --d 4": (0, "chow cli errors theorems", "fractions"),
+    "chow expand --s 4 --t 4 --d 4 --p 9,8,2 --format json": (0, "chow cli errors", "json re"),
+    "phi 3": (2, "cli errors", "argparse re"),
+    "bound 4": (0, "chow cli errors theorems", ""),
+    "rdp info Dn:7": (0, "cli errors exact rdp", "decimal fractions re"),
+    'rdp config "8*A:2:1 + A:3:1"': (0, "cli errors exact rdp", "decimal fractions re"),
+    "thm1 --s 4 --t 4 --d 4": (0, "chow cli errors exact theorems", "decimal fractions re"),
+    "thm2 --s 4 --t 4 --d 4 --p 9,8,2": (0, "chow cli errors graphs theorems", ""),
+    'thm3 --s 4 --d 4 --type "(9,9)"': (0, "chow cli errors exact rdp theorems", "decimal fractions re"),
+    "thmA --s 4 --t 4 --d 4": (0, "chow cli errors theorems", ""),
     'search-config --type "(9,9)" --max-def 1':
-        (0, "chow cli errors exact rdp theorems", "fractions"),
-    "bungo --format csv": (0, "chow cli errors exact rdp theorems", "csv fractions"),
+        (0, "chow cli errors exact rdp theorems", "decimal fractions re"),
+    "bungo --format csv": (0, "chow cli errors rdp theorems", "csv re"),
 }
 
 
@@ -487,16 +491,28 @@ def test_cold_command_loads_only_what_it_calls(argv):
         "from stci.cli import run\n"
         "code = run(sys.argv[1:])\n"
         "layers = sorted(m[5:] for m in sys.modules if m.startswith('stci.'))\n"
-        "output = sorted({'argparse', 'fractions', 'json', 'csv'} & set(sys.modules))\n"
-        "print(code, ' '.join(layers), ' '.join(output), sep='|')\n"
+        f"stdlib = sorted(set({STDLIB_PROBED!r}) & set(sys.modules))\n"
+        "print(code, ' '.join(layers), ' '.join(stdlib), sep='|')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe, *shlex.split(argv)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    code, layers, output = COLD_LOADS[argv]
-    assert out.splitlines()[-1] == f"{code}|{layers}|{output}"
+    code, layers, stdlib = COLD_LOADS[argv]
+    assert out.splitlines()[-1] == f"{code}|{layers}|{stdlib}"
+
+
+@pytest.mark.parametrize("layer", ["chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"])
+def test_importing_a_layer_loads_no_typing_and_fractions_only_in_exact(layer):
+    # a layer's import statements alone, without site (-S): exact is the one
+    # module that imports fractions, and no layer imports typing
+    probe = f"import sys, stci.{layer}; print(sorted({{'fractions', 'typing'}} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == ("['fractions']\n" if layer == "exact" else "[]\n")
 
 
 def test_search_config_help_states_the_sigma_default_and_cap(capsys, monkeypatch):

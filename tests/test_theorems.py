@@ -368,9 +368,10 @@ def test_config_search_nine_nine():
 
 
 def test_theorems_loads_rdp_and_graphs_only_when_called():
-    # theorems reaches rdp and graphs through stci.<module>, so a call that
-    # needs neither loads neither; the suite's own process has loaded every
-    # layer, so only a fresh one can show a load that is missing or eager
+    # theorems reaches rdp, graphs and exact through stci.<module>, so a call
+    # that needs none of them loads none of them: only a Fraction loads
+    # exact.  The suite's own process has loaded every layer, so only a
+    # fresh one can show a load that is missing or eager
     probe = (
         "import sys, stci\n"
         "from stci import theorems\n"
@@ -379,9 +380,9 @@ def test_theorems_loads_rdp_and_graphs_only_when_called():
         "    print(' '.join(layers), result, sep='|')\n"
         "quartic = theorems.StciParams(4, 4, 4, 0)\n"
         "loaded(theorems.resolution_bound(4))\n"
-        "loaded(theorems.thm1_value(quartic).value)\n"
         "loaded(theorems.thmA_verdict(4, 4, 4, 0).applies)\n"
         "loaded(theorems.thm2_margins(quartic, (9, 8, 2)))\n"
+        "loaded(theorems.thm1_value(quartic).value)\n"
         "found = theorems.config_search((9, 9), max_deficiency=1)\n"
         "loaded([stci.rdp.format_config(c) for c in found])\n"
     )
@@ -391,9 +392,9 @@ def test_theorems_loads_rdp_and_graphs_only_when_called():
     ).stdout
     assert out.splitlines() == [
         "chow errors theorems|19",
-        "chow errors theorems|8",
         "chow errors theorems|False",
         "chow errors graphs theorems|(3, 4, 2)",
+        "chow errors exact graphs theorems|8",
         "chow errors exact graphs rdp theorems|['9*A:2:1', '7*A:2:1 + A:5:2']",
     ]
 

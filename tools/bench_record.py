@@ -7,8 +7,10 @@ Usage:
 Recording runs ``perfbench/run.py --trace 0`` of each checkout (default:
 this one) as a subprocess, once per workload of BENCHMARK.json and seed
 in SEEDS, for the ``run_seconds`` BENCHMARK.json fixes, and reads the JSON
-last line of each run and the pass count from its ``<n> jobs x <p>
-passes`` line.  With two or more checkouts the runs are interleaved: for
+last line of each run, the pass count from its ``<n> jobs x <p> passes``
+line and its job kind shares table, kept in the raw run as ``kinds``:
+{kind: [jobs, share of the summed per-job median time in %, median ms
+per job]}.  With two or more checkouts the runs are interleaved: for
 each workload and seed every checkout runs in turn, and the one that runs
 first rotates from seed to seed.  Each checkout gets one file at the root
 of this checkout, with the host (CPU model, vCPU count, Python version),
@@ -28,6 +30,12 @@ array per pass.  A second table follows, after a blank line: per workload
 and metric, the quartiles and the range of the seed-matched ratios B/A.
 Each seed draws its own job mix, so the IQRs of the medians carry the
 spread between seeds as well as noise, and the paired ratios do not.
+A third says, per workload and metric, whether B's gain meets the claim
+rule: B wins at least nine tenths of the seed-matched pairs, and the
+medians differ, in B's favour, by more than A's IQR.  A fourth lists,
+per workload and job kind both files recorded, the median over runs of
+the kind's median ms per job in A and in B, the ratio B/A and B's wins
+over the seed-matched runs that ran the kind.
 The exit code is 1 when a metric is flagged, when B is not correct, or
 when B fails a larger share of its attempted jobs than A.
 Neither mode changes ``perfbench/`` or ``BENCHMARK.json``; both only read
@@ -49,6 +57,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Ten seeds, so that two checkouts give ten interleaved pairs of runs.
 SEEDS = tuple(range(1, 11))
 PASSES = re.compile(r"^workload \S+ seed \d+: (\d+) jobs x (\d+) passes$", re.MULTILINE)
+# A row of run.py's "job kind shares" table: kind, jobs, share %, median ms per job.
+KIND = re.compile(r"^  (\S+) +(\d+) jobs +([\d.]+)%  median ([\d.]+) ms/job$", re.MULTILINE)
 
 
 def load_benchmark(root: str = ROOT) -> dict:
@@ -66,7 +76,8 @@ def summary(values: list[float]) -> dict:
 
 
 def parse_run(stdout: str) -> dict:
-    """The pass count and the JSON result of one ``run.py --trace 0`` run."""
+    """The pass count, the job kind shares and the JSON result of one
+    ``run.py --trace 0`` run."""
     match = PASSES.search(stdout)
     if match is None:
         raise ValueError("no '<n> jobs x <p> passes' line in the run's output")
@@ -77,6 +88,8 @@ def parse_run(stdout: str) -> dict:
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "kinds": {kind: [int(jobs), float(share), float(ms)]
+                  for kind, jobs, share, ms in KIND.findall(stdout)},
     }
 
 
@@ -176,11 +189,14 @@ def seed_pairs(name: str, wa: dict, wb: dict) -> list[tuple[float, float]]:
     return [(runs_a[r["seed"]], r["metrics"][name]) for r in wb["raw"] if r["seed"] in runs_a]
 
 
-def wins(better: str, pairs: list[tuple[float, float]]) -> str:
+def won(better: str, pairs: list[tuple[float, float]]) -> int:
     """How many of the seed-matched pairs B does better on than A; a tie
     counts for neither."""
-    won = sum(vb > va if better == "higher" else vb < va for va, vb in pairs)
-    return f"wins {won}/{len(pairs)}"
+    return sum(vb > va if better == "higher" else vb < va for va, vb in pairs)
+
+
+def wins(better: str, pairs: list[tuple[float, float]]) -> str:
+    return f"wins {won(better, pairs)}/{len(pairs)}"
 
 
 def ratio_spread(pairs: list[tuple[float, float]]) -> str:
@@ -193,6 +209,39 @@ def ratio_spread(pairs: list[tuple[float, float]]) -> str:
     return " ".join(f"{r:7.3f}" for r in (*quartiles, ratios[0], ratios[-1])) + f"  {len(ratios):5d}"
 
 
+def claim(better: str, ma: dict, mb: dict, pairs: list[tuple[float, float]]) -> str:
+    """Whether B's gain meets the claim rule: B better in at least nine
+    tenths of the seed-matched pairs (a tie counts for neither), and the
+    medians apart by more than A's IQR in B's favour."""
+    count = won(better, pairs)
+    gap = mb["median"] - ma["median"]
+    gain = gap if better == "higher" else -gap
+    met = len(pairs) > 0 and 10 * count >= 9 * len(pairs) and gain > ma["iqr"]
+    return (f"{count:>3d}/{len(pairs):<3d} {gap:>10.4g} {ma['iqr']:>10.2g}  "
+            + ("met" if met else "not met"))
+
+
+def kind_table(workload: str, wa: dict, wb: dict) -> list[str]:
+    """Rows of per-kind median ms per job for the kinds both workloads
+    recorded: A's and B's median over runs, B/A and B's seed-matched wins
+    (lower is better)."""
+    def by_kind(w):
+        kinds = {}
+        for r in w["raw"]:
+            for kind, (_, _, ms) in r.get("kinds", {}).items():
+                kinds.setdefault(kind, {})[r["seed"]] = ms
+        return kinds
+
+    ka, kb = by_kind(wa), by_kind(wb)
+    rows = []
+    for kind in sorted(ka.keys() & kb.keys()):
+        a, b = statistics.median(ka[kind].values()), statistics.median(kb[kind].values())
+        pairs = [(ka[kind][seed], ms) for seed, ms in kb[kind].items() if seed in ka[kind]]
+        rows.append(f"{workload:10s} {kind:32s} {a:>10.4g} {b:>10.4g} {b / a:7.3f}  "
+                    f"{wins('lower', pairs)}")
+    return rows
+
+
 def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
     """Report lines for B against A, and how many metrics B worsened past their bound."""
     lines = [f"A = {a['label']} ({a['git_sha']}), B = {b['label']} ({b['git_sha']})",
@@ -201,6 +250,11 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
     paired = ["", "seed-matched ratios B/A",
               f"{'workload':10s} {'metric':12s} {'Q1':>7s} {'median':>7s} {'Q3':>7s} "
               f"{'min':>7s} {'max':>7s}  {'pairs':>5s}"]
+    claims = ["", "claim rule: B wins >= 9/10 of the seed-matched pairs and the medians "
+              "differ by more than A's IQR",
+              f"{'workload':10s} {'metric':12s} {'wins':>7s} {'B-A':>10s} {'A IQR':>10s}  claim"]
+    kinds = ["", "per-kind median ms per job (run.py's job kind shares)",
+             f"{'workload':10s} {'kind':32s} {'A':>10s} {'B':>10s} {'B/A':>7s}"]
     flagged = 0
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -216,6 +270,7 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
             line = (f"{workload:10s} {name:12s} {cell(ma):>22s} {cell(mb):>22s} {ratio:7.3f}"
                     f"  {wins(spec['better'], pairs)}")
             paired.append(f"{workload:10s} {name:12s} {ratio_spread(pairs)}")
+            claims.append(f"{workload:10s} {name:12s} {claim(spec['better'], ma, mb, pairs)}")
             if name == "peak_rss_mb":
                 line += f"  passes {wa['passes']['median']:g} -> {wb['passes']['median']:g}"
             if change > spec["bound"]:
@@ -227,7 +282,8 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], int]:
             flagged += 1
             lines.append(f"{workload:10s} FAILURES: A {wa['failed']} of {wa['attempted']}, "
                          f"B {wb['failed']} of {wb['attempted']}, B correct {wb['correct']}")
-    return lines + paired, flagged
+        kinds += kind_table(workload, wa, wb)
+    return lines + paired + claims + kinds, flagged
 
 
 def main(argv=None) -> int:
