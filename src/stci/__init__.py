@@ -7,7 +7,7 @@ The layer modules load on first access (PEP 562), so ``stci.rdp`` works
 after a bare ``import stci`` and a command compiles only what it calls.
 """
 
-_LAYERS = ("chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems")
+_LAYERS = ("chow", "degrees", "errors", "exact", "graphs", "rdp", "search", "theorems")
 
 
 def __getattr__(name: str):

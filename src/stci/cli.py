@@ -194,7 +194,7 @@ def cmd_bound(args) -> Document:
 
 
 def cmd_bungo(args) -> Document:
-    rows = [(n, stci.rdp.format_type(seq)) for n, seq in stci.theorems.bungobungo_solve()]
+    rows = [(n, stci.rdp.format_type(seq)) for n, seq in stci.search.bungobungo_solve()]
     return table(("n", "type"), rows, "n={} type={}", "")
 
 
@@ -202,7 +202,7 @@ def cmd_search_config(args) -> Document:
     target = stci.rdp.parse_type(args.type)
     require_delta = None if args.require_delta is None else stci.exact.parse_rational(args.require_delta)
     budget = None if args.miyaoka_budget is None else stci.exact.parse_rational(args.miyaoka_budget)
-    results = stci.theorems.config_search(
+    results = stci.search.config_search(
         target,
         max_deficiency=args.max_def,
         require_delta=require_delta,

@@ -64,12 +64,13 @@ def enumerate_pairs(
     k = dd * (d * (dd - 4) + 3 - 2 * g)
     above = (dd + u for u in range(1, s_max - dd + 1) if not k % u)
     records = []
+    # no sort: s ascends (``above`` exceeds d^2), and t = d(1 + a/e)/s rises as e walks down
     for s in chain(range(3, min(s_max, dd) + 1), above):
         a = a_value(s, d, g)
         if a <= 0:
             continue
         e_max = a if s * s <= d else min(a, d * a // (s * s - d))
-        for e in range(-a % s or s, e_max + 1, s):
+        for e in reversed(range(-a % s or s, e_max + 1, s)):
             if a % e:
                 continue
             n = 1 + a // e
@@ -78,5 +79,4 @@ def enumerate_pairs(
                 continue
             p_s = (a + e) // s
             records.append(DegreePairRecord(s, t, n, p_s, p_s + d * (t - s), _BOTH))
-    records.sort(key=lambda rec: (rec.s, rec.t))
     return records

@@ -19,7 +19,7 @@ from oracles import (
     phi_step_by_step,
     spitup_decomposition,
 )
-from stci import chow, degrees, graphs, rdp, theorems
+from stci import chow, degrees, graphs, rdp, search, theorems
 from stci.cli import run
 
 EXPECTED_PAIRS = [
@@ -111,18 +111,18 @@ def test_criterion_5_resolution_bounds():
 
 def test_criterion_6_bungobungo():
     with Budget(1.0):
-        solutions = theorems.bungobungo_solve()
+        solutions = search.bungobungo_solve()
     assert solutions == [(0, (9, 8, 2)), (0, (9, 9)), (0, (9, 9, 1))]
     report(6, "bungobungo_solve = {(0,(9,8,2)), (0,(9,9)), (0,(9,9,1))}")
 
 
 def test_criterion_7_config_case_analysis():
     with Budget(5.0):
-        found = theorems.config_search((9, 9, 1), max_deficiency=0)
+        found = search.config_search((9, 9, 1), max_deficiency=0)
         assert [rdp.format_config(c) for c in found] == ["8*A:2:1 + A:3:1"]
         assert rdp.config_invariants(found[0]).delta == Fraction(73, 12)
 
-        found = theorems.config_search((9, 9), max_deficiency=1)
+        found = search.config_search((9, 9), max_deficiency=1)
         assert [rdp.format_config(c) for c in found] == [
             "9*A:2:1",
             "7*A:2:1 + A:5:2",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stci
-from stci import chow, rdp, theorems
+from stci import chow, rdp, search, theorems
 from stci.cli import _read_strict, build_parser, record, render, run
 from stci.errors import DomainError
 from stci.exact import parse_rational
@@ -431,7 +431,7 @@ def test_import_stci_loads_layers_on_first_access():
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    layers = ["chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"]
+    layers = ["chow", "degrees", "errors", "exact", "graphs", "rdp", "search", "theorems"]
     assert out == f"{layers}\n[]\nTrue\nmodule 'stci' has no attribute 'nonesuch'\n"
 
 
@@ -440,7 +440,7 @@ def test_dir_stci_lists_the_layers():
     # loads no layer; here it runs in the suite's own process too
     names = dir(stci)
     assert names == sorted(set(names))
-    assert {"chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"} <= set(names)
+    assert {"chow", "degrees", "errors", "exact", "graphs", "rdp", "search", "theorems"} <= set(names)
 
 
 def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
@@ -449,7 +449,7 @@ def test_import_stci_cli_leaves_dataclasses_and_inspect_out():
     # alone loads only stci.errors until a handler runs.
     probe = (
         "import sys, stci.cli, stci.chow, stci.degrees, stci.errors, stci.exact, stci.graphs, "
-        "stci.rdp, stci.theorems; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "stci.rdp, stci.search, stci.theorems; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
@@ -479,8 +479,8 @@ COLD_LOADS = {
     'thm3 --s 4 --d 4 --type "(9,9)"': (0, "chow cli errors exact rdp theorems", "decimal fractions re"),
     "thmA --s 4 --t 4 --d 4": (0, "chow cli errors theorems", ""),
     'search-config --type "(9,9)" --max-def 1':
-        (0, "chow cli errors exact rdp theorems", "decimal fractions re"),
-    "bungo --format csv": (0, "chow cli errors rdp theorems", "csv re"),
+        (0, "chow cli errors exact rdp search theorems", "decimal fractions re"),
+    "bungo --format csv": (0, "cli errors rdp search", "csv re"),
 }
 
 
@@ -503,7 +503,9 @@ def test_cold_command_loads_only_what_it_calls(argv):
     assert out.splitlines()[-1] == f"{code}|{layers}|{stdlib}"
 
 
-@pytest.mark.parametrize("layer", ["chow", "degrees", "errors", "exact", "graphs", "rdp", "theorems"])
+@pytest.mark.parametrize(
+    "layer", ["chow", "degrees", "errors", "exact", "graphs", "rdp", "search", "theorems"]
+)
 def test_importing_a_layer_loads_no_typing_and_fractions_only_in_exact(layer):
     # a layer's import statements alone, without site (-S): exact is the one
     # module that imports fractions, and no layer imports typing
@@ -519,23 +521,24 @@ def test_search_config_help_states_the_sigma_default_and_cap(capsys, monkeypatch
     # the help text is a literal, so that building the parser loads no layer
     monkeypatch.setenv("COLUMNS", "200")
     code, out, _ = run_cli(capsys, "search-config", "--help")
-    bounds = f"(default {theorems.resolution_bound(4)}, at most {theorems.MAX_SIGMA_CAP})"
+    bounds = f"(default {theorems.resolution_bound(4)}, at most {search.MAX_SIGMA_CAP})"
     assert code == 0 and f"total sigma cap {bounds}" in out
 
 
 def test_cold_bound_builds_no_pair_table():
-    # only config_search reads the typed pair table, so a cold process
-    # that never searches must not pay for building it
+    # only the searches read the typed pair table, and they live in
+    # stci.search, so a cold process that never searches must neither build
+    # the table nor compile the module
     probe = (
-        "import stci.cli, stci.theorems\n"
+        "import sys, stci.cli\n"
         "code = stci.cli.run(['bound', '4'])\n"
-        "print(code, stci.theorems._typed_pairs.cache_info().misses)\n"
+        "print(code, 'stci.search' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "19\n0 0\n"
+    assert out == "19\n0 False\n"
 
 
 def test_results_past_the_int_str_limit(capsys):

@@ -87,6 +87,10 @@ _GRAPH = graphs.replay(1, ("+", 1))
 _A31 = rdp.pair_a(3, 1)
 _CURVE = {"d": "curve degree", "g": "genus"}
 _DEGREES = {"s": "surface degree", "t": "surface degree", **_CURVE}
+# config_search and its forward in theorems take the same call
+_CONFIG_SEARCH_ARGS = ((9, 9), 6, Fraction(6), 25, Fraction(24))
+_CONFIG_SEARCH_NAMES = {"max_deficiency": "max_deficiency", "require_delta": "require_delta",
+                        "max_sigma": "max_sigma", "miyaoka_budget_cap": "miyaoka_budget_cap"}
 
 # One valid call of every public callable of the library layers: its
 # arguments, and the name its refusals give each parameter annotated int or
@@ -140,10 +144,10 @@ CALLS = {
     "theorems.resolution_bound": ((4,), {"s": "surface degree"}),
     "theorems.miyaoka_budget": ((4,), {"s": "surface degree"}),
     "theorems.bungobungo_solve": ((), {}),
-    "theorems.config_search": (((9, 9), 6, Fraction(6), 25, Fraction(24)), {
-        "max_deficiency": "max_deficiency", "require_delta": "require_delta",
-        "max_sigma": "max_sigma", "miyaoka_budget_cap": "miyaoka_budget_cap"}),
+    "theorems.config_search": (_CONFIG_SEARCH_ARGS, _CONFIG_SEARCH_NAMES),
     "theorems.thmA_verdict": ((4, 4, 4, 0), _DEGREES),
+    "search.bungobungo_solve": ((), {}),
+    "search.config_search": (_CONFIG_SEARCH_ARGS, _CONFIG_SEARCH_NAMES),
     "degrees.enumerate_pairs": ((4, 0, True, 40, 100), {**_CURVE, "s_max": "s_max", "t_max": "t_max"}),
 }
 

@@ -13,7 +13,7 @@ from oracles import (
     phi_step_by_step,
     weighted_type_sum_fold,
 )
-from stci import rdp, theorems
+from stci import rdp, search
 from stci.errors import DomainError, ParseError
 
 
@@ -332,7 +332,7 @@ def test_weighted_type_sum():
 
 
 def test_weighted_type_sum_matches_fold():
-    types = [seq for _, seq in theorems.bungobungo_solve()]
+    types = [seq for _, seq in search.bungobungo_solve()]
     rng = random.Random(17)
     for _ in range(300):
         length = rng.randint(0, rdp.MAX_INDEX)

@@ -22,7 +22,7 @@ from oracles import (
     mul_term_by_term,
     thm2_margins_double_sum,
 )
-from stci import chow, graphs, rdp, theorems
+from stci import chow, graphs, rdp, search, theorems
 from stci.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,7 +262,7 @@ def test_miyaoka_budget():
 
 
 def test_bungobungo_solve():
-    assert theorems.bungobungo_solve() == [
+    assert search.bungobungo_solve() == [
         (0, (9, 8, 2)),
         (0, (9, 9)),
         (0, (9, 9, 1)),
@@ -270,26 +270,26 @@ def test_bungobungo_solve():
 
 
 def test_bungobungo_matches_fraction_scan():
-    assert theorems.bungobungo_solve() == bungobungo_scan()
+    assert search.bungobungo_solve() == bungobungo_scan()
 
 
 def test_bungobungo_scale_makes_weights_integral():
     # k(k+1) up to k = 20: the greedy tail bound reads 1/(e(e+1)) at e <= 20
-    scale = theorems._BUNGO_SCALE
+    scale = search._BUNGO_SCALE
     assert scale == math.lcm(*range(1, 21))
     assert scale % 4 == 0
     assert all(scale % (k * (k + 1)) == 0 for k in range(1, 21))
 
 
-def _calls_in_theorems(fn, *args, **kwargs):
-    """fn's result and how often each function of stci/theorems.py was entered."""
+def _calls_in_search(fn, *args, **kwargs):
+    """fn's result and how often each function of stci/search.py was entered."""
     calls = {}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == theorems.__file__:
+        if event == "call" and frame.f_code.co_filename == search.__file__:
             calls[frame.f_code.co_name] = calls.get(frame.f_code.co_name, 0) + 1
 
-    theorems._typed_pairs()  # build the table outside the count
+    search._typed_pairs()  # build the table outside the count
     sys.setprofile(profile)
     try:
         result = fn(*args, **kwargs)
@@ -302,7 +302,7 @@ def test_search_node_counts():
     # a weaker bound visits more nodes; bungo visited 261 under the
     # infinite-run bound acc + p * (S // k), and 25 while every root n
     # was entered before its first p was tested
-    solutions, calls = _calls_in_theorems(theorems.bungobungo_solve)
+    solutions, calls = _calls_in_search(search.bungobungo_solve)
     assert (len(solutions), calls["descend"]) == (3, 6)
     # the search took 300 type nodes and 322 fill calls as two stages; in
     # the last two cases max_deficiency sets the budget, with a Miyaoka cap
@@ -312,7 +312,7 @@ def test_search_node_counts():
         ((9, 8, 2), {"max_sigma": 30, "max_deficiency": 2}, (12, 70)),
         ((9, 9, 1), {"max_sigma": 30, "max_deficiency": 3, "miyaoka_budget_cap": Fraction(30)}, (7, 39)),
     ):
-        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        found, calls = _calls_in_search(search.config_search, target, **kwargs)
         assert (len(found), calls["descend"]) == counts, (target, kwargs)
 
 
@@ -335,7 +335,7 @@ def test_search_node_counts_under_a_miyaoka_cap():
         ((9, 9, 1), {"max_sigma": 25, "max_deficiency": 3, "miyaoka_budget_cap": cap18}, (0, 0)),
         ((9, 8, 2), {"max_sigma": 25, "max_deficiency": 3, "miyaoka_budget_cap": cap18}, (0, 0)),
     ):
-        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        found, calls = _calls_in_search(search.config_search, target, **kwargs)
         assert (len(found), calls.get("descend", 0)) == counts, (target, kwargs)
 
 
@@ -347,10 +347,10 @@ def test_search_node_count_of_a_priced_out_target():
         ((9, 8, 2), {"max_sigma": 18}),
         ((4, 1, 1, 1, 1), {"max_sigma": 6}),
     ):
-        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        found, calls = _calls_in_search(search.config_search, target, **kwargs)
         assert (found, calls.get("descend")) == ([], 1), target
     # a step past _CLAMP is refused before the packing, so no descent runs
-    found, calls = _calls_in_theorems(theorems.config_search, (10**12, 7, 1))
+    found, calls = _calls_in_search(search.config_search, (10**12, 7, 1))
     assert (found, calls.get("_pack", 0), calls.get("descend", 0)) == ([], 0, 0)
 
 
@@ -361,7 +361,7 @@ def test_bungobungo_rejected_candidates():
 
 
 def test_config_search_nine_nine():
-    found = theorems.config_search((9, 9), max_deficiency=1)
+    found = search.config_search((9, 9), max_deficiency=1)
     assert [rdp.format_config(c) for c in found] == ["9*A:2:1", "7*A:2:1 + A:5:2"]
     for config in found:
         assert rdp.config_invariants(config).order == 3
@@ -383,7 +383,7 @@ def test_theorems_loads_rdp_and_graphs_only_when_called():
         "loaded(theorems.thmA_verdict(4, 4, 4, 0).applies)\n"
         "loaded(theorems.thm2_margins(quartic, (9, 8, 2)))\n"
         "loaded(theorems.thm1_value(quartic).value)\n"
-        "found = theorems.config_search((9, 9), max_deficiency=1)\n"
+        "found = stci.search.config_search((9, 9), max_deficiency=1)\n"
         "loaded([stci.rdp.format_config(c) for c in found])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -395,18 +395,56 @@ def test_theorems_loads_rdp_and_graphs_only_when_called():
         "chow errors theorems|False",
         "chow errors graphs theorems|(3, 4, 2)",
         "chow errors exact graphs theorems|8",
-        "chow errors exact graphs rdp theorems|['9*A:2:1', '7*A:2:1 + A:5:2']",
+        "chow errors exact graphs rdp search theorems|['9*A:2:1', '7*A:2:1 + A:5:2']",
     ]
 
 
+def test_search_loads_theorems_only_for_the_default_sigma_cap():
+    # search imports only stci and stci.errors: bungo loads no other layer,
+    # a search loads rdp and exact to type its pairs, and only the default
+    # max_sigma reads theorems (with chow) for the resolution bound
+    probe = (
+        "import sys, stci\n"
+        "def loaded(result):\n"
+        "    layers = sorted(m[5:] for m in sys.modules if m.startswith('stci.'))\n"
+        "    print(' '.join(layers), result, sep='|')\n"
+        "loaded(len(stci.search.bungobungo_solve()))\n"
+        "loaded(len(stci.search.config_search((9, 9), max_sigma=19)))\n"
+        "loaded(len(stci.search.config_search((9, 9))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "errors search|3",
+        "errors exact rdp search|2",
+        "chow errors exact rdp search theorems|2",
+    ]
+
+
+def test_theorems_forwards_return_what_search_returns():
+    # the forwards kept for the benchmark answer the acceptance targets as
+    # stci.search does, filters included
+    assert theorems.bungobungo_solve() == search.bungobungo_solve()
+    for target, kwargs in (
+        ((9, 9, 1), {"max_deficiency": 0}),
+        ((9, 9), {"max_deficiency": 1}),
+        ((9, 8, 2), {"max_deficiency": 0}),
+        ((9, 9), {"max_deficiency": 1, "require_delta": Fraction(6), "max_sigma": 25}),
+        ((9, 9, 1), {"max_sigma": 30, "max_deficiency": 3, "miyaoka_budget_cap": Fraction(30)}),
+    ):
+        assert theorems.config_search(target, **kwargs) == search.config_search(target, **kwargs), target
+
+
 def test_config_search_nine_nine_one():
-    found = theorems.config_search((9, 9, 1), max_deficiency=0)
+    found = search.config_search((9, 9, 1), max_deficiency=0)
     assert [rdp.format_config(c) for c in found] == ["8*A:2:1 + A:3:1"]
     assert rdp.config_invariants(found[0]).delta == Fraction(73, 12)
 
 
 def test_config_search_nine_eight_two():
-    found = theorems.config_search((9, 8, 2), max_deficiency=0)
+    found = search.config_search((9, 8, 2), max_deficiency=0)
     assert [rdp.format_config(c) for c in found] == [
         "A:1:1 + 6*A:2:1 + 2*A:3:1",
         "6*A:2:1 + A:3:1 + A:4:2",
@@ -420,25 +458,25 @@ def test_config_search_nine_eight_two():
 
 def test_config_search_filters():
     # both surviving (9,9) configurations have delta exactly 6
-    exact = theorems.config_search((9, 9), max_deficiency=1, require_delta=Fraction(6))
+    exact = search.config_search((9, 9), max_deficiency=1, require_delta=Fraction(6))
     assert [rdp.format_config(c) for c in exact] == ["9*A:2:1", "7*A:2:1 + A:5:2"]
     # no zero-deficiency (9,9,1) configuration reaches delta 6
-    assert theorems.config_search(
+    assert search.config_search(
         (9, 9, 1), max_deficiency=0, require_delta=Fraction(6)
     ) == []
     # contribution sums: 25 for the 2*A:3:1 configuration, 491/20 for the
     # A:4:2 one; the quartic cap of 24 excludes both
     sums = {
         rdp.format_config(c): rdp.config_miyaoka(c)
-        for c in theorems.config_search((9, 8, 2), max_deficiency=0)
+        for c in search.config_search((9, 8, 2), max_deficiency=0)
     }
     assert sums["A:1:1 + 6*A:2:1 + 2*A:3:1"] == 25
     assert sums["6*A:2:1 + A:3:1 + A:4:2"] == Fraction(491, 20)
-    capped = theorems.config_search(
+    capped = search.config_search(
         (9, 8, 2), max_deficiency=0, miyaoka_budget_cap=theorems.miyaoka_budget(4)
     )
     assert capped == []
-    roomy = theorems.config_search(
+    roomy = search.config_search(
         (9, 8, 2), max_deficiency=0, miyaoka_budget_cap=Fraction(25)
     )
     assert [rdp.format_config(c) for c in roomy] == [
@@ -446,13 +484,13 @@ def test_config_search_filters():
         "6*A:2:1 + A:3:1 + A:4:2",
     ]
     with pytest.raises(DomainError):
-        theorems.config_search(())
+        search.config_search(())
 
 
 def test_config_search_max_sigma():
     # type (2) is realized by 2*A:1:1, A:3:2, and D1:n for every n >= 4;
     # the sigma cap keeps the D1 family finite
-    found = theorems.config_search((2,), max_sigma=6)
+    found = search.config_search((2,), max_sigma=6)
     names = [rdp.format_config(c) for c in found]
     assert names == ["2*A:1:1", "A:3:2", "D1:4", "D1:5", "D1:6"]
 
@@ -491,7 +529,7 @@ def _check_against_oracle(cases, end_deltas):
         found = config_search_unpruned(target, max_sigma=max_sigma)
         deltas = {rdp.config_invariants(c).delta for c in found[:1] + found[-1:]} if end_deltas else ()
         for kwargs in filters + tuple({"require_delta": delta} for delta in sorted(deltas)):
-            got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+            got = search.config_search(target, max_sigma=max_sigma, **kwargs)
             assert got == [c for c in found if config_passes(c, **kwargs)], (target, max_sigma, kwargs)
             checked += 1
     return checked
@@ -514,7 +552,7 @@ def test_config_search_integer_filters_match_unpruned_quartic():
 
 def test_config_search_matches_unpruned_quartic_at_cap():
     filters = tuple({"max_deficiency": m} for m in (None, 0, 1, 2, 3))
-    cases = [(target, theorems.MAX_SIGMA_CAP, filters) for target in QUARTIC]
+    cases = [(target, search.MAX_SIGMA_CAP, filters) for target in QUARTIC]
     assert _check_against_oracle(cases, end_deltas=True) == 15 + 4
 
 
@@ -533,7 +571,7 @@ def test_config_search_filters_match_unpruned_small():
 def test_config_search_counts_at_cap():
     # each search first builds its own pair table, as a cold process does:
     # the table is the library's only state that persists between calls
-    cap, quartic = theorems.MAX_SIGMA_CAP, ((9, 8, 2), (9, 9), (9, 9, 1))
+    cap, quartic = search.MAX_SIGMA_CAP, ((9, 8, 2), (9, 9), (9, 9, 1))
     # at the cap: the slowest target of the two-stage search, the one with
     # the most results, the two-stage search's slowest above sum 30, and a
     # 30-entry target; under the Miyaoka cap 24 only A-series rows are kept,
@@ -556,8 +594,8 @@ def test_config_search_counts_at_cap():
     ):
         pinned += [(target, kwargs, count) for target, count in zip(quartic, counts)]
     for target, kwargs, count in pinned:
-        theorems._typed_pairs.cache_clear()
-        assert len(theorems.config_search(target, **kwargs)) == count, (target, kwargs)
+        search._typed_pairs.cache_clear()
+        assert len(search.config_search(target, **kwargs)) == count, (target, kwargs)
 
 
 def _nonincreasing_targets(total, max_length):
@@ -578,7 +616,7 @@ def test_config_search_matches_unpruned_monotone_targets():
     assert len(targets) == 56
     for target in targets:
         for max_sigma in (12, 19):
-            got = theorems.config_search(target, max_sigma=max_sigma)
+            got = search.config_search(target, max_sigma=max_sigma)
             assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
 
 
@@ -588,14 +626,14 @@ def test_config_search_matches_unpruned_packed_fields():
     # set the top value bit of a 6-bit one, and 8 or more entries make as
     # many fields
     for target, max_sigma in (((15,), 21), ((16,), 22), ((17, 1), 24), ((20,), 26)):
-        got = theorems.config_search(target, max_sigma=max_sigma)
+        got = search.config_search(target, max_sigma=max_sigma)
         assert len(got) == 89
         assert got == config_search_unpruned(target, max_sigma=max_sigma), target
     targets = [t for total in range(8, 15) for t in _nonincreasing_targets(total, total) if len(t) >= 8]
     assert len(targets) == 75
     for target in targets:
         for max_sigma in (12, 16):
-            got = theorems.config_search(target, max_sigma=max_sigma)
+            got = search.config_search(target, max_sigma=max_sigma)
             assert got == config_search_unpruned(target, max_sigma=max_sigma), (target, max_sigma)
 
 
@@ -603,7 +641,7 @@ def test_config_search_results_are_sorted_and_distinct():
     # a multiset is one nondecreasing sequence of (type, entry) positions,
     # so the results need one sort and no deduplication
     cases = [
-        (target, {"max_sigma": theorems.MAX_SIGMA_CAP, "max_deficiency": max_deficiency})
+        (target, {"max_sigma": search.MAX_SIGMA_CAP, "max_deficiency": max_deficiency})
         for target in ((9, 8, 2), (9, 9), (9, 9, 1))
         for max_deficiency in (None, 2)
     ]
@@ -612,7 +650,7 @@ def test_config_search_results_are_sorted_and_distinct():
             cases += [(target, {"max_sigma": max_sigma}) for max_sigma in (12, 19)]
     results = 0
     for target, kwargs in cases:
-        found = theorems.config_search(target, **kwargs)
+        found = search.config_search(target, **kwargs)
         assert found == sorted(set(found)), (target, kwargs)
         results += len(found)
     assert (len(cases), results) == (254, 6771)
@@ -631,7 +669,7 @@ def _unpruned(target, max_sigma):
 
 def _table(a_only):
     """The full pair table, or the A-series one, under its one cache key."""
-    return theorems._typed_pairs(a_only=True) if a_only else theorems._typed_pairs()
+    return search._typed_pairs(a_only=True) if a_only else search._typed_pairs()
 
 
 def test_config_search_budget_sweep_matches_unpruned():
@@ -649,15 +687,15 @@ def test_config_search_budget_sweep_matches_unpruned():
         {"require_delta": Fraction(6)},
         {"max_deficiency": 1, "require_delta": Fraction(6)},
     )
-    sigmas = range(1, theorems.MAX_SIGMA_CAP + 1)
+    sigmas = range(1, search.MAX_SIGMA_CAP + 1)
     want = {}
     for target in targets:
         for max_sigma in sigmas:
             found = _unpruned(target, max_sigma)
             for i, kwargs in enumerate(filters):
                 want[target, max_sigma, i] = [c for c in found if config_passes(c, **kwargs)]
-    built = theorems._typed_pairs.__wrapped__()
-    a_built = theorems._typed_pairs.__wrapped__(a_only=True)
+    built = search._typed_pairs.__wrapped__()
+    a_built = search._typed_pairs.__wrapped__(a_only=True)
     scale, rows = built
     assert (len(rows), sum(len(row[2]) for row in rows)) == (253, 295)
     # the A-series table holds the full table's A-series entries, in order,
@@ -665,7 +703,7 @@ def test_config_search_budget_sweep_matches_unpruned():
     a_series = ((row[0], [e[:4] for e in row[2] if e[3].species == "A"]) for row in rows)
     assert a_built[0] == scale
     assert [(row[0], [e[:4] for e in row[2]]) for row in a_built[1]] == [x for x in a_series if x[1]]
-    width = theorems._WIDTH
+    width = search._WIDTH
     for steps, _, entries, least_term, pack, lowers in rows + a_built[1]:
         # each entry carries its position in its own row
         assert [e[4] for e in entries] == list(range(len(entries)))
@@ -680,11 +718,11 @@ def test_config_search_budget_sweep_matches_unpruned():
     # the contribution cut needs every A-series term positive
     assert all(e[2] > 0 for row in a_built[1] for e in row[2])
     for sweep in (reversed(sigmas), sigmas):
-        theorems._typed_pairs.cache_clear()
+        search._typed_pairs.cache_clear()
         for max_sigma in sweep:
             for target in targets:
                 for i, kwargs in enumerate(filters):
-                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                    got = search.config_search(target, max_sigma=max_sigma, **kwargs)
                     assert got == want[target, max_sigma, i], (target, max_sigma, kwargs)
         assert (_table(False), _table(True)) == (built, a_built)
     assert sum(map(len, want.values())) == 4982
@@ -702,13 +740,13 @@ def test_config_search_miyaoka_caps_match_unpruned():
               {"max_deficiency": 1, "require_delta": Fraction(73, 12)})
     checked = found = 0
     for target in SWEEP:
-        for max_sigma in range(1, theorems.MAX_SIGMA_CAP + 1):
+        for max_sigma in range(1, search.MAX_SIGMA_CAP + 1):
             unfiltered = _unpruned(target, max_sigma)
             for cap in caps:
                 for other in others:
                     kwargs = dict(other, miyaoka_budget_cap=cap)
                     want = [c for c in unfiltered if config_passes(c, **kwargs)]
-                    got = theorems.config_search(target, max_sigma=max_sigma, **kwargs)
+                    got = search.config_search(target, max_sigma=max_sigma, **kwargs)
                     assert got == want, (target, max_sigma, kwargs)
                     checked, found = checked + 1, found + len(want)
     assert (checked, found) == (8 * 30 * 8 * 5, 8609)
@@ -719,7 +757,7 @@ def test_typed_pairs_index_by_length():
     # the rows of at most that many steps of its table, the A-series one
     # under a Miyaoka cap, whose cheapest entry fits the budget, in table
     # order
-    cap = theorems.MAX_SIGMA_CAP
+    cap = search.MAX_SIGMA_CAP
     for a_only in (False, True):
         scale, rows = _table(a_only)
         assert max(len(row[0]) for row in rows) == cap
@@ -729,21 +767,21 @@ def test_typed_pairs_index_by_length():
             by_length = [row for row in rows if len(row[0]) <= length]
             for budget in range(0, cap + 1):
                 want = tuple(row for row in by_length if row[2][0][0] <= budget)
-                assert theorems._typed_pairs(length, budget, a_only) == (scale, want)
+                assert search._typed_pairs(length, budget, a_only) == (scale, want)
             assert want == tuple(by_length), length
         # no type has more entries than sigma, so a length past the cap
         # keeps every row
-        assert theorems._typed_pairs(cap + 1, cap, a_only)[1] == rows
-    assert theorems._typed_pairs(cap + 1) == _table(False)
+        assert search._typed_pairs(cap + 1, cap, a_only)[1] == rows
+    assert search._typed_pairs(cap + 1) == _table(False)
     # the budget bound keeps the cache at 30 * 30 * 2 keys beside the two
     # tables, over any max_sigma and max_deficiency
-    theorems._typed_pairs.cache_clear()
+    search._typed_pairs.cache_clear()
     for length in range(1, 46):
         for max_deficiency in [None, -10**6, 10**6] + list(range(-45, 31)):
             for max_sigma in (1, cap):
                 for miyaoka_budget_cap in (None, Fraction(24)):
-                    theorems.config_search((1,) * length, max_deficiency, None, max_sigma, miyaoka_budget_cap)
-    info = theorems._typed_pairs.cache_info()
+                    search.config_search((1,) * length, max_deficiency, None, max_sigma, miyaoka_budget_cap)
+    info = search._typed_pairs.cache_info()
     assert info.currsize <= cap * cap * 2 + 2
     # a budget below 1 returns before the index is looked up or the
     # descent starts
@@ -754,19 +792,19 @@ def test_typed_pairs_index_by_length():
         ((1,), {"max_sigma": -10**6, "miyaoka_budget_cap": Fraction(24)}),
         ((1,), {"max_deficiency": -10**6}),
     ):
-        found, calls = _calls_in_theorems(theorems.config_search, target, **kwargs)
+        found, calls = _calls_in_search(search.config_search, target, **kwargs)
         assert (found, "_typed_pairs" in calls, "descend" in calls) == ([], False, False), kwargs
-    assert theorems._typed_pairs.cache_info().misses == misses
+    assert search._typed_pairs.cache_info().misses == misses
 
 
 def test_typed_pairs_index_is_rebuilt_after_cache_clear():
     for a_only in (False, True):
         old_scale, old_rows = _table(a_only)
-        old_index = theorems._typed_pairs(3, theorems.MAX_SIGMA_CAP, a_only)
-        theorems._typed_pairs.cache_clear()
-        index = theorems._typed_pairs(3, theorems.MAX_SIGMA_CAP, a_only)
+        old_index = search._typed_pairs(3, search.MAX_SIGMA_CAP, a_only)
+        search._typed_pairs.cache_clear()
+        index = search._typed_pairs(3, search.MAX_SIGMA_CAP, a_only)
         # no hits: one miss for the index and one for the table it is cut from
-        assert theorems._typed_pairs.cache_info()[:2] == (0, 2)
+        assert search._typed_pairs.cache_info()[:2] == (0, 2)
         assert index == old_index and index[0] == old_scale
         _, rows = _table(a_only)
         new_ids, old_ids = set(map(id, rows)), set(map(id, old_rows))
@@ -776,8 +814,8 @@ def test_typed_pairs_index_is_rebuilt_after_cache_clear():
 def _least_ratio(target, budget):
     """The least sigma/sum(type) over the types that fit target with an
     entry of sigma <= budget, by a Fraction scan of the whole table."""
-    _, rows = theorems._typed_pairs()
-    steps = theorems._steps(tuple(target))
+    _, rows = search._typed_pairs()
+    steps = search._steps(tuple(target))
     ratios = [
         Fraction(entries[0][0], size)
         for piece_steps, size, entries, *_ in rows
@@ -800,15 +838,15 @@ def test_config_search_ratio_cut_at_the_budget_exactly():
             want = config_search_unpruned(target, max_sigma=sigma)
             assert len(want) == (count if sigma == budget else 0), (target, sigma)
             for kwargs in ways:
-                assert theorems.config_search(target, **kwargs) == want, (target, kwargs)
+                assert search.config_search(target, **kwargs) == want, (target, kwargs)
 
 
 def test_config_search_thirty_entries_at_cap_match_unpruned():
     # the longest targets the index keys on: only A(30,1) has type (1^[30])
-    cap = theorems.MAX_SIGMA_CAP
+    cap = search.MAX_SIGMA_CAP
     for target in ((1,) * 30, (2,) + (1,) * 29, (2, 2) + (1,) * 28, (3,) + (1,) * 29):
         want = config_search_unpruned(target, max_sigma=cap)
-        assert theorems.config_search(target, max_sigma=cap) == want, target
+        assert search.config_search(target, max_sigma=cap) == want, target
         assert len(want) == (target == (1,) * 30), target
 
 
@@ -817,12 +855,12 @@ def test_type_sums_within_the_sigma_cap_stay_under_the_clamp():
     # sound only if no configuration within MAX_SIGMA_CAP has a type sum
     # past _CLAMP: a type's sum is at most sigma/least of its sigma; the
     # assert also leaves room for one more table step
-    _, rows = theorems._typed_pairs()
+    _, rows = search._typed_pairs()
     least = min(Fraction(entries[0][0], size) for _, size, entries, *_ in rows)
     largest_step = max(max(row[0]) for row in rows)
     assert (least, largest_step) == (Fraction(29, 42), 15)
-    assert theorems._CLAMP == (1 << (theorems._WIDTH - 1)) - 1
-    assert theorems.MAX_SIGMA_CAP / least + largest_step < theorems._CLAMP
+    assert search._CLAMP == (1 << (search._WIDTH - 1)) - 1
+    assert search.MAX_SIGMA_CAP / least + largest_step < search._CLAMP
 
 
 def test_config_search_steps_past_the_clamp_match_unpruned():
@@ -830,7 +868,7 @@ def test_config_search_steps_past_the_clamp_match_unpruned():
     # clamp, packed, and steps just past and far past it, refused unpacked:
     # no type sum under the cap reaches 43 in one field, so the oracle finds
     # nothing, and a packed field must not read as one that picks can empty
-    cap = theorems.MAX_SIGMA_CAP
+    cap = search.MAX_SIGMA_CAP
     for big in (43, 63, 64, 127, 10**12):
         for target, kwargs in (
             ((big,), {"max_sigma": cap}),
@@ -838,18 +876,18 @@ def test_config_search_steps_past_the_clamp_match_unpruned():
             ((big,), {"max_sigma": 25, "require_delta": Fraction(6)}),
         ):
             want = config_search_unpruned(target, **kwargs)
-            assert theorems.config_search(target, **kwargs) == want == [], (target, kwargs)
+            assert search.config_search(target, **kwargs) == want == [], (target, kwargs)
 
 
 def test_searches_leave_no_cyclic_garbage():
     # each descent is a closure that refers to itself; both searches drop it
     # at return, so refcounting frees their working sets
-    theorems._typed_pairs()
+    search._typed_pairs()
     gc.collect()
     gc.disable()
     try:
-        assert len(theorems.config_search((9, 8, 2), max_sigma=25)) == 56
-        assert len(theorems.bungobungo_solve()) == 3
+        assert len(search.config_search((9, 8, 2), max_sigma=25)) == 56
+        assert len(search.bungobungo_solve()) == 3
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -860,19 +898,19 @@ def test_config_search_non_monotone_target_types_no_pair(monkeypatch):
         raise AssertionError("a pair was typed for a target with no tiling")
 
     # with the table cleared, a build or a typing before the step check fails
-    theorems._typed_pairs.cache_clear()
-    monkeypatch.setattr(theorems, "_typed_pairs", no_typing)
+    search._typed_pairs.cache_clear()
+    monkeypatch.setattr(search, "_typed_pairs", no_typing)
     monkeypatch.setattr(rdp, "classified_pairs", no_typing)
     monkeypatch.setattr(rdp, "scalar_invariants", no_typing)
     for target in ((1, 2), (3, 1, 2), (9, 8, 9)):
-        assert theorems.config_search(target) == []
-        assert theorems.config_search(target, require_delta=Fraction(6), max_sigma=25) == []
+        assert search.config_search(target) == []
+        assert search.config_search(target, require_delta=Fraction(6), max_sigma=25) == []
 
 
 def test_config_search_negative_deficiency():
     # Dn(5) has type (2,1,1,1,1) and sigma 5 < 6: sigma does not bound
     # the type sum from above
-    assert theorems.config_search((2, 1, 1, 1, 1), max_sigma=5) == [(rdp.pair_d_last(5),)]
+    assert search.config_search((2, 1, 1, 1, 1), max_sigma=5) == [(rdp.pair_d_last(5),)]
 
 
 def test_config_search_huge_entry_is_cut_at_the_root():
@@ -880,11 +918,11 @@ def test_config_search_huge_entry_is_cut_at_the_root():
     # sum no budget can reach returns [] with no work sized by that sum.
     # The smaller target comes first: work sized by it shows in the peak
     # and fails the assert before the larger one is tried.
-    theorems.config_search((9, 9))  # builds the pair table outside the trace
+    search.config_search((9, 9))  # builds the pair table outside the trace
     for text in ("(1000000)", "(1000000000000)", "(1000000000000,7,1)"):
         tracemalloc.start()
         try:
-            found = theorems.config_search(rdp.parse_type(text), max_sigma=theorems.MAX_SIGMA_CAP)
+            found = search.config_search(rdp.parse_type(text), max_sigma=search.MAX_SIGMA_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -893,26 +931,26 @@ def test_config_search_huge_entry_is_cut_at_the_root():
 
 def test_types_are_nonincreasing():
     # the config_search descent prunes on this
-    for pair in rdp.classified_pairs(theorems.MAX_SIGMA_CAP):
+    for pair in rdp.classified_pairs(search.MAX_SIGMA_CAP):
         t = rdp.type_of(pair)
         assert all(x >= y for x, y in zip(t, t[1:])), pair
 
 
 def test_config_search_sigma_cap(monkeypatch):
-    assert theorems.MAX_SIGMA_CAP >= 25
-    assert theorems.config_search((9, 9), max_sigma=theorems.MAX_SIGMA_CAP)
+    assert search.MAX_SIGMA_CAP >= 25
+    assert search.config_search((9, 9), max_sigma=search.MAX_SIGMA_CAP)
 
     def no_walk(*args):
         raise AssertionError("pair table built before the cap check")
 
     # the search above built the table; clear it, so that a build before
     # the cap check would have to run, and fail
-    theorems._typed_pairs.cache_clear()
-    monkeypatch.setattr(theorems, "_typed_pairs", no_walk)
+    search._typed_pairs.cache_clear()
+    monkeypatch.setattr(search, "_typed_pairs", no_walk)
     monkeypatch.setattr(rdp, "classified_pairs", no_walk)
-    for max_sigma in (theorems.MAX_SIGMA_CAP + 1, 10 ** 9):
+    for max_sigma in (search.MAX_SIGMA_CAP + 1, 10 ** 9):
         with pytest.raises(DomainError, match="max_sigma"):
-            theorems.config_search((9, 9), max_sigma=max_sigma)
+            search.config_search((9, 9), max_sigma=max_sigma)
 
 
 def test_murky_applies():
@@ -950,8 +988,8 @@ def test_negative_truncation_index_is_refused():
 
 
 def test_max_sigma_refusal_line():
-    assert theorems.config_search((1,), max_sigma=theorems.MAX_SIGMA_CAP) == [(rdp.RdpPair("A", 1, 1),)]
+    assert search.config_search((1,), max_sigma=search.MAX_SIGMA_CAP) == [(rdp.RdpPair("A", 1, 1),)]
     message = "max_sigma must be <= 30, got 31: the search grows exponentially in it"
     with pytest.raises(DomainError) as info:
-        theorems.config_search((9, 9), max_sigma=31)
+        search.config_search((9, 9), max_sigma=31)
     assert str(info.value) == message
